@@ -32,6 +32,7 @@ from .model import (
     OperationSpec,
     ProblemInstance,
     ProcessingOption,
+    validate_instance,
 )
 
 SCHEMA_VERSION = 1
@@ -358,14 +359,31 @@ def _int_field(mapping, key, label) -> int:
     return value
 
 
+def _list_field(mapping, key, label) -> list:
+    value = _require(mapping, key, label)
+    if not isinstance(value, list):
+        raise InstanceFormatError(f"{label}: {key} must be a list")
+    return value
+
+
 def _float_field(value, label) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InstanceFormatError(f"{label}: expected a number")
     return float(value)
 
 
+def _floats(value, label) -> tuple[float, ...]:
+    if not isinstance(value, list):
+        raise InstanceFormatError(f"{label}: expected a list of numbers")
+    return tuple(_float_field(v, label) for v in value)
+
+
 def read_instance(text: str) -> ProblemInstance:
-    """Parse an instance document; raises InstanceFormatError on bad input."""
+    """Parse and validate an instance document.
+
+    Raises InstanceFormatError on a malformed document and on an instance
+    that ``validate_instance`` rejects, listing every violation.
+    """
     data = load_document(text)
     if not isinstance(data, dict):
         raise InstanceFormatError("document root must be a mapping")
@@ -375,53 +393,34 @@ def read_instance(text: str) -> ProblemInstance:
             f"unsupported schema_version {version!r}, expected {SCHEMA_VERSION}"
         )
     s = _int_field(data, "speed_count", "document")
-    if s < 1:
-        raise InstanceFormatError("speed_count must be at least 1")
 
     jobs = []
-    for jdoc in _require(data, "jobs", "document"):
+    for jdoc in _list_field(data, "jobs", "document"):
         label = f"job {jdoc.get('id') if isinstance(jdoc, dict) else '?'}"
         job_id = _int_field(jdoc, "id", label)
         setup = _int_field(jdoc, "setup_time", label)
         ops = []
-        for o, odoc in enumerate(_require(jdoc, "operations", label), start=1):
+        for o, odoc in enumerate(_list_field(jdoc, "operations", label), start=1):
             olabel = f"{label} operation {o}"
             options = []
-            for optdoc in _require(odoc, "options", olabel):
+            for optdoc in _list_field(odoc, "options", olabel):
                 machine = _int_field(optdoc, "machine", olabel)
                 gear = _int_field(optdoc, "gear", olabel)
                 duration = _int_field(optdoc, "duration", olabel)
-                if not 1 <= gear <= s:
-                    raise InstanceFormatError(
-                        f"{olabel}: gear {gear} out of range 1..{s}"
-                    )
                 options.append(ProcessingOption(machine, gear, duration))
             ops.append(OperationSpec(job=job_id, op_index=o, options=tuple(options)))
         jobs.append(JobSpec(id=job_id, setup_time=setup, operations=tuple(ops)))
 
     machines = []
-    for mdoc in _require(data, "machines", "document"):
+    for mdoc in _list_field(data, "machines", "document"):
         label = f"machine {mdoc.get('id') if isinstance(mdoc, dict) else '?'}"
         mach_id = _int_field(mdoc, "id", label)
-        process = tuple(
-            _float_field(v, label) for v in _require(mdoc, "process_power", label)
-        )
-        idle = tuple(
-            _float_field(v, label) for v in _require(mdoc, "idle_power", label)
-        )
-        if len(process) != s or len(idle) != s:
-            raise InstanceFormatError(f"{label}: power vectors must have {s} entries")
-        switch_doc = _require(mdoc, "switch", label)
-        if len(switch_doc) != s + 1 or any(len(r) != s + 1 for r in switch_doc):
-            raise InstanceFormatError(f"{label}: switch table must be {s + 1}x{s + 1}")
-        switch = tuple(
-            tuple(_float_field(v, label) for v in row) for row in switch_doc
-        )
+        process = _floats(_require(mdoc, "process_power", label), label)
+        idle = _floats(_require(mdoc, "idle_power", label), label)
+        switch = tuple(_floats(row, label) for row in _list_field(mdoc, "switch", label))
         turn_on = None
         if "turn_on" in mdoc:
-            turn_on = tuple(_float_field(v, label) for v in mdoc["turn_on"])
-            if len(turn_on) != s:
-                raise InstanceFormatError(f"{label}: turn_on must have {s} entries")
+            turn_on = _floats(mdoc["turn_on"], label)
         machines.append(
             Machine(
                 id=mach_id,
@@ -435,6 +434,12 @@ def read_instance(text: str) -> ProblemInstance:
                 turn_on=turn_on,
             )
         )
-    return ProblemInstance(
+    inst = ProblemInstance(
         jobs=tuple(jobs), machines=tuple(machines), speed_count=s
     )
+    report = validate_instance(inst)
+    if not report.ok:
+        raise InstanceFormatError(
+            "invalid instance: " + "; ".join(report.errors + report.violations)
+        )
+    return inst

@@ -22,6 +22,8 @@ import time
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
+import yaml
+
 from . import __version__
 from .benchmark import (
     InstanceFormatError,
@@ -129,10 +131,19 @@ def _config_from_args(args: argparse.Namespace) -> AlgorithmConfig:
     cfg = AlgorithmConfig()
     if args.config:
         doc = load_document(Path(args.config).read_text()) or {}
-        known = {f.name for f in fields(AlgorithmConfig)}
-        unknown = set(doc) - known
+        if not isinstance(doc, dict):
+            raise ValueError(f"{args.config}: config must be a mapping of solver settings")
+        defaults = {f.name: f.default for f in fields(AlgorithmConfig)}
+        unknown = set(doc) - set(defaults)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in doc.items():
+            expected = type(defaults[key])
+            allowed = (int, float) if expected is float else expected
+            if isinstance(value, bool) != (expected is bool) or not isinstance(value, allowed):
+                raise ValueError(
+                    f"{args.config}: {key} must be of type {expected.__name__}, got {value!r}"
+                )
         cfg = replace(cfg, **doc)
     if args.pop is not None:
         cfg = replace(cfg, population=args.pop)
@@ -420,6 +431,17 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, InstanceFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except yaml.YAMLError as exc:
+        print(f"error: {_yaml_problem(exc)}", file=sys.stderr)
+        return 1
+
+
+def _yaml_problem(exc: yaml.YAMLError) -> str:
+    """One line naming what the YAML parser choked on, and where."""
+    problem = getattr(exc, "problem", None) or str(exc).splitlines()[0]
+    mark = getattr(exc, "problem_mark", None)
+    where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+    return f"malformed YAML: {problem}{where}"
 
 
 if __name__ == "__main__":

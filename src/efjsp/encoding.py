@@ -18,6 +18,11 @@ gap on its chosen machine that admits it, adding a setup row whenever the
 operation opens a new job block on that machine.  Setup rows are placed
 as late as possible, ending exactly at the process start, and may overlap
 the job's previous operation running elsewhere.
+
+Placement builds one time-ordered timeline per machine.  ``decode``
+returns it as a schedule table; ``evaluate`` prices it directly, reading
+the makespan and the total energy off one walk over those timelines
+(``energy.account``) without building the table.
 """
 
 from __future__ import annotations
@@ -25,17 +30,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from . import energy as _energy
-from . import model as _model
-from .model import ProblemInstance, ScheduledRow, ScheduleTable
+from .energy import account
+from .model import PROCESS, SETUP, ProblemInstance, ScheduledRow, ScheduleTable, Segment
 
 RULE_MIN_TIME = "min_time"
 RULE_MIN_ENERGY = "min_energy"
 MODE_TOTAL = "total"
 MODE_PARTIAL = "partial"
-
-_SETUP = 0
-_PROCESS = 1
 
 
 class ChromosomeError(ValueError):
@@ -95,10 +96,6 @@ def canonical_order(inst: ProblemInstance) -> tuple[tuple[int, int], ...]:
     return tuple(
         (job.id, op.op_index) for job in inst.jobs for op in job.operations
     )
-
-
-def _position_map(inst: ProblemInstance) -> dict[tuple[int, int], int]:
-    return {key: i for i, key in enumerate(canonical_order(inst))}
 
 
 def random_chromosome(inst: ProblemInstance, rng: random.Random) -> Chromosome:
@@ -171,12 +168,90 @@ def _check_chromosome(inst: ProblemInstance, chrom: Chromosome) -> None:
             )
     if counts:
         raise ChromosomeError(f"os lists unknown job ids {sorted(counts)}")
-    for pos, (key, col) in enumerate(zip(canonical_order(inst), chrom.mv)):
-        width = len(inst.operation(*key).options)
-        if not 1 <= col <= width:
-            raise ChromosomeError(
-                f"mv position {pos}: column {col} out of range 1..{width}"
+    pos = 0
+    for job in inst.jobs:
+        for op in job.operations:
+            col = chrom.mv[pos]
+            width = len(op.options)
+            if not 1 <= col <= width:
+                raise ChromosomeError(
+                    f"mv position {pos}: column {col} out of range 1..{width}"
+                )
+            pos += 1
+
+
+def _place(
+    inst: ProblemInstance,
+    chrom: Chromosome,
+    matrices: dict[tuple[int, int], MessageMatrix],
+    rows: list[ScheduledRow] | None = None,
+) -> list[list[Segment]]:
+    """Earliest-gap placement of a checked chromosome.
+
+    Returns the timeline of every machine (see ``model.Segment``), and
+    appends the schedule rows to ``rows``, in os order, when a list is
+    given.
+    """
+    mv = chrom.mv
+    setup_times = []
+    mv_base = []  # mv position of each job's first operation, minus one
+    pos = -1
+    for job in inst.jobs:
+        setup_times.append(job.setup_time)
+        mv_base.append(pos)
+        pos += len(job.operations)
+    next_op = [1] * len(inst.jobs)
+    job_ready = [0] * len(inst.jobs)
+    segs: list[list[Segment]] = [[] for _ in inst.machines]
+
+    for job_id in chrom.os:
+        j = job_id - 1
+        op_idx = next_op[j]
+        next_op[j] = op_idx + 1
+        mm = matrices[(job_id, op_idx)]
+        c = mv[mv_base[j] + op_idx] - 1
+        machine = mm.machines[c]
+        speed = mm.speeds[c]
+        dur = mm.durations[c]
+        su = setup_times[j]
+        ready = job_ready[j]
+        seq = segs[machine - 1]
+
+        i = 0
+        prev_end = 0
+        prev_proc_job = 0
+        for seg_start, seg_end, kind, seg_job, _, _ in seq:
+            if seg_start > prev_end and kind == SETUP:
+                need_setup = prev_proc_job != job_id
+                start = prev_end + su if need_setup else prev_end
+                if start < ready:
+                    start = ready
+                if start + dur <= seg_start:
+                    break
+            prev_end = seg_end
+            if kind == PROCESS:
+                prev_proc_job = seg_job
+            i += 1
+        else:  # the open tail
+            need_setup = prev_proc_job != job_id
+            start = prev_end + su if need_setup else prev_end
+            if start < ready:
+                start = ready
+
+        end = start + dur
+        if need_setup:
+            seq[i:i] = (
+                (start - su, start, SETUP, job_id, 0, 0),
+                (start, end, PROCESS, job_id, op_idx, speed),
             )
+            if rows is not None:
+                rows.append(ScheduledRow(job_id, 0, machine, 0, start - su, start))
+        else:
+            seq.insert(i, (start, end, PROCESS, job_id, op_idx, speed))
+        if rows is not None:
+            rows.append(ScheduledRow(job_id, op_idx, machine, speed, start, end))
+        job_ready[j] = end
+    return segs
 
 
 def decode(
@@ -198,60 +273,14 @@ def decode(
     invalidate that row's same-job continuity, and a later operation of
     the same job can never fit in front of it.
 
-    Raises ChromosomeError on malformed input.
+    Rows come out in os order, each setup row just ahead of its process
+    row.  Raises ChromosomeError on malformed input.
     """
     if matrices is None:
         matrices = build_message_matrix(inst)
     _check_chromosome(inst, chrom)
-    posmap = _position_map(inst)
-    setup_times = [job.setup_time for job in inst.jobs]
-    next_op = [1] * len(inst.jobs)
-    job_ready = [0] * len(inst.jobs)
-    # Per machine: (start, end, kind, job, op_index, speed), sorted by start.
-    segs: list[list[tuple[int, int, int, int, int, int]]] = [
-        [] for _ in inst.machines
-    ]
     rows: list[ScheduledRow] = []
-
-    for job_id in chrom.os:
-        j = job_id - 1
-        op_idx = next_op[j]
-        next_op[j] += 1
-        mm = matrices[(job_id, op_idx)]
-        machine, speed, dur = mm.column(chrom.mv[posmap[(job_id, op_idx)]])
-        su = setup_times[j]
-        ready = job_ready[j]
-        seq = segs[machine - 1]
-
-        i = 0
-        prev_end = 0
-        prev_proc_job = 0
-        while True:
-            tail = i == len(seq)
-            if tail or seq[i][0] > prev_end:
-                usable = tail or seq[i][2] == _SETUP
-                if usable:
-                    need_setup = prev_proc_job != job_id
-                    start = prev_end + (su if need_setup else 0)
-                    if start < ready:
-                        start = ready
-                    if tail or start + dur <= seq[i][0]:
-                        break
-            seg = seq[i]
-            prev_end = seg[1]
-            if seg[2] == _PROCESS:
-                prev_proc_job = seg[3]
-            i += 1
-
-        new_segs = []
-        if need_setup:
-            rows.append(ScheduledRow(job_id, 0, machine, 0, start - su, start))
-            new_segs.append((start - su, start, _SETUP, job_id, 0, 0))
-        rows.append(ScheduledRow(job_id, op_idx, machine, speed, start, start + dur))
-        new_segs.append((start, start + dur, _PROCESS, job_id, op_idx, speed))
-        seq[i:i] = new_segs
-        job_ready[j] = start + dur
-
+    _place(inst, chrom, matrices, rows)
     return ScheduleTable(tuple(rows), inst)
 
 
@@ -260,6 +289,17 @@ def evaluate(
     chrom: Chromosome,
     matrices: dict[tuple[int, int], MessageMatrix] | None = None,
 ) -> tuple[int, float]:
-    """Decode and read off the two objectives (makespan, total energy)."""
-    sched = decode(inst, chrom, matrices)
-    return _model.makespan(sched), _energy.total_energy(inst, sched).tec
+    """The two objectives (makespan, total energy) of a chromosome.
+
+    Equal, to the last bit, to ``makespan`` and ``total_energy(...).tec``
+    of ``decode``'s schedule, but priced off the placement timelines in
+    one walk.  Raises ChromosomeError on malformed input, ValueError
+    when nothing is processed.
+    """
+    if matrices is None:
+        matrices = build_message_matrix(inst)
+    _check_chromosome(inst, chrom)
+    cmax, ie1, ie2, se1, se2, ise = account(inst, _place(inst, chrom, matrices))
+    if cmax < 0:
+        raise ValueError("schedule has no process rows")
+    return cmax, ie1 + ie2 + se1 + se2 + ise

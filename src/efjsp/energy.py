@@ -12,6 +12,12 @@ For an interior stretch the machine either waits at the lower of the two
 adjacent gears (paying idle power plus one speed switch) or drops to
 standby (paying standby power plus a switch down to speed 0 and back up).
 The cheaper choice is taken, ties going to waiting idle.
+
+All five parts come from one walk over per-machine timelines
+(``account``).  ``encoding.evaluate`` runs it on the decoder's own
+timelines to price a chromosome; ``total_energy`` runs it on the sorted
+rows of a schedule table and also keeps every interval decision, so the
+breakdown and the objective are the same sums.
 """
 
 from __future__ import annotations
@@ -19,13 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .model import (
+    SETUP,
     IdleIntervalRecord,
+    Machine,
     ProblemInstance,
     ScheduleTable,
-    continuous_pairs,
-    idle_intervals,
-    process_rows,
-    setup_rows,
+    Segment,
+    machine_timelines,
 )
 
 MODE_IDLE = "idle"
@@ -62,57 +68,18 @@ class EnergyBreakdown:
     interval_decisions: tuple[IntervalDecision, ...]
 
 
-def turn_on_energy(inst: ProblemInstance, sched: ScheduleTable) -> float:
-    """Power-up energy: one charge per machine that processes anything.
-
-    The charge brings the machine from off to the gear of its first
-    process row, using the machine's turn-on vector when present and the
-    switch table row from speed 0 otherwise.  Turning off is free.
-    """
-    total = 0.0
-    for mach in inst.machines:
-        rows = process_rows(sched, mach.id)
-        if not rows:
-            continue
-        g = rows[0].speed
-        if mach.turn_on is not None:
-            total += mach.turn_on[g - 1]
-        else:
-            total += mach.switch[0][g]
-    return total
-
-
-def transition_energy(inst: ProblemInstance, sched: ScheduleTable) -> float:
-    """Switch energy between continuous operations at different gears.
-
-    Two operations count as continuous when nothing but the follower's
-    setup row separates them; the gear change is then charged once,
-    across the setup if one is present.
-    """
-    total = 0.0
-    for mach in inst.machines:
-        for a, b in continuous_pairs(sched, mach.id):
-            if a.speed != b.speed:
-                total += mach.switch[a.speed][b.speed]
-    return total
-
-
-def setup_energy(inst: ProblemInstance, sched: ScheduleTable) -> float:
-    """Setup power times setup duration, summed over all setup rows."""
-    total = 0.0
-    for mach in inst.machines:
-        for row in setup_rows(sched, mach.id):
-            total += mach.setup_power * row.duration
-    return total
-
-
-def process_energy(inst: ProblemInstance, sched: ScheduleTable) -> float:
-    """Per-gear process power times running time, over all process rows."""
-    total = 0.0
-    for mach in inst.machines:
-        for row in process_rows(sched, mach.id):
-            total += mach.process_power[row.speed - 1] * row.duration
-    return total
+def _stretch_cost(mach: Machine, length: int, prev_speed: int, next_speed: int) -> tuple[float, bool]:
+    """Cost of the cheaper way to wait out a stretch, and whether it is idling."""
+    idle_cost = mach.idle_power[min(prev_speed, next_speed) - 1] * length
+    idle_cost += mach.switch[prev_speed][next_speed]
+    standby_cost = (
+        mach.standby_power * length
+        + mach.switch[prev_speed][0]
+        + mach.switch[0][next_speed]
+    )
+    if idle_cost <= standby_cost:
+        return idle_cost, True
+    return standby_cost, False
 
 
 def interval_energy(inst: ProblemInstance, interval: IdleIntervalRecord) -> IntervalDecision:
@@ -129,44 +96,92 @@ def interval_energy(inst: ProblemInstance, interval: IdleIntervalRecord) -> Inte
             "interval energy is only defined between two process rows; "
             "boundary stretches carry no idle/standby energy"
         )
-    mach = inst.machine(interval.machine)
-    length = interval.length
-    low = min(interval.prev_speed, interval.next_speed)
-    idle_cost = mach.idle_power[low - 1] * length
-    idle_cost += mach.switch[interval.prev_speed][interval.next_speed]
-    standby_cost = (
-        mach.standby_power * length
-        + mach.switch[interval.prev_speed][0]
-        + mach.switch[0][interval.next_speed]
+    cost, idle = _stretch_cost(
+        inst.machine(interval.machine),
+        interval.length,
+        interval.prev_speed,
+        interval.next_speed,
     )
-    if idle_cost <= standby_cost:
-        mode, cost = MODE_IDLE, idle_cost
-    else:
-        mode, cost = MODE_STANDBY, standby_cost
     return IntervalDecision(
         interval=interval,
-        mode=mode,
-        idle_speed=low,
+        mode=MODE_IDLE if idle else MODE_STANDBY,
+        idle_speed=min(interval.prev_speed, interval.next_speed),
         switch_on_entry=interval.prev_speed > interval.next_speed,
         energy=cost,
     )
 
 
+def account(
+    inst: ProblemInstance,
+    timelines: list[list[Segment]],
+    decisions: list[IntervalDecision] | None = None,
+) -> tuple[int, float, float, float, float, float]:
+    """Makespan and the five energy parts, in one walk over the timelines.
+
+    Returns ``(cmax, turn_on, transition, setup, process, interval)``;
+    ``cmax`` is -1 when no machine processes anything.  Each part is
+    summed machine by machine and, on a machine, in time order.  When
+    ``decisions`` is a list, every interval decision is appended to it.
+
+    Two consecutive process segments are continuous when the second
+    starts no later than the first ends, or when only the second's own
+    setup separates them; a continuous pair pays a gear switch, any other
+    pair encloses an idle/standby stretch.  The first process segment of
+    a machine pays its turn-on: the machine's turn-on vector when present,
+    the switch table row from speed 0 otherwise.  Turning off is free.
+    """
+    cmax = -1
+    ie1 = ie2 = se1 = se2 = 0.0
+    ise = 0  # an int while no stretch is priced, as the result documents record it
+    for mach, seq in zip(inst.machines, timelines):
+        if not seq:
+            continue
+        switch = mach.switch
+        process_power = mach.process_power
+        setup_power = mach.setup_power
+        prev_end = prev_speed = 0
+        last: Segment | None = None
+        for seg in seq:
+            start, end, kind, job, _, speed = seg
+            if kind == SETUP:
+                se1 += setup_power * (end - start)
+                last = seg
+                continue
+            se2 += process_power[speed - 1] * (end - start)
+            if end > cmax:
+                cmax = end
+            if not prev_speed:
+                if mach.turn_on is not None:
+                    ie1 += mach.turn_on[speed - 1]
+                else:
+                    ie1 += switch[0][speed]
+            elif start <= prev_end or (
+                last[2] == SETUP and last[3] == job and last[1] == start and last[0] <= prev_end
+            ):
+                if prev_speed != speed:
+                    ie2 += switch[prev_speed][speed]
+            elif decisions is None:
+                ise += _stretch_cost(mach, start - prev_end, prev_speed, speed)[0]
+            else:
+                decision = interval_energy(
+                    inst, IdleIntervalRecord(mach.id, prev_end, start, prev_speed, speed)
+                )
+                decisions.append(decision)
+                ise += decision.energy
+            prev_end, prev_speed = end, speed
+            last = seg
+    return cmax, ie1, ie2, se1, se2, ise
+
+
 def total_energy(inst: ProblemInstance, sched: ScheduleTable) -> EnergyBreakdown:
     """Full energy breakdown of a schedule.
 
-    ``tec`` is the exact sum of the five components.  An empty schedule
-    yields an all-zero breakdown.
+    ``tec`` is the exact sum of the five components, added in the same
+    order as by ``encoding.evaluate``.  An empty schedule yields an
+    all-zero breakdown.
     """
-    decisions = []
-    for mach in inst.machines:
-        for interval in idle_intervals(sched, mach.id):
-            decisions.append(interval_energy(inst, interval))
-    ie1 = turn_on_energy(inst, sched)
-    ie2 = transition_energy(inst, sched)
-    se1 = setup_energy(inst, sched)
-    se2 = process_energy(inst, sched)
-    ise = sum(d.energy for d in decisions)
+    decisions: list[IntervalDecision] = []
+    _, ie1, ie2, se1, se2, ise = account(inst, machine_timelines(inst, sched), decisions)
     return EnergyBreakdown(
         turn_on=ie1,
         transition=ie2,
@@ -176,3 +191,23 @@ def total_energy(inst: ProblemInstance, sched: ScheduleTable) -> EnergyBreakdown
         tec=ie1 + ie2 + se1 + se2 + ise,
         interval_decisions=tuple(decisions),
     )
+
+
+def turn_on_energy(inst: ProblemInstance, sched: ScheduleTable) -> float:
+    """Power-up energy: one charge per machine that processes anything."""
+    return total_energy(inst, sched).turn_on
+
+
+def transition_energy(inst: ProblemInstance, sched: ScheduleTable) -> float:
+    """Switch energy between continuous operations at different gears."""
+    return total_energy(inst, sched).transition
+
+
+def setup_energy(inst: ProblemInstance, sched: ScheduleTable) -> float:
+    """Setup power times setup duration, summed over all setup rows."""
+    return total_energy(inst, sched).setup
+
+
+def process_energy(inst: ProblemInstance, sched: ScheduleTable) -> float:
+    """Per-gear process power times running time, over all process rows."""
+    return total_energy(inst, sched).process

@@ -120,6 +120,29 @@ class ScheduleTable:
     instance: ProblemInstance
 
 
+# A machine timeline lists the machine's rows as plain tuples
+# (start, end, kind, job, op_index, speed) in time order, every setup
+# directly ahead of the process row it serves.  The decoder builds one
+# per machine; energy accounting walks them.
+SETUP = 0
+PROCESS = 1
+Segment = tuple[int, int, int, int, int, int]
+
+
+def machine_timelines(inst: ProblemInstance, sched: ScheduleTable) -> list[list[Segment]]:
+    """Timelines of all machines, indexed by machine id - 1.
+
+    The rows are grouped by machine and each group is sorted once.
+    """
+    out: list[list[Segment]] = [[] for _ in inst.machines]
+    for r in sched.rows:
+        kind = SETUP if r.is_setup else PROCESS
+        out[r.machine - 1].append((r.start, r.end, kind, r.job, r.op_index, r.speed))
+    for seq in out:
+        seq.sort()
+    return out
+
+
 class IdleIntervalRecord(NamedTuple):
     """A non-processing stretch between two process rows on one machine.
 

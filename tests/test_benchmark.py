@@ -10,7 +10,9 @@ from efjsp.benchmark import (
     GeneratorParams,
     InstanceFormatError,
     ParseError,
+    dump_document,
     extend_instance,
+    load_document,
     parse_base,
     random_base,
     read_instance,
@@ -198,6 +200,35 @@ def test_read_instance_rejects_bad_gear():
     )
     with pytest.raises(InstanceFormatError):
         read_instance(text)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc.update(jobs=5), "jobs must be a list"),
+        (lambda doc: doc["jobs"][0].update(operations={"options": []}), "operations must be a list"),
+        (lambda doc: doc["machines"][0].update(switch=5), "switch must be a list"),
+        (lambda doc: doc["machines"][0].update(idle_power="low"), "expected a list of numbers"),
+        (lambda doc: doc["machines"][0].update(turn_on=3.0), "expected a list of numbers"),
+    ],
+    ids=["jobs", "operations", "switch", "idle-power", "turn-on"],
+)
+def test_read_instance_rejects_non_list_fields(edit, message):
+    doc = load_document(write_instance(extend_instance(random_base(2, 2, seed=0), seed=0)))
+    edit(doc)
+    with pytest.raises(InstanceFormatError, match=message):
+        read_instance(dump_document(doc))
+
+
+def test_read_instance_lists_every_violation():
+    inst = extend_instance(random_base(2, 2, seed=0), seed=0)
+    doc = load_document(write_instance(inst))
+    doc["jobs"][0]["operations"][0]["options"][0]["duration"] = 0
+    doc["machines"][1]["standby_power"] = -1.0
+    with pytest.raises(InstanceFormatError) as exc:
+        read_instance(dump_document(doc))
+    assert "non-positive duration" in str(exc.value)
+    assert "machine 2: negative standby power" in str(exc.value)
 
 
 def test_generator_params_validation():

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from efjsp.benchmark import load_document, random_base, read_instance, write_base
+from efjsp.benchmark import dump_document, load_document, random_base, read_instance, write_base
 from efjsp.cli import main
 from efjsp.model import validate_instance
 
@@ -130,6 +130,58 @@ def test_solve_rejects_unknown_config_keys(tmp_path, instance_file, capsys):
     )
     assert code == 1
     assert "unknown config keys" in capsys.readouterr().err
+
+
+def _assert_one_line_error(capsys, *fragments):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1, err
+    for fragment in fragments:
+        assert fragment in err
+
+
+def _option(doc):
+    return doc["jobs"][0]["operations"][0]["options"][0]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: _option(doc).update(machine=9), "unknown machine 9"),
+        (lambda doc: doc["jobs"][-1].update(id=len(doc["jobs"]) + 1), "job ids must be contiguous"),
+        (lambda doc: _option(doc).update(duration=0), "non-positive duration"),
+        (lambda doc: doc["machines"][0].update(standby_power=-1.0), "negative standby power"),
+    ],
+    ids=["machine-9", "job-id-gap", "duration-0", "negative-standby"],
+)
+def test_solve_refuses_invalid_instance(tmp_path, instance_file, capsys, edit, message):
+    doc = load_document(instance_file.read_text())
+    edit(doc)
+    broken = tmp_path / "broken.yaml"
+    broken.write_text(dump_document(doc))
+    out = tmp_path / "result.yaml"
+    assert _solve(broken, out) == 1
+    _assert_one_line_error(capsys, "invalid instance", message)
+    assert not out.exists()
+
+
+def test_solve_refuses_malformed_yaml(tmp_path, instance_file, capsys):
+    broken = tmp_path / "broken.yaml"
+    broken.write_text(instance_file.read_text() + "jobs: [unclosed\n")
+    out = tmp_path / "result.yaml"
+    assert _solve(broken, out) == 1
+    _assert_one_line_error(capsys, "malformed YAML", "line ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("setting", ["population: abc", "vns_budget: true", "- 30"])
+def test_solve_refuses_mistyped_config(tmp_path, instance_file, capsys, setting):
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text(setting + "\n")
+    out = tmp_path / "result.yaml"
+    code = main(["solve", str(instance_file), "--config", str(cfg), "--out", str(out)])
+    assert code == 1
+    _assert_one_line_error(capsys, str(cfg))
+    assert not out.exists()
 
 
 def test_solve_ablation_flags_recorded(tmp_path, instance_file):
