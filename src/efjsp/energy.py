@@ -31,6 +31,7 @@ from .model import (
     ProblemInstance,
     ScheduleTable,
     Segment,
+    is_continuous,
     machine_timelines,
 )
 
@@ -82,6 +83,16 @@ def _stretch_cost(mach: Machine, length: int, prev_speed: int, next_speed: int) 
     return standby_cost, False
 
 
+def _decision(interval: IdleIntervalRecord, cost: float, idle: bool) -> IntervalDecision:
+    return IntervalDecision(
+        interval=interval,
+        mode=MODE_IDLE if idle else MODE_STANDBY,
+        idle_speed=min(interval.prev_speed, interval.next_speed),
+        switch_on_entry=interval.prev_speed > interval.next_speed,
+        energy=cost,
+    )
+
+
 def interval_energy(inst: ProblemInstance, interval: IdleIntervalRecord) -> IntervalDecision:
     """Pick the cheaper of idling and standby for one interior stretch.
 
@@ -102,13 +113,7 @@ def interval_energy(inst: ProblemInstance, interval: IdleIntervalRecord) -> Inte
         interval.prev_speed,
         interval.next_speed,
     )
-    return IntervalDecision(
-        interval=interval,
-        mode=MODE_IDLE if idle else MODE_STANDBY,
-        idle_speed=min(interval.prev_speed, interval.next_speed),
-        switch_on_entry=interval.prev_speed > interval.next_speed,
-        energy=cost,
-    )
+    return _decision(interval, cost, idle)
 
 
 def account(
@@ -123,11 +128,10 @@ def account(
     summed machine by machine and, on a machine, in time order.  When
     ``decisions`` is a list, every interval decision is appended to it.
 
-    Two consecutive process segments are continuous when the second
-    starts no later than the first ends, or when only the second's own
-    setup separates them; a continuous pair pays a gear switch, any other
-    pair encloses an idle/standby stretch.  The first process segment of
-    a machine pays its turn-on: the machine's turn-on vector when present,
+    A pair of consecutive process segments pays a gear switch when it is
+    continuous (``model.is_continuous``) and encloses a priced
+    idle/standby stretch otherwise.  The first process segment of a
+    machine pays its turn-on: the machine's turn-on vector when present,
     the switch table row from speed 0 otherwise.  Turning off is free.
     """
     cmax = -1
@@ -155,19 +159,15 @@ def account(
                     ie1 += mach.turn_on[speed - 1]
                 else:
                     ie1 += switch[0][speed]
-            elif start <= prev_end or (
-                last[2] == SETUP and last[3] == job and last[1] == start and last[0] <= prev_end
-            ):
+            elif is_continuous(last, prev_end, start, job):
                 if prev_speed != speed:
                     ie2 += switch[prev_speed][speed]
-            elif decisions is None:
-                ise += _stretch_cost(mach, start - prev_end, prev_speed, speed)[0]
             else:
-                decision = interval_energy(
-                    inst, IdleIntervalRecord(mach.id, prev_end, start, prev_speed, speed)
-                )
-                decisions.append(decision)
-                ise += decision.energy
+                cost, idle = _stretch_cost(mach, start - prev_end, prev_speed, speed)
+                ise += cost
+                if decisions is not None:
+                    interval = IdleIntervalRecord(mach.id, prev_end, start, prev_speed, speed)
+                    decisions.append(_decision(interval, cost, idle))
             prev_end, prev_speed = end, speed
             last = seg
     return cmax, ie1, ie2, se1, se2, ise

@@ -129,18 +129,40 @@ PROCESS = 1
 Segment = tuple[int, int, int, int, int, int]
 
 
+def _segment(r: ScheduledRow) -> Segment:
+    return (r.start, r.end, SETUP if r.is_setup else PROCESS, r.job, r.op_index, r.speed)
+
+
 def machine_timelines(inst: ProblemInstance, sched: ScheduleTable) -> list[list[Segment]]:
     """Timelines of all machines, indexed by machine id - 1.
 
     The rows are grouped by machine and each group is sorted once.
+    Raises ValueError on a row whose machine id is not in the instance.
     """
     out: list[list[Segment]] = [[] for _ in inst.machines]
     for r in sched.rows:
-        kind = SETUP if r.is_setup else PROCESS
-        out[r.machine - 1].append((r.start, r.end, kind, r.job, r.op_index, r.speed))
+        if not 1 <= r.machine <= len(out):
+            raise ValueError(f"row {r} names unknown machine {r.machine}")
+        out[r.machine - 1].append(_segment(r))
     for seq in out:
         seq.sort()
     return out
+
+
+def is_continuous(last: Segment, prev_end: int, start: int, job: int) -> bool:
+    """Whether a process segment follows the machine's previous one without
+    an idle/standby stretch between them.
+
+    ``prev_end`` is where the previous process segment ends, ``start`` and
+    ``job`` belong to the follower, and ``last`` is the segment just ahead
+    of the follower on the timeline.  The pair is continuous when the
+    follower starts no later than ``prev_end``, or when only the
+    follower's own setup separates them.  A continuous pair pays a gear
+    switch; any other pair encloses an idle/standby stretch.
+    """
+    return start <= prev_end or (
+        last[2] == SETUP and last[3] == job and last[1] == start and last[0] <= prev_end
+    )
 
 
 class IdleIntervalRecord(NamedTuple):
@@ -292,26 +314,18 @@ def _attached_setup(
     return None
 
 
-def _pair_scan(
+def _process_pairs(
     sched: ScheduleTable, machine_id: int
-) -> Iterator[tuple[ScheduledRow, ScheduledRow, bool]]:
-    """Yield consecutive process-row pairs with a continuity flag.
-
-    A pair is continuous when the follower starts immediately at the end
-    of the predecessor, or when the only thing between them is the
-    follower's own setup row.  Non-continuous pairs enclose an idle or
-    standby stretch.
-    """
-    rows = process_rows(sched, machine_id)
-    setups = setup_rows(sched, machine_id)
-    for prev, nxt in zip(rows, rows[1:]):
-        gap = nxt.start - prev.end
-        if gap <= 0:
-            yield prev, nxt, True
-            continue
-        setup = _attached_setup(setups, nxt)
-        covered = setup is not None and setup.start <= prev.end
-        yield prev, nxt, covered
+) -> Iterator[tuple[Segment, Segment, bool]]:
+    """Consecutive process segments on one machine with their continuity."""
+    seq = sorted(_segment(r) for r in sched.rows if r.machine == machine_id)
+    prev = last = None
+    for seg in seq:
+        if seg[2] == PROCESS:
+            if prev is not None:
+                yield prev, seg, is_continuous(last, prev[1], seg[0], seg[3])
+            prev = seg
+        last = seg
 
 
 def idle_intervals(sched: ScheduleTable, machine_id: int) -> list[IdleIntervalRecord]:
@@ -322,20 +336,26 @@ def idle_intervals(sched: ScheduleTable, machine_id: int) -> list[IdleIntervalRe
     the first process row and after the last one is never reported; those
     boundaries are handled by turn-on accounting and shutdown.
     """
-    out = []
-    for prev, nxt, continuous in _pair_scan(sched, machine_id):
-        if not continuous:
-            out.append(
-                IdleIntervalRecord(machine_id, prev.end, nxt.start, prev.speed, nxt.speed)
-            )
-    return out
+    return [
+        IdleIntervalRecord(machine_id, prev[1], nxt[0], prev[5], nxt[5])
+        for prev, nxt, continuous in _process_pairs(sched, machine_id)
+        if not continuous
+    ]
 
 
 def continuous_pairs(
     sched: ScheduleTable, machine_id: int
 ) -> list[tuple[ScheduledRow, ScheduledRow]]:
     """Consecutive process-row pairs with no idle/standby stretch between."""
-    return [(a, b) for a, b, cont in _pair_scan(sched, machine_id) if cont]
+    def row(seg: Segment) -> ScheduledRow:
+        start, end, _, job, op_index, speed = seg
+        return ScheduledRow(job, op_index, machine_id, speed, start, end)
+
+    return [
+        (row(a), row(b))
+        for a, b, continuous in _process_pairs(sched, machine_id)
+        if continuous
+    ]
 
 
 def makespan(sched: ScheduleTable) -> int:

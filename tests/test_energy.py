@@ -16,7 +16,7 @@ from efjsp.energy import (
     transition_energy,
     turn_on_energy,
 )
-from efjsp.model import IdleIntervalRecord
+from efjsp.model import IdleIntervalRecord, ScheduledRow, ScheduleTable
 
 
 def test_turn_on_energy(inst, sched):
@@ -91,6 +91,13 @@ def test_total_energy_breakdown(inst, sched):
     assert bd.interval == 53.0
     assert bd.tec == 868.0
     assert bd.tec == bd.turn_on + bd.transition + bd.setup + bd.process + bd.interval
+
+
+@pytest.mark.parametrize("machine", [0, 3])
+def test_total_energy_rejects_unknown_machine(inst, sched, machine):
+    stray = ScheduledRow(job=1, op_index=1, machine=machine, speed=1, start=40, end=45)
+    with pytest.raises(ValueError, match="unknown machine"):
+        total_energy(inst, ScheduleTable(sched.rows + (stray,), inst))
 
 
 def test_total_energy_decision_order(inst, sched):

@@ -19,6 +19,7 @@ from efjsp.model import (
     OperationSpec,
     ProblemInstance,
     ProcessingOption,
+    idle_intervals,
     makespan,
     validate_instance,
     validate_schedule,
@@ -99,7 +100,11 @@ def test_three_routes_agree_on_generated_instances(problem):
     sched = decode(inst, chrom)
     assert validate_schedule(inst, sched).ok
     fast = evaluate(inst, chrom)
-    assert fast == (makespan(sched), total_energy(inst, sched).tec)
+    breakdown = total_energy(inst, sched)
+    assert fast == (makespan(sched), breakdown.tec)
+    assert [d.interval for d in breakdown.interval_decisions] == [
+        rec for mach in inst.machines for rec in idle_intervals(sched, mach.id)
+    ]
     cmax, tec = independent_objectives(inst, sched.rows)
     assert fast[0] == cmax
     assert abs(fast[1] - tec) <= 1e-9 * max(abs(tec), 1.0)
