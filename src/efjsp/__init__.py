@@ -44,14 +44,9 @@ from .model import (
     validate_instance,
     validate_schedule,
 )
-from .optimizer import (
-    AlgorithmConfig,
-    ParetoArchive,
-    RunResult,
-    dominates,
-    run,
-)
+from .optimizer import AlgorithmConfig, RunResult, run
 from .oracle import enumerate_front, independent_objectives, search_space_size
+from .pareto import ParetoArchive, dominates
 
 __all__ = [
     "AlgorithmConfig",

@@ -296,8 +296,12 @@ def dump_document(data) -> str:
     return yaml.dump(data, Dumper=_Dumper, sort_keys=False, default_flow_style=None)
 
 
+_SafeLoader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # libyaml when present
+
+
 def load_document(text: str):
-    return yaml.safe_load(text)
+    """Parse one YAML document with the safe loader."""
+    return yaml.load(text, Loader=_SafeLoader)
 
 
 def write_instance(inst: ProblemInstance) -> str:

@@ -35,11 +35,11 @@ from .benchmark import (
     read_instance,
     write_instance,
 )
-from .encoding import Chromosome, decode, evaluate
+from .encoding import decode
 from .energy import total_energy
 from .metrics import c_metric, hv, igd, normalize
-from .model import ScheduledRow, ScheduleTable, validate_schedule
-from .optimizer import AlgorithmConfig, dominates, run
+from .optimizer import AlgorithmConfig, run
+from .pareto import nondominated
 
 RESULT_SCHEMA = 1
 HV_REFERENCE = (1.1, 1.1)
@@ -268,10 +268,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
             raise ValueError(f"{path}: empty archive")
         fronts.append(points)
 
-    union = [p for front in fronts for p in front]
-    reference = sorted(
-        p for p in set(union) if not any(dominates(q, p) for q in union if q != p)
-    )
+    reference = nondominated(p for front in fronts for p in front)
     normed, bounds = normalize([reference] + fronts)
     ref_norm, front_norms = normed[0], normed[1:]
     rows = []

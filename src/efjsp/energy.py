@@ -192,22 +192,3 @@ def total_energy(inst: ProblemInstance, sched: ScheduleTable) -> EnergyBreakdown
         interval_decisions=tuple(decisions),
     )
 
-
-def turn_on_energy(inst: ProblemInstance, sched: ScheduleTable) -> float:
-    """Power-up energy: one charge per machine that processes anything."""
-    return total_energy(inst, sched).turn_on
-
-
-def transition_energy(inst: ProblemInstance, sched: ScheduleTable) -> float:
-    """Switch energy between continuous operations at different gears."""
-    return total_energy(inst, sched).transition
-
-
-def setup_energy(inst: ProblemInstance, sched: ScheduleTable) -> float:
-    """Setup power times setup duration, summed over all setup rows."""
-    return total_energy(inst, sched).setup
-
-
-def process_energy(inst: ProblemInstance, sched: ScheduleTable) -> float:
-    """Per-gear process power times running time, over all process rows."""
-    return total_energy(inst, sched).process

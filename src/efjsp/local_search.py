@@ -1,9 +1,11 @@
 """Variable neighbourhood search around the critical path.
 
-The critical path is recovered by merging every setup row into the
-process row it serves and walking backwards from the latest completion,
-always stepping to the later-completing of the job predecessor and the
-machine predecessor (ties prefer the machine predecessor), until a row
+The search reads each solution off its machine timelines
+(``model.machine_timelines``).  The critical path folds every setup into
+the process segment it serves and walks backwards from the latest
+completion, always stepping to the later-completing of the job
+predecessor and the machine predecessor (the previous process segment on
+the timeline; ties prefer the machine predecessor), until an operation
 that starts at time zero.
 
 Three neighbourhood structures perturb a chromosome:
@@ -16,15 +18,27 @@ Three neighbourhood structures perturb a chromosome:
 The search cycles n1, n2, n3 with a fixed evaluation budget per
 structure, restarting from n1 whenever a neighbour dominates the current
 solution, and stops after a full fruitless cycle or at a hard cap of ten
-times the per-structure budget.
+times the per-structure budget.  What the structures read about the
+current solution is worked out once per accepted solution, not once per
+neighbour.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
+from functools import cached_property
 
-from .encoding import Chromosome, MessageMatrix, build_message_matrix, decode, evaluate
-from .model import ProblemInstance, ScheduleTable
+from .encoding import (
+    Chromosome,
+    MessageMatrix,
+    build_message_matrix,
+    canonical_order,
+    decode,
+    evaluate,
+)
+from .model import PROCESS, SETUP, ProblemInstance, ScheduleTable, machine_timelines
+from .pareto import dominates
 
 STRUCTURES = ("n1", "n2", "n3")
 
@@ -32,89 +46,102 @@ _RETRIES = 10
 _TOTAL_BUDGET_FACTOR = 10
 
 
-def _merged_spans(sched: ScheduleTable) -> dict[tuple[int, int], tuple[int, int, int]]:
-    """(job, op) -> (start, end, machine) with setups folded into starts."""
-    setups = {}
-    for row in sched.rows:
-        if row.is_setup:
-            setups[(row.machine, row.job, row.end)] = row.start
-    spans = {}
-    for row in sched.rows:
-        if row.is_setup:
-            continue
-        start = setups.get((row.machine, row.job, row.start), row.start)
-        spans[(row.job, row.op_index)] = (start, row.end, row.machine)
-    return spans
-
-
 def critical_path(
     inst: ProblemInstance, sched: ScheduleTable
 ) -> list[tuple[int, int]]:
     """Operations on one critical chain, in processing order."""
-    spans = _merged_spans(sched)
-    if not spans:
+    span = {}  # (job, op) -> (start with its setup folded in, end, machine predecessor)
+    for seq in machine_timelines(inst, sched):
+        prev = last = None
+        for seg in seq:
+            start, end, kind, job, op, _ = seg
+            if kind == PROCESS:
+                if last is not None and last[2] == SETUP and last[3] == job and last[1] == start:
+                    start = last[0]
+                span[(job, op)] = (start, end, prev)
+                prev = (job, op)
+            last = seg
+    if not span:
         return []
-    by_machine: dict[int, list[tuple[int, tuple[int, int]]]] = {}
-    for key, (start, end, machine) in spans.items():
-        by_machine.setdefault(machine, []).append((start, key))
-    for rows in by_machine.values():
-        rows.sort()
-
-    def machine_pred(key: tuple[int, int]) -> tuple[int, int] | None:
-        start, _, machine = spans[key]
-        rows = by_machine[machine]
-        pos = next(i for i, (s, k) in enumerate(rows) if k == key)
-        return rows[pos - 1][1] if pos > 0 else None
-
-    current = min(spans, key=lambda k: (-spans[k][1], k))
+    current = min(span, key=lambda k: (-span[k][1], k))
     path = [current]
-    while True:
-        start = spans[current][0]
-        if start == 0:
-            break
+    while span[current][0] != 0:
         job, op = current
         beta = (job, op - 1) if op > 1 else None
-        gamma = machine_pred(current)
+        gamma = span[current][2]
         if beta is None and gamma is None:
             break
-        c_beta = spans[beta][1] if beta is not None else 0
-        c_gamma = spans[gamma][1] if gamma is not None else 0
+        c_beta = span[beta][1] if beta is not None else 0
+        c_gamma = span[gamma][1] if gamma is not None else 0
         current = beta if c_beta > c_gamma else gamma
         path.append(current)
     path.reverse()
     return path
 
 
-def _move_to_other_machine(
-    chrom: Chromosome,
-    key: tuple[int, int],
-    inst: ProblemInstance,
-    matrices: dict[tuple[int, int], MessageMatrix],
-    position: int,
-    rng: random.Random,
-) -> Chromosome | None:
-    mm = matrices[key]
-    current_machine = mm.machines[chrom.mv[position] - 1]
-    others = sorted(set(mm.machines) - {current_machine})
-    if not others:
+class _View:
+    """One solution as the three structures read it: the critical chain,
+    the os and mv positions of every operation and, once n3 asks for
+    them, the busiest machine's operations in os order."""
+
+    def __init__(
+        self,
+        inst: ProblemInstance,
+        chrom: Chromosome,
+        sched: ScheduleTable,
+        matrices: dict[tuple[int, int], MessageMatrix],
+    ):
+        self.inst, self.chrom, self.sched, self.matrices = inst, chrom, sched, matrices
+        self.path = critical_path(inst, sched)
+        self.mv_index = {key: i for i, key in enumerate(canonical_order(inst))}
+        nth = {job.id: itertools.count(1) for job in inst.jobs}
+        self.os_index = {(job, next(nth[job])): i for i, job in enumerate(chrom.os)}
+
+    @cached_property
+    def busiest(self) -> list[tuple[int, int]]:
+        """The machine with the most occupied time, setups included, and
+        ties going to the lowest id."""
+        timelines = machine_timelines(self.inst, self.sched)
+        loads = [sum(seg[1] - seg[0] for seg in seq) for seq in timelines]
+        ops = [seg[3:5] for seg in timelines[loads.index(max(loads))] if seg[2] == PROCESS]
+        return sorted(ops, key=self.os_index.__getitem__)
+
+    def move_off(self, keys: list[tuple[int, int]], rng: random.Random) -> Chromosome | None:
+        """Move a random one of ``keys`` to a random column of another machine."""
+        mv = self.chrom.mv
+        for _ in range(_RETRIES):
+            key = keys[rng.randrange(len(keys))]
+            mm = self.matrices[key]
+            position = self.mv_index[key]
+            others = sorted(set(mm.machines) - {mm.machines[mv[position] - 1]})
+            if others:
+                target = others[rng.randrange(len(others))]
+                columns = [i + 1 for i, m in enumerate(mm.machines) if m == target]
+                moved = list(mv)
+                moved[position] = columns[rng.randrange(len(columns))]
+                return Chromosome(self.chrom.os, tuple(moved))
         return None
-    target = others[rng.randrange(len(others))]
-    columns = [i + 1 for i, m in enumerate(mm.machines) if m == target]
-    col = columns[rng.randrange(len(columns))]
-    mv = list(chrom.mv)
-    mv[position] = col
-    return Chromosome(chrom.os, tuple(mv))
 
-
-def _os_position(chrom: Chromosome, key: tuple[int, int]) -> int:
-    job, op = key
-    seen = 0
-    for idx, entry in enumerate(chrom.os):
-        if entry == job:
-            seen += 1
-            if seen == op:
-                return idx
-    raise ValueError(f"operation {key} not present in os")
+    def neighbor(self, structure: str, rng: random.Random) -> Chromosome | None:
+        if structure == "n3":
+            return self.move_off(self.busiest, rng) if self.busiest else None
+        path = self.path
+        if not path:
+            return None
+        if structure == "n1":
+            return self.move_off(path, rng)
+        if len(path) < 2:
+            return None
+        for _ in range(_RETRIES):
+            a, b = rng.sample(range(len(path)), 2)
+            ka, kb = path[a], path[b]
+            if ka[0] == kb[0]:
+                continue  # same job: swapping their os entries changes nothing
+            ia, ib = self.os_index[ka], self.os_index[kb]
+            os = list(self.chrom.os)
+            os[ia], os[ib] = os[ib], os[ia]
+            return Chromosome(tuple(os), self.chrom.mv)
+        return None
 
 
 def neighbor(
@@ -135,53 +162,7 @@ def neighbor(
         raise ValueError(f"unknown neighbourhood structure {structure!r}")
     if matrices is None:
         matrices = build_message_matrix(inst)
-    posmap = {key: i for i, key in enumerate(
-        (job.id, op.op_index) for job in inst.jobs for op in job.operations
-    )}
-
-    if structure in ("n1", "n2"):
-        path = critical_path(inst, sched)
-        if not path:
-            return None
-        if structure == "n1":
-            for _ in range(_RETRIES):
-                key = path[rng.randrange(len(path))]
-                moved = _move_to_other_machine(
-                    chrom, key, inst, matrices, posmap[key], rng
-                )
-                if moved is not None:
-                    return moved
-            return None
-        if len(path) < 2:
-            return None
-        for _ in range(_RETRIES):
-            a, b = rng.sample(range(len(path)), 2)
-            ka, kb = path[a], path[b]
-            if ka[0] == kb[0]:
-                continue  # same job: swapping their os entries changes nothing
-            ia, ib = _os_position(chrom, ka), _os_position(chrom, kb)
-            os = list(chrom.os)
-            os[ia], os[ib] = os[ib], os[ia]
-            return Chromosome(tuple(os), chrom.mv)
-        return None
-
-    loads: dict[int, int] = {m.id: 0 for m in inst.machines}
-    for row in sched.rows:
-        loads[row.machine] += row.duration
-    busiest = max(sorted(loads), key=lambda m: loads[m])
-    on_machine = [
-        (r.job, r.op_index)
-        for r in sched.rows
-        if r.machine == busiest and not r.is_setup
-    ]
-    if not on_machine:
-        return None
-    for _ in range(_RETRIES):
-        key = on_machine[rng.randrange(len(on_machine))]
-        moved = _move_to_other_machine(chrom, key, inst, matrices, posmap[key], rng)
-        if moved is not None:
-            return moved
-    return None
+    return _View(inst, chrom, sched, matrices).neighbor(structure, rng)
 
 
 def vns(
@@ -202,19 +183,18 @@ def vns(
     visited: list[tuple[Chromosome, tuple[int, float]]] = []
     if budget <= 0:
         return chrom, objectives, visited
-    from .optimizer import dominates
 
     cap = _TOTAL_BUDGET_FACTOR * budget
     spent = 0
     current, cur_obj = chrom, objectives
-    sched = decode(inst, current, matrices)
+    view = _View(inst, current, decode(inst, current, matrices), matrices)
     k = 0
     while k < len(STRUCTURES) and spent < cap:
         improved = False
         for _ in range(budget):
             if spent >= cap:
                 break
-            nb = neighbor(current, STRUCTURES[k], inst, sched, rng, matrices)
+            nb = view.neighbor(STRUCTURES[k], rng)
             if nb is None:
                 break
             obj = evaluate(inst, nb, matrices)
@@ -222,7 +202,7 @@ def vns(
             visited.append((nb, obj))
             if dominates(obj, cur_obj):
                 current, cur_obj = nb, obj
-                sched = decode(inst, current, matrices)
+                view = _View(inst, current, decode(inst, current, matrices), matrices)
                 improved = True
                 break
         k = 0 if improved else k + 1

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .optimizer import dominates
+from .pareto import dominates
 
 Point = tuple[float, float]
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import random
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import local_search as _local
 from .encoding import (
@@ -31,121 +31,19 @@ from .encoding import (
     RULE_MIN_TIME,
     Chromosome,
     build_message_matrix,
+    canonical_order,
     evaluate,
     heuristic_chromosome,
     random_chromosome,
 )
 from .model import ProblemInstance
-
-Objectives = tuple[int, float]
-
-
-def dominates(a, b) -> bool:
-    """Strict Pareto dominance for minimisation: a is nowhere worse and
-    somewhere better than b."""
-    return all(x <= y for x, y in zip(a, b)) and any(x < y for x, y in zip(a, b))
-
-
-def crowding_distances(points: list[tuple[float, ...]]) -> list[float]:
-    """Crowding distance of every point; boundary points get infinity."""
-    n = len(points)
-    if n == 0:
-        return []
-    if n <= 2:
-        return [math.inf] * n
-    dist = [0.0] * n
-    m = len(points[0])
-    for obj in range(m):
-        order = sorted(range(n), key=lambda i: points[i][obj])
-        dist[order[0]] = dist[order[-1]] = math.inf
-        span = points[order[-1]][obj] - points[order[0]][obj]
-        if span <= 0:
-            continue
-        for k in range(1, n - 1):
-            if dist[order[k]] == math.inf:
-                continue
-            gap = points[order[k + 1]][obj] - points[order[k - 1]][obj]
-            dist[order[k]] += gap / span
-    return dist
-
-
-def nondominated_ranks(points: list[tuple[float, ...]]) -> list[int]:
-    """Front index of every point under fast non-dominated sorting."""
-    n = len(points)
-    ranks = [-1] * n
-    remaining = set(range(n))
-    level = 0
-    while remaining:
-        front = [
-            i
-            for i in remaining
-            if not any(dominates(points[j], points[i]) for j in remaining if j != i)
-        ]
-        for i in front:
-            ranks[i] = level
-        remaining -= set(front)
-        level += 1
-    return ranks
-
-
-@dataclass
-class ArchiveEntry:
-    chromosome: Chromosome
-    cmax: int
-    tec: float
-
-    @property
-    def objectives(self) -> Objectives:
-        return (self.cmax, self.tec)
-
-
-class ParetoArchive:
-    """Bounded elitist store of mutually non-dominated solutions.
-
-    New entries are rejected when dominated by, or equal in objectives
-    to, an existing member; accepted entries evict everything they
-    dominate.  Above capacity, the member with the smallest crowding
-    distance is dropped; boundary members are never dropped.
-    """
-
-    def __init__(self, capacity: int = 100):
-        if capacity < 1:
-            raise ValueError("archive capacity must be positive")
-        self.capacity = capacity
-        self.entries: list[ArchiveEntry] = []
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def add(self, chromosome: Chromosome, objectives: Objectives) -> bool:
-        c, t = objectives
-        for e in self.entries:
-            if (e.cmax == c and e.tec == t) or dominates(e.objectives, objectives):
-                return False
-        self.entries = [
-            e for e in self.entries if not dominates(objectives, e.objectives)
-        ]
-        self.entries.append(ArchiveEntry(chromosome, c, t))
-        while len(self.entries) > self.capacity:
-            self._evict_one()
-        return True
-
-    def _evict_one(self) -> None:
-        pts = [e.objectives for e in self.entries]
-        dist = crowding_distances(pts)
-        finite = [i for i, d in enumerate(dist) if d != math.inf]
-        if finite:
-            victim = min(finite, key=lambda i: dist[i])
-        else:
-            victim = len(self.entries) - 1
-        del self.entries[victim]
-
-    def points(self) -> list[Objectives]:
-        """Objective points sorted by (makespan, energy)."""
-        return sorted(e.objectives for e in self.entries)
-
-    def sample(self, rng: random.Random) -> ArchiveEntry:
-        return self.entries[rng.randrange(len(self.entries))]
+from .pareto import (
+    Objectives,
+    ParetoArchive,
+    crowding_distances,
+    dominates,
+    nondominated_ranks,
+)
 
 
 @dataclass
@@ -349,8 +247,6 @@ def weighted_fusion(
     order: tuple[tuple[int, int], ...] | None = None,
 ) -> Chromosome:
     """Three-parent fusion over a random weight-proportional job partition."""
-    from .encoding import canonical_order
-
     if order is None:
         order = canonical_order(inst)
     jobs = [job.id for job in inst.jobs]
@@ -432,8 +328,6 @@ def run(inst: ProblemInstance, cfg: AlgorithmConfig) -> RunResult:
     """Full solver loop; returns the final archive and a per-iteration trace."""
     rng = random.Random(cfg.seed)
     matrices = build_message_matrix(inst)
-    from .encoding import canonical_order
-
     order = canonical_order(inst)
     pool = ThreadPoolExecutor(cfg.threads) if cfg.threads > 1 else None
 
@@ -453,7 +347,7 @@ def run(inst: ProblemInstance, cfg: AlgorithmConfig) -> RunResult:
         for it in range(1, cfg.max_iter + 1):
             plans: list[tuple[Chromosome, Chromosome]] = []
             for i, part in enumerate(particles):
-                if cfg.disable_de or n < 3:
+                if cfg.disable_de:
                     exemplar = part.pbest
                 else:
                     mutant = de_mutate(

@@ -17,7 +17,7 @@ from itertools import product
 from math import factorial
 from typing import Iterator
 
-from .encoding import Chromosome, build_message_matrix, canonical_order, decode
+from .encoding import Chromosome, build_message_matrix, canonical_order, decode, evaluate
 from .model import ProblemInstance, ScheduledRow
 
 DEFAULT_MAX_POINTS = 10_000_000
@@ -181,8 +181,6 @@ def cross_check(
     True when both agree on the makespan exactly and on total energy to
     the given relative tolerance.
     """
-    from .encoding import evaluate
-
     sched = decode(inst, chrom)
     c1, t1 = evaluate(inst, chrom)
     c2, t2 = independent_objectives(inst, sched.rows)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+import yaml
 
 from efjsp.benchmark import dump_document, load_document, random_base, read_instance, write_base
 from efjsp.cli import main
@@ -78,6 +79,17 @@ def test_solve_writes_result_document(tmp_path, instance_file):
         + parts["process"] + parts["interval"]
     )
     assert abs(total - parts["tec"]) < 1e-9
+
+
+def test_load_document_matches_pure_python_loader(tmp_path, instance_file):
+    # load_document parses with libyaml when it is present; the objects
+    # must not differ from the pure-Python safe loader's
+    out = tmp_path / "result.yaml"
+    assert _solve(instance_file, out) == 0
+    for text in (out.read_text(), instance_file.read_text()):
+        fast, slow = load_document(text), yaml.load(text, Loader=yaml.SafeLoader)
+        assert fast == slow
+        assert repr(fast) == repr(slow)
 
 
 def test_solve_results_identical_apart_from_wall_time(tmp_path, instance_file):

@@ -10,32 +10,28 @@ from efjsp.energy import (
     MODE_IDLE,
     MODE_STANDBY,
     interval_energy,
-    process_energy,
-    setup_energy,
     total_energy,
-    transition_energy,
-    turn_on_energy,
 )
 from efjsp.model import IdleIntervalRecord, ScheduledRow, ScheduleTable
 
 
 def test_turn_on_energy(inst, sched):
     # first processing gear per used machine, both machines start at gear 3
-    assert turn_on_energy(inst, sched) == 20.0
+    assert total_energy(inst, sched).turn_on == 20.0
 
 
 def test_transition_energy(inst, sched):
     # the only continuous different-gear pair is O21 (v3) -> O22 (v2) on M2
-    assert transition_energy(inst, sched) == 5.0
+    assert total_energy(inst, sched).transition == 5.0
 
 
 def test_setup_energy(inst, sched):
     # three setup rows of lengths 1, 2, 2 at power 10
-    assert setup_energy(inst, sched) == 50.0
+    assert total_energy(inst, sched).setup == 50.0
 
 
 def test_process_energy(inst, sched):
-    assert process_energy(inst, sched) == 740.0
+    assert total_energy(inst, sched).process == 740.0
 
 
 def test_interval_energy_standby_choice(inst):
@@ -114,4 +110,4 @@ def test_turn_on_vector_overrides_dormancy_row(inst, sched):
     )
     inst2 = dataclasses.replace(inst, machines=(boosted,) + inst.machines[1:])
     # machine 1 starts at gear 3 -> 300 instead of switch[0][3] = 10
-    assert turn_on_energy(inst2, sched) == 300.0 + 10.0
+    assert total_energy(inst2, sched).turn_on == 300.0 + 10.0

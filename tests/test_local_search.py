@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
 import random
+from pathlib import Path
 
-from efjsp.encoding import Chromosome, build_message_matrix, decode, evaluate
+from efjsp.benchmark import GeneratorParams, extend_instance, random_base
+from efjsp.encoding import Chromosome, build_message_matrix, decode, evaluate, random_chromosome
 from efjsp.local_search import STRUCTURES, critical_path, neighbor, vns
 from efjsp.model import (
     JobSpec,
@@ -12,6 +17,8 @@ from efjsp.model import (
     OperationSpec,
     ProblemInstance,
     ProcessingOption,
+    ScheduledRow,
+    ScheduleTable,
 )
 from efjsp.optimizer import dominates
 
@@ -39,6 +46,17 @@ def test_critical_path_ends_at_makespan(inst, sched):
     path = critical_path(inst, sched)
     last_row = next(r for r in sched.rows if (r.job, r.op_index) == path[-1])
     assert last_row.end == makespan(sched)
+
+
+def test_critical_path_folds_a_setup_into_its_operation(inst):
+    # (1,2)'s setup starts at time zero, so the chain stops at (1,2) even
+    # though its job predecessor ends before the process row starts
+    rows = (
+        ScheduledRow(1, 1, 1, 1, 0, 1),
+        ScheduledRow(1, 0, 2, 0, 0, 2),
+        ScheduledRow(1, 2, 2, 1, 2, 5),
+    )
+    assert critical_path(inst, ScheduleTable(rows, inst)) == [(1, 2)]
 
 
 def test_n1_moves_a_critical_operation_to_another_machine(inst, chrom, sched):
@@ -157,3 +175,74 @@ def test_vns_visited_are_coherent(inst, chrom):
 
 def test_structures_constant():
     assert STRUCTURES == ("n1", "n2", "n3")
+
+
+# Outputs of `vns` and `critical_path` recorded before the search read the
+# shared machine timeline; the replay below must match them draw for draw.
+VNS_PINS = Path(__file__).parent / "data" / "vns_pins.json"
+
+
+def pinned_instances() -> list[ProblemInstance]:
+    """Five generated instances: the standard three-gear extension, one
+    gear, zero setup times, a single machine, and a larger one without
+    turn-on vectors."""
+    zero_setup = extend_instance(random_base(6, 4, seed=13), seed=13)
+    zero_setup = dataclasses.replace(
+        zero_setup,
+        jobs=tuple(dataclasses.replace(j, setup_time=0) for j in zero_setup.jobs),
+    )
+    no_turn_on = extend_instance(random_base(10, 6, seed=15), seed=15)
+    no_turn_on = dataclasses.replace(
+        no_turn_on,
+        machines=tuple(dataclasses.replace(m, turn_on=None) for m in no_turn_on.machines),
+    )
+    return [
+        extend_instance(random_base(6, 4, seed=11), seed=11),
+        extend_instance(random_base(6, 4, seed=12), GeneratorParams(speed_multipliers=(1,)), seed=12),
+        zero_setup,
+        extend_instance(random_base(4, 1, seed=14), seed=14),
+        no_turn_on,
+    ]
+
+
+def pinned_calls(calls_per_instance: int = 40):
+    """(instance index, chromosome, vns seed) of every pinned call."""
+    for i, inst in enumerate(pinned_instances()):
+        rng = random.Random(100 + i)
+        for k in range(calls_per_instance):
+            yield i, inst, random_chromosome(inst, rng), k
+
+
+def _chrom(ch: Chromosome) -> list[list[int]]:
+    return [list(ch.os), list(ch.mv)]
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(json.dumps(value).encode()).hexdigest()
+
+
+def vns_record(inst: ProblemInstance, chrom: Chromosome, seed: int) -> dict:
+    """What one pinned call returns, as stored in the pin file."""
+    matrices = build_message_matrix(inst)
+    out, obj, visited = vns(chrom, evaluate(inst, chrom, matrices), inst, random.Random(seed), 20, matrices)
+    sched = decode(inst, chrom, matrices)
+    return {
+        "critical_path": [list(key) for key in critical_path(inst, sched)],
+        "out": _chrom(out),
+        "objectives": list(obj),
+        "visited": len(visited),
+        "visited_sha256": _digest([_chrom(ch) + list(o) for ch, o in visited]),
+        "out_critical_path": [list(key) for key in critical_path(inst, decode(inst, out, matrices))],
+        "neighbors_sha256": _digest([
+            None if nb is None else _chrom(nb)
+            for nb in (neighbor(chrom, s, inst, sched, random.Random(seed), matrices) for s in STRUCTURES)
+        ]),
+    }
+
+
+def test_vns_reproduces_recorded_outputs():
+    pins = json.loads(VNS_PINS.read_text())["calls"]
+    calls = list(pinned_calls())
+    assert len(calls) == len(pins) == 200
+    for (i, inst, chrom, seed), pin in zip(calls, pins):
+        assert vns_record(inst, chrom, seed) == pin, (i, seed)
