@@ -21,6 +21,7 @@ significant digits, so a write/read round trip is lossless.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -277,23 +278,89 @@ def extend_instance(
     )
 
 
-class _Dumper(yaml.SafeDumper):
+class _PyDumper(yaml.SafeDumper):
+    """PyYAML's own emitter, made to write the bytes libyaml writes.
+
+    The emitters differ in two rules that documents reach: libyaml folds
+    a long double-quoted scalar only at a single space (PyYAML also after
+    an escape, with a trailing backslash), and it takes any one-line
+    scalar of at most 128 UTF-8 bytes as a simple key (PyYAML wants fewer
+    than 128 characters counting the implicit tag, and no empty key).
+    Both methods follow libyaml's ``emitter.c`` for what ``dump_document``
+    writes: text, not bytes, without ``allow_unicode``, and keys whose tag
+    stays implicit (every safe scalar type but ``bytes``).
+    """
+
+    def write_double_quoted(self, text, split=True):
+        self.write_indicator('"', True)
+        for i, ch in enumerate(text):
+            if ch == " ":
+                data = " "
+                fold = split and 0 < i < len(text) - 1 and text[i - 1] != " "
+                if fold and self.column > self.best_width:
+                    self.write_indent()  # the line break stands for the space
+                    data = "\\" if text[i + 1] == " " else ""
+            elif "\x20" <= ch <= "\x7e" and ch not in '"\\':
+                data = ch
+            elif ch in self.ESCAPE_REPLACEMENTS:
+                data = "\\" + self.ESCAPE_REPLACEMENTS[ch]
+            elif ch <= "\xff":
+                data = f"\\x{ord(ch):02X}"
+            elif ch <= "\uffff":
+                data = f"\\u{ord(ch):04X}"
+            else:
+                data = f"\\U{ord(ch):08X}"
+            self.column += len(data)
+            self.stream.write(data)
+        self.write_indicator('"', False)
+
+    def check_simple_key(self):
+        event = self.event
+        if not isinstance(event, yaml.ScalarEvent):
+            return super().check_simple_key()
+        if any(c in "\r\n\x85\u2028\u2029" for c in event.value):
+            return False
+        return len(event.value.encode("utf-8")) <= 128
+
+
+class _Dumper(getattr(yaml, "CSafeDumper", _PyDumper)):  # libyaml when present
     pass
 
 
 def _float_representer(dumper: yaml.SafeDumper, value: float):
-    text = format(value, ".17g")
-    if "." not in text and "e" not in text and "n" not in text:
-        text += ".0"
+    """A plain float scalar that YAML's implicit resolver reads back.
+
+    17 significant digits, with a ``.0`` put before any exponent when the
+    digits have no point (``1.0e+17``), and ``.inf``/``-.inf``/``.nan``
+    for the non-finite values, so no float needs a tag or quotes.
+    """
+    if math.isnan(value):
+        text = ".nan"
+    elif math.isinf(value):
+        text = ".inf" if value > 0 else "-.inf"
+    else:
+        text = format(value, ".17g")
+        if "." not in text:
+            digits, e, exponent = text.partition("e")
+            text = f"{digits}.0{e}{exponent}"
     return dumper.represent_scalar("tag:yaml.org,2002:float", text)
 
 
-_Dumper.add_representer(float, _float_representer)
+for _cls in (_PyDumper, _Dumper):
+    _cls.add_representer(float, _float_representer)
 
 
 def dump_document(data) -> str:
-    """YAML text with floats at 17 significant digits, keys in order."""
-    return yaml.dump(data, Dumper=_Dumper, sort_keys=False, default_flow_style=None)
+    """YAML text with floats at 17 significant digits, keys in order.
+
+    libyaml emits it when present; the bytes are the same either way.
+    """
+    try:
+        return yaml.dump(data, Dumper=_Dumper, sort_keys=False, default_flow_style=None)
+    except UnicodeEncodeError:
+        # libyaml takes UTF-8 only, so a lone surrogate (a file name that
+        # is not UTF-8) goes through PyYAML's emitter, which escapes it
+        return yaml.dump(data, Dumper=_PyDumper, sort_keys=False, default_flow_style=None)
 
 
 _SafeLoader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # libyaml when present

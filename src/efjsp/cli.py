@@ -109,11 +109,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if args.replicas < 1:
         print("error: --replicas must be at least 1", file=sys.stderr)
         return 1
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     for base_path in args.bases:
         text = Path(base_path).read_text()
         base = parse_base(text)

@@ -15,6 +15,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
@@ -216,7 +217,8 @@ def validate_instance(inst: ProblemInstance) -> ValidationReport:
     """Check an instance for well-formedness.
 
     Structural rules (contiguous ids, gear ranges, positive durations,
-    power vector shapes, zero switch diagonal) land in ``violations``.
+    power vector shapes, finite powers and energies, zero switch
+    diagonal) land in ``violations``, one per non-finite value.
     Economically odd but legal data (standby power above the cheapest
     idle power) only produces a warning.
     """
@@ -262,6 +264,17 @@ def validate_instance(inst: ProblemInstance) -> ValidationReport:
             )
         if len(mach.process_power) != s or len(mach.idle_power) != s:
             report.violations.append(f"{label}: power vectors must have {s} entries")
+        for name, values in (
+            ("setup power", (mach.setup_power,)),
+            ("process power", mach.process_power),
+            ("idle power", mach.idle_power),
+            ("standby power", (mach.standby_power,)),
+            ("switch energy", [v for row in mach.switch for v in row]),
+            ("turn-on energy", mach.turn_on or ()),
+        ):
+            report.violations.extend(
+                f"{label}: non-finite {name} {v}" for v in values if not math.isfinite(v)
+            )
         for name, values in (("process", mach.process_power), ("idle", mach.idle_power)):
             if any(p < 0 for p in values):
                 report.violations.append(f"{label}: negative {name} power")

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+import os
+
 import pytest
 import yaml
 
@@ -61,6 +64,14 @@ def test_generate_replicas_are_distinct(tmp_path, base_file):
     single = tmp_path / "single"
     main(["generate", str(base_file), "--seed", "4", "--out-dir", str(single)])
     assert (single / "tiny.yaml").read_text() == files[0].read_text()
+
+
+def test_generate_refuses_zero_replicas_before_creating_out_dir(tmp_path, base_file, capsys):
+    out_dir = tmp_path / "never"
+    code = main(["generate", str(base_file), "--replicas", "0", "--out-dir", str(out_dir)])
+    assert code == 1
+    _assert_one_line_error(capsys, "--replicas must be at least 1")
+    assert not out_dir.exists()
 
 
 def test_solve_writes_result_document(tmp_path, instance_file):
@@ -176,6 +187,29 @@ def test_solve_refuses_invalid_instance(tmp_path, instance_file, capsys, edit, m
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda m: m.update(setup_power=math.nan), "non-finite setup power nan"),
+        (lambda m: m["process_power"].__setitem__(1, math.inf), "non-finite process power inf"),
+        (lambda m: m["idle_power"].__setitem__(0, math.nan), "non-finite idle power nan"),
+        (lambda m: m.update(standby_power=math.inf), "non-finite standby power inf"),
+        (lambda m: m["switch"][0].__setitem__(1, math.nan), "non-finite switch energy nan"),
+        (lambda m: m["turn_on"].__setitem__(2, -math.inf), "non-finite turn-on energy -inf"),
+    ],
+    ids=["setup-nan", "process-inf", "idle-nan", "standby-inf", "switch-nan", "turn-on-minus-inf"],
+)
+def test_solve_refuses_non_finite_power(tmp_path, instance_file, capsys, edit, message):
+    doc = load_document(instance_file.read_text())
+    edit(doc["machines"][-1])
+    broken = tmp_path / "broken.yaml"
+    broken.write_text(dump_document(doc))
+    out = tmp_path / "result.yaml"
+    assert _solve(broken, out) == 1
+    _assert_one_line_error(capsys, "invalid instance", message)
+    assert not out.exists()
+
+
 def test_solve_refuses_malformed_yaml(tmp_path, instance_file, capsys):
     broken = tmp_path / "broken.yaml"
     broken.write_text(instance_file.read_text() + "jobs: [unclosed\n")
@@ -238,6 +272,14 @@ def test_metrics_report(tmp_path, instance_file, capsys):
     # without --out the report goes to stdout
     assert main(["metrics", str(a), str(b)]) == 0
     assert "c_metric" in capsys.readouterr().out
+
+
+def test_metrics_report_names_a_file_that_is_not_utf8(tmp_path, instance_file):
+    result = tmp_path / os.fsdecode(b"r\xff.yaml")
+    assert _solve(instance_file, result) == 0
+    report = tmp_path / "report.yaml"
+    assert main(["metrics", str(result), "--out", str(report)]) == 0
+    assert 'r\\uDCFF.yaml"' in report.read_text()
 
 
 def test_gantt_outputs(tmp_path, instance_file):

@@ -50,6 +50,26 @@ def test_validate_instance_flags_negative_switch(inst):
     assert any("switch" in v for v in report.violations)
 
 
+def test_validate_instance_flags_each_non_finite_value(inst):
+    m = inst.machines[0]
+    nan, inf = float("nan"), float("inf")
+    bad = dataclasses.replace(
+        m,
+        setup_power=nan,
+        process_power=(inf,) + m.process_power[1:],
+        idle_power=(nan, nan) + m.idle_power[2:],
+        switch=((0.0, nan) + m.switch[0][2:],) + m.switch[1:],
+    )
+    report = validate_instance(dataclasses.replace(inst, machines=(bad,) + inst.machines[1:]))
+    assert [v for v in report.violations if "non-finite" in v] == [
+        "machine 1: non-finite setup power nan",
+        "machine 1: non-finite process power inf",
+        "machine 1: non-finite idle power nan",
+        "machine 1: non-finite idle power nan",
+        "machine 1: non-finite switch energy nan",
+    ]
+
+
 def test_makespan_and_rows(sched):
     assert makespan(sched) == 21
     process = [r for r in sched.rows if not r.is_setup]
