@@ -367,8 +367,19 @@ _SafeLoader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # libyaml when pres
 
 
 def load_document(text: str):
-    """Parse one YAML document with the safe loader."""
-    return yaml.load(text, Loader=_SafeLoader)
+    """Parse one YAML document with the safe loader.
+
+    libyaml parses it when present; what that rejects is parsed again by
+    PyYAML's own loader, whose error stands if it rejects it too.
+    """
+    try:
+        return yaml.load(text, Loader=_SafeLoader)
+    except yaml.YAMLError:
+        # libyaml refuses escaped lone surrogates, which dump_document
+        # writes for a file name that is not UTF-8
+        if _SafeLoader is yaml.SafeLoader:
+            raise
+        return yaml.load(text, Loader=yaml.SafeLoader)
 
 
 def write_instance(inst: ProblemInstance) -> str:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import os
 import sys
 import time
 from dataclasses import asdict, fields, replace
@@ -36,7 +35,7 @@ from .benchmark import (
     write_instance,
 )
 from .encoding import decode
-from .energy import total_energy
+from .energy import MODE_IDLE, MODE_STANDBY, total_energy
 from .metrics import c_metric, hv, igd, normalize
 from .optimizer import AlgorithmConfig, run
 from .pareto import nondominated
@@ -48,14 +47,6 @@ _PALETTE = (
     "#4e79a7", "#f28e2b", "#e15759", "#76b7b2", "#59a14f",
     "#edc948", "#b07aa1", "#ff9da7", "#9c755f", "#bab0ac",
 )
-
-
-def _default_threads() -> int:
-    value = os.environ.get("EFJSP_THREADS", "1")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -84,7 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--seed", type=int, default=None)
     solve.add_argument("--iters", type=int, default=None)
     solve.add_argument("--pop", type=int, default=None)
-    solve.add_argument("--threads", type=int, default=None)
+    # a no-op kept so existing command lines (`--threads 1`) still parse
+    solve.add_argument("--threads", type=int, help=argparse.SUPPRESS)
     solve.add_argument(
         "--ablate", action="append", choices=("nhi", "nde", "ncp"), default=[],
         help="disable a component: nhi=hybrid init, nde=DE exemplar, ncp=local search",
@@ -151,8 +143,6 @@ def _config_from_args(args: argparse.Namespace) -> AlgorithmConfig:
         cfg = replace(cfg, max_iter=args.iters)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    threads = args.threads if args.threads is not None else _default_threads()
-    cfg = replace(cfg, threads=threads)
     for flag in args.ablate:
         cfg = replace(
             cfg,
@@ -250,12 +240,32 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+def _int_rows(rows, keys: tuple[str, ...], what: str) -> list[dict]:
+    """``rows`` when it is a list of mappings with integer ``keys``."""
+    if not isinstance(rows, list) or not all(
+        isinstance(r, dict) and all(_is_int(r.get(k)) for k in keys) for r in rows
+    ):
+        raise ValueError(f"{what} must be a list of mappings with integer {', '.join(keys)}")
+    return rows
+
+
 def _load_result(path: str) -> dict:
     doc = load_document(Path(path).read_text())
     if not isinstance(doc, dict) or doc.get("kind") != "result":
         raise ValueError(f"{path}: not a result file")
     if doc.get("schema_version") != RESULT_SCHEMA:
         raise ValueError(f"{path}: unsupported result schema")
+    archive = _int_rows(doc.get("archive"), ("cmax",), f"{path}: archive")
+    if not all(_is_number(e.get("tec")) for e in archive):
+        raise ValueError(f"{path}: archive: every entry needs a numeric tec")
     return doc
 
 
@@ -304,9 +314,22 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def _gantt_rows(entry: dict) -> list[dict]:
+def _gantt_rows(entry: dict, where: str) -> list[dict]:
+    schedule = _int_rows(
+        entry.get("schedule"),
+        ("job", "op", "machine", "speed", "start", "end"),
+        f"{where} schedule",
+    )
+    energy = entry.get("energy")
+    intervals = _int_rows(
+        energy.get("intervals") if isinstance(energy, dict) else None,
+        ("machine", "start", "end", "speed"),
+        f"{where} energy.intervals",
+    )
+    if any(d.get("mode") not in (MODE_IDLE, MODE_STANDBY) for d in intervals):
+        raise ValueError(f"{where} energy.intervals: mode must be idle or standby")
     rows = []
-    for r in entry["schedule"]:
+    for r in schedule:
         rows.append(
             {
                 "machine": r["machine"],
@@ -318,7 +341,7 @@ def _gantt_rows(entry: dict) -> list[dict]:
                 "gear": r["speed"],
             }
         )
-    for d in entry["energy"]["intervals"]:
+    for d in intervals:
         rows.append(
             {
                 "machine": d["machine"],
@@ -399,7 +422,7 @@ def cmd_gantt(args: argparse.Namespace) -> int:
             f"solution index {args.solution} out of range 0..{len(archive) - 1}"
         )
     entry = archive[args.solution]
-    rows = _gantt_rows(entry)
+    rows = _gantt_rows(entry, f"{args.result}: solution {args.solution}")
     data_doc = {
         "schema_version": RESULT_SCHEMA,
         "kind": "gantt",
@@ -422,7 +445,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ParseError, InstanceFormatError, ValueError) as exc:

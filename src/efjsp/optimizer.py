@@ -11,16 +11,15 @@ variable neighbourhood search then refines the five best particles, and
 all points evaluated during the iteration feed an elitist bounded
 archive.
 
-Randomness is drawn in a fixed order and worker results are applied in a
-deterministic barrier phase, so runs reproduce exactly for a given seed
-regardless of the thread count.
+Randomness is drawn in a fixed order, and personal bests and the archive
+change only in a barrier phase after every particle has moved, so runs
+reproduce exactly for a given seed.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import local_search as _local
@@ -68,7 +67,6 @@ class AlgorithmConfig:
     disable_de: bool = False
     disable_vns: bool = False
     seed: int = 0
-    threads: int = 1
 
     def __post_init__(self) -> None:
         if self.population < 3:
@@ -83,8 +81,6 @@ class AlgorithmConfig:
             raise ValueError("archive_capacity must be positive")
         if self.vns_budget < 0:
             raise ValueError("vns_budget must be non-negative")
-        if self.threads < 1:
-            raise ValueError("threads must be positive")
 
 
 @dataclass(frozen=True)
@@ -329,89 +325,48 @@ def run(inst: ProblemInstance, cfg: AlgorithmConfig) -> RunResult:
     rng = random.Random(cfg.seed)
     matrices = build_message_matrix(inst)
     order = canonical_order(inst)
-    pool = ThreadPoolExecutor(cfg.threads) if cfg.threads > 1 else None
-
-    def eval_many(chroms: list[Chromosome]) -> list[Objectives]:
-        fn = lambda ch: evaluate(inst, ch, matrices)
-        if pool is None:
-            return [fn(ch) for ch in chroms]
-        return list(pool.map(fn, chroms))
-
-    try:
-        particles = initialize_population(inst, cfg, rng, matrices)
-        archive = ParetoArchive(cfg.archive_capacity)
-        for p in particles:
-            archive.add(p.position, p.objectives)
-        trace: list[IterationStats] = []
-        n = len(particles)
-        for it in range(1, cfg.max_iter + 1):
-            plans: list[tuple[Chromosome, Chromosome]] = []
-            for i, part in enumerate(particles):
-                if cfg.disable_de:
-                    exemplar = part.pbest
-                else:
-                    mutant = de_mutate(
-                        particles[i - 1].pbest,
-                        part.pbest,
-                        particles[(i + 1) % n].pbest,
-                        cfg.scale_factor,
-                        rng,
-                    )
-                    exemplar = de_crossover(
-                        mutant, part.pbest, cfg.crossover_rate, rng
-                    )
-                gbest = archive.sample(rng).chromosome
-                plans.append(
-                    update_position(
-                        part.position, exemplar, gbest, it, cfg, rng, inst, order
-                    )
+    particles = initialize_population(inst, cfg, rng, matrices)
+    archive = ParetoArchive(cfg.archive_capacity)
+    for p in particles:
+        archive.add(p.position, p.objectives)
+    trace: list[IterationStats] = []
+    n = len(particles)
+    for it in range(1, cfg.max_iter + 1):
+        evaluated: list[tuple[Chromosome, Objectives]] = []
+        for i, part in enumerate(particles):
+            exemplar = part.pbest
+            if not cfg.disable_de:
+                mutant = de_mutate(
+                    particles[i - 1].pbest, part.pbest, particles[(i + 1) % n].pbest,
+                    cfg.scale_factor, rng,
                 )
-
-            flat = [ch for pair in plans for ch in pair]
-            objs = eval_many(flat)
-            evaluated: list[tuple[Chromosome, Objectives]] = list(zip(flat, objs))
-            for i, part in enumerate(particles):
-                rotated, candidate = plans[i]
-                part.position, part.objectives = select(
-                    (rotated, objs[2 * i]), (candidate, objs[2 * i + 1])
-                )
-
-            if not cfg.disable_vns and cfg.vns_budget > 0:
-                idxs = _top_indices(particles, 5)
-                seeds = [rng.getrandbits(64) for _ in idxs]
-                jobs = [
-                    (particles[i].position, particles[i].objectives, random.Random(s))
-                    for i, s in zip(idxs, seeds)
-                ]
-                vns_fn = lambda args: _local.vns(
-                    args[0], args[1], inst, args[2], cfg.vns_budget, matrices
-                )
-                if pool is None:
-                    results = [vns_fn(j) for j in jobs]
-                else:
-                    results = list(pool.map(vns_fn, jobs))
-                for i, (chrom, obj, visited) in zip(idxs, results):
-                    particles[i].position = chrom
-                    particles[i].objectives = obj
-                    evaluated.extend(visited)
-
-            # barrier phase: personal bests and archive in deterministic order
-            for part in particles:
-                if dominates(part.objectives, part.pbest_objectives):
-                    part.pbest = part.position
-                    part.pbest_objectives = part.objectives
-            for ch, obj in evaluated:
-                archive.add(ch, obj)
-            pts = archive.points()
-            trace.append(
-                IterationStats(
-                    iteration=it,
-                    best_cmax=min(p[0] for p in pts),
-                    best_tec=min(p[1] for p in pts),
-                    archive_points=tuple(pts),
-                )
+                exemplar = de_crossover(mutant, part.pbest, cfg.crossover_rate, rng)
+            gbest = archive.sample(rng).chromosome
+            moves = update_position(
+                part.position, exemplar, gbest, it, cfg, rng, inst, order
             )
-        return RunResult(archive, tuple(trace))
-    finally:
-        if pool is not None:
-            pool.shutdown()
+            rotated, candidate = [(ch, evaluate(inst, ch, matrices)) for ch in moves]
+            evaluated += (rotated, candidate)
+            part.position, part.objectives = select(rotated, candidate)
+
+        if not cfg.disable_vns and cfg.vns_budget > 0:
+            for i in _top_indices(particles, 5):
+                # each call gets its own stream seeded from rng
+                part = particles[i]
+                part.position, part.objectives, visited = _local.vns(
+                    part.position, part.objectives, inst,
+                    random.Random(rng.getrandbits(64)), cfg.vns_budget, matrices,
+                )
+                evaluated += visited
+
+        # barrier phase: personal bests and archive in deterministic order
+        for part in particles:
+            if dominates(part.objectives, part.pbest_objectives):
+                part.pbest = part.position
+                part.pbest_objectives = part.objectives
+        for ch, obj in evaluated:
+            archive.add(ch, obj)
+        pts = tuple(archive.points())
+        best_cmax, best_tec = min(c for c, _ in pts), min(t for _, t in pts)
+        trace.append(IterationStats(it, best_cmax, best_tec, pts))
+    return RunResult(archive, tuple(trace))

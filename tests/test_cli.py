@@ -239,14 +239,6 @@ def test_solve_ablation_flags_recorded(tmp_path, instance_file):
     assert doc["config"]["disable_hybrid_init"] is False
 
 
-def test_env_var_sets_default_threads(tmp_path, instance_file, monkeypatch):
-    monkeypatch.setenv("EFJSP_THREADS", "3")
-    out = tmp_path / "result.yaml"
-    assert _solve(instance_file, out) == 0
-    doc = load_document(out.read_text())
-    assert doc["config"]["threads"] == 3
-
-
 def test_metrics_report(tmp_path, instance_file, capsys):
     a, b = tmp_path / "a.yaml", tmp_path / "b.yaml"
     _solve(instance_file, a)
@@ -282,6 +274,67 @@ def test_metrics_report_names_a_file_that_is_not_utf8(tmp_path, instance_file):
     assert 'r\\uDCFF.yaml"' in report.read_text()
 
 
+def test_metrics_report_naming_a_file_that_is_not_utf8_loads_back(tmp_path, instance_file):
+    result = tmp_path / os.fsdecode(b"r\xff.yaml")
+    assert _solve(instance_file, result) == 0
+    report = tmp_path / "report.yaml"
+    assert main(["metrics", str(result), "--out", str(report)]) == 0
+    text = report.read_text()
+    doc = load_document(text)
+    assert doc == yaml.load(text, Loader=yaml.SafeLoader)
+    assert doc["results"][0]["file"] == str(result)
+
+
+_RESULT_HEAD = "schema_version: 1\nkind: result\n"
+_ENTRY = "cmax: 3, tec: 1.5"
+_ROW = "job: 1, op: 1, machine: 1, speed: 1, start: 0, end: 3"
+
+
+@pytest.mark.parametrize(
+    "command, body, message",
+    [
+        ("metrics", "", "archive must be a list"),
+        ("gantt", "", "archive must be a list"),
+        ("metrics", "archive: 5\n", "archive must be a list"),
+        ("gantt", "archive: 5\n", "archive must be a list"),
+        ("metrics", "archive:\n- {cmax: 3}\n", "numeric tec"),
+        ("gantt", "archive:\n- {cmax: 3}\n", "numeric tec"),
+        ("metrics", "archive:\n- 7\n", "list of mappings"),
+        ("metrics", "archive:\n- {cmax: true, tec: 1.5}\n", "integer cmax"),
+        ("metrics", "archive:\n- {cmax: 3, tec: low}\n", "numeric tec"),
+        ("gantt", f"archive:\n- {{{_ENTRY}}}\n", "schedule"),
+        ("gantt", f"archive:\n- {{{_ENTRY}, schedule: 4}}\n", "schedule"),
+        ("gantt", f"archive:\n- {{{_ENTRY}, schedule: [{{job: 1}}]}}\n", "schedule"),
+        ("gantt", f"archive:\n- {{{_ENTRY}, schedule: [{{{_ROW}}}]}}\n", "energy.intervals"),
+        (
+            "gantt",
+            f"archive:\n- {{{_ENTRY}, schedule: [], energy: {{intervals: [{{machine: 1}}]}}}}\n",
+            "energy.intervals",
+        ),
+        (
+            "gantt",
+            f"archive:\n- {{{_ENTRY}, schedule: [], energy: {{intervals: "
+            "[{machine: 1, start: 3, end: 4, speed: 1, mode: off}]}}\n",
+            "mode must be idle or standby",
+        ),
+    ],
+    ids=[
+        "metrics-no-archive", "gantt-no-archive", "metrics-archive-5", "gantt-archive-5",
+        "metrics-no-tec", "gantt-no-tec", "metrics-entry-7", "metrics-bool-cmax",
+        "metrics-text-tec", "gantt-no-schedule", "gantt-schedule-4", "gantt-short-row",
+        "gantt-no-energy", "gantt-short-interval", "gantt-interval-mode",
+    ],
+)
+def test_result_documents_of_the_wrong_shape_fail_closed(tmp_path, capsys, command, body, message):
+    result = tmp_path / "result.yaml"
+    result.write_text(_RESULT_HEAD + body)
+    prefix = tmp_path / "chart"
+    extra = ["--out", str(prefix)] if command == "gantt" else []
+    assert main([command, str(result), *extra]) == 1
+    _assert_one_line_error(capsys, str(result), message)
+    assert not list(tmp_path.glob("chart.*"))
+
+
 def test_gantt_outputs(tmp_path, instance_file):
     result = tmp_path / "result.yaml"
     _solve(instance_file, result)
@@ -315,6 +368,21 @@ def test_missing_file_exit_code(tmp_path, capsys):
     assert code == 2
     code = main(["metrics", str(tmp_path / "nope.yaml")])
     assert code == 2
+
+
+def test_solve_on_a_directory_is_one_line_error(tmp_path, capsys):
+    code = main(["solve", str(tmp_path), "--out", str(tmp_path / "o.yaml")])
+    assert code == 2
+    _assert_one_line_error(capsys, str(tmp_path))
+
+
+@pytest.mark.parametrize("sub", ["", "sub"])
+def test_generate_into_a_file_is_one_line_error(tmp_path, base_file, capsys, sub):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out_dir = blocker / sub if sub else blocker
+    assert main(["generate", str(base_file), "--out-dir", str(out_dir)]) == 2
+    _assert_one_line_error(capsys, str(blocker))
 
 
 def test_version_flag():
