@@ -1,12 +1,14 @@
 """Variable neighbourhood search around the critical path.
 
-The search reads each solution off its machine timelines
-(``model.machine_timelines``).  The critical path folds every setup into
-the process segment it serves and walks backwards from the latest
-completion, always stepping to the later-completing of the job
-predecessor and the machine predecessor (the previous process segment on
-the timeline; ties prefer the machine predecessor), until an operation
-that starts at time zero.
+The search reads each solution off its machine timelines: in ``vns`` the
+decoder's own, time-ordered as placed (``encoding.Checkpoints``), so no
+schedule table is built or sorted; ``critical_path`` and ``neighbor``
+read a given table's (``model.machine_timelines``).  The critical path
+folds every setup into the process segment it serves and walks
+backwards from the latest completion, always stepping to the
+later-completing of the job predecessor and the machine predecessor (the
+previous process segment on the timeline; ties prefer the machine
+predecessor), until an operation that starts at time zero.
 
 Three neighbourhood structures perturb a chromosome:
 
@@ -20,7 +22,11 @@ structure, restarting from n1 whenever a neighbour dominates the current
 solution, and stops after a full fruitless cycle or at a hard cap of ten
 times the per-structure budget.  What the structures read about the
 current solution is worked out once per accepted solution, not once per
-neighbour.
+neighbour.  A neighbour is priced from the current solution's last
+placement checkpoint ahead of the first os position it changes (the
+moved operation's for n1 and n3, the earlier swapped one's for n2), and
+its energy from the first machine whose timeline changed; the objectives
+are those ``encoding.evaluate`` gives, to the last bit.
 """
 
 from __future__ import annotations
@@ -29,15 +35,8 @@ import itertools
 import random
 from functools import cached_property
 
-from .encoding import (
-    Chromosome,
-    MessageMatrix,
-    build_message_matrix,
-    canonical_order,
-    decode,
-    evaluate,
-)
-from .model import PROCESS, SETUP, ProblemInstance, ScheduleTable, machine_timelines
+from .encoding import Checkpoints, Chromosome, MessageMatrix, build_message_matrix, canonical_order
+from .model import PROCESS, SETUP, ProblemInstance, ScheduleTable, Segment, machine_timelines
 from .pareto import dominates
 
 STRUCTURES = ("n1", "n2", "n3")
@@ -50,8 +49,13 @@ def critical_path(
     inst: ProblemInstance, sched: ScheduleTable
 ) -> list[tuple[int, int]]:
     """Operations on one critical chain, in processing order."""
+    return _chain(machine_timelines(inst, sched))
+
+
+def _chain(timelines: list[list[Segment]]) -> list[tuple[int, int]]:
+    """``critical_path`` read off time-ordered machine timelines."""
     span = {}  # (job, op) -> (start with its setup folded in, end, machine predecessor)
-    for seq in machine_timelines(inst, sched):
+    for seq in timelines:
         prev = last = None
         for seg in seq:
             start, end, kind, job, op, _ = seg
@@ -80,19 +84,20 @@ def critical_path(
 
 
 class _View:
-    """One solution as the three structures read it: the critical chain,
-    the os and mv positions of every operation and, once n3 asks for
-    them, the busiest machine's operations in os order."""
+    """One solution as the three structures read it, from its time-ordered
+    machine timelines: the critical chain, the os and mv positions of
+    every operation and, once n3 asks for them, the busiest machine's
+    operations in os order."""
 
     def __init__(
         self,
         inst: ProblemInstance,
         chrom: Chromosome,
-        sched: ScheduleTable,
+        timelines: list[list[Segment]],
         matrices: dict[tuple[int, int], MessageMatrix],
     ):
-        self.inst, self.chrom, self.sched, self.matrices = inst, chrom, sched, matrices
-        self.path = critical_path(inst, sched)
+        self.chrom, self.timelines, self.matrices = chrom, timelines, matrices
+        self.path = _chain(timelines)
         self.mv_index = {key: i for i, key in enumerate(canonical_order(inst))}
         nth = {job.id: itertools.count(1) for job in inst.jobs}
         self.os_index = {(job, next(nth[job])): i for i, job in enumerate(chrom.os)}
@@ -101,12 +106,14 @@ class _View:
     def busiest(self) -> list[tuple[int, int]]:
         """The machine with the most occupied time, setups included, and
         ties going to the lowest id."""
-        timelines = machine_timelines(self.inst, self.sched)
+        timelines = self.timelines
         loads = [sum(seg[1] - seg[0] for seg in seq) for seq in timelines]
         ops = [seg[3:5] for seg in timelines[loads.index(max(loads))] if seg[2] == PROCESS]
         return sorted(ops, key=self.os_index.__getitem__)
 
-    def move_off(self, keys: list[tuple[int, int]], rng: random.Random) -> Chromosome | None:
+    def move_off(
+        self, keys: list[tuple[int, int]], rng: random.Random
+    ) -> tuple[Chromosome, int] | None:
         """Move a random one of ``keys`` to a random column of another machine."""
         mv = self.chrom.mv
         for _ in range(_RETRIES):
@@ -119,10 +126,12 @@ class _View:
                 columns = [i + 1 for i, m in enumerate(mm.machines) if m == target]
                 moved = list(mv)
                 moved[position] = columns[rng.randrange(len(columns))]
-                return Chromosome(self.chrom.os, tuple(moved))
+                return Chromosome(self.chrom.os, tuple(moved)), self.os_index[key]
         return None
 
-    def neighbor(self, structure: str, rng: random.Random) -> Chromosome | None:
+    def draw(self, structure: str, rng: random.Random) -> tuple[Chromosome, int] | None:
+        """A random neighbour under ``structure`` and the first os position
+        whose operation it places differently, or None."""
         if structure == "n3":
             return self.move_off(self.busiest, rng) if self.busiest else None
         path = self.path
@@ -140,7 +149,7 @@ class _View:
             ia, ib = self.os_index[ka], self.os_index[kb]
             os = list(self.chrom.os)
             os[ia], os[ib] = os[ib], os[ia]
-            return Chromosome(tuple(os), self.chrom.mv)
+            return Chromosome(tuple(os), self.chrom.mv), min(ia, ib)
         return None
 
 
@@ -162,7 +171,8 @@ def neighbor(
         raise ValueError(f"unknown neighbourhood structure {structure!r}")
     if matrices is None:
         matrices = build_message_matrix(inst)
-    return _View(inst, chrom, sched, matrices).neighbor(structure, rng)
+    drawn = _View(inst, chrom, machine_timelines(inst, sched), matrices).draw(structure, rng)
+    return None if drawn is None else drawn[0]
 
 
 def vns(
@@ -187,22 +197,25 @@ def vns(
     cap = _TOTAL_BUDGET_FACTOR * budget
     spent = 0
     current, cur_obj = chrom, objectives
-    view = _View(inst, current, decode(inst, current, matrices), matrices)
+    base = Checkpoints(inst, current, matrices)
+    view = _View(inst, current, base.timelines, matrices)
     k = 0
     while k < len(STRUCTURES) and spent < cap:
         improved = False
         for _ in range(budget):
             if spent >= cap:
                 break
-            nb = view.neighbor(STRUCTURES[k], rng)
-            if nb is None:
+            drawn = view.draw(STRUCTURES[k], rng)
+            if drawn is None:
                 break
-            obj = evaluate(inst, nb, matrices)
+            nb, first = drawn
+            obj = base.price(nb, first)
             spent += 1
             visited.append((nb, obj))
             if dominates(obj, cur_obj):
                 current, cur_obj = nb, obj
-                view = _View(inst, current, decode(inst, current, matrices), matrices)
+                base = Checkpoints(inst, current, matrices)
+                view = _View(inst, current, base.timelines, matrices)
                 improved = True
                 break
         k = 0 if improved else k + 1

@@ -1,8 +1,11 @@
 """The one-walk evaluator against the breakdown route, the independent
-oracle summation and objectives recorded before the evaluator was fused."""
+oracle summation and objectives recorded before the evaluator was fused;
+the bisected gap scan against the linear one it replaced; and VNS's
+incremental pricing of neighbours against ``evaluate``."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 from pathlib import Path
@@ -11,14 +14,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from efjsp.benchmark import extend_instance, random_base
-from efjsp.encoding import Chromosome, decode, evaluate, random_chromosome
+from efjsp.encoding import (
+    Checkpoints,
+    Chromosome,
+    _copy,
+    _place,
+    build_message_matrix,
+    decode,
+    evaluate,
+    random_chromosome,
+)
 from efjsp.energy import total_energy
+from efjsp.local_search import STRUCTURES, _View, critical_path
 from efjsp.model import (
+    PROCESS,
+    SETUP,
     JobSpec,
     Machine,
     OperationSpec,
     ProblemInstance,
     ProcessingOption,
+    ScheduledRow,
     idle_intervals,
     makespan,
     validate_instance,
@@ -108,3 +124,135 @@ def test_three_routes_agree_on_generated_instances(problem):
     cmax, tec = independent_objectives(inst, sched.rows)
     assert fast[0] == cmax
     assert abs(fast[1] - tec) <= 1e-9 * max(abs(tec), 1.0)
+
+
+@st.composite
+def generated_problems(draw) -> tuple[ProblemInstance, Chromosome]:
+    """Generator instances big enough for long timelines, with zero setup
+    times or without turn-on vectors on some draws, and a random
+    chromosome."""
+    seed = draw(st.integers(0, 10_000))
+    inst = extend_instance(
+        random_base(draw(st.integers(2, 10)), draw(st.integers(1, 6)), seed=seed), seed=seed
+    )
+    if draw(st.booleans()):
+        inst = dataclasses.replace(
+            inst, jobs=tuple(dataclasses.replace(j, setup_time=0) for j in inst.jobs)
+        )
+    if draw(st.booleans()):
+        inst = dataclasses.replace(
+            inst, machines=tuple(dataclasses.replace(m, turn_on=None) for m in inst.machines)
+        )
+    return inst, random_chromosome(inst, random.Random(seed))
+
+
+shapes = st.one_of(problems(), generated_problems())
+
+
+def _linear_place(inst, chrom, matrices, rows):
+    """The decoder's placement loop as it was before the gap scan was
+    bisected: every gap of the machine is tried from the front."""
+    mv = chrom.mv
+    setup_times = []
+    mv_base = []
+    pos = -1
+    for job in inst.jobs:
+        setup_times.append(job.setup_time)
+        mv_base.append(pos)
+        pos += len(job.operations)
+    next_op = [1] * len(inst.jobs)
+    job_ready = [0] * len(inst.jobs)
+    segs = [[] for _ in inst.machines]
+
+    for job_id in chrom.os:
+        j = job_id - 1
+        op_idx = next_op[j]
+        next_op[j] = op_idx + 1
+        mm = matrices[(job_id, op_idx)]
+        c = mv[mv_base[j] + op_idx] - 1
+        machine = mm.machines[c]
+        speed = mm.speeds[c]
+        dur = mm.durations[c]
+        su = setup_times[j]
+        ready = job_ready[j]
+        seq = segs[machine - 1]
+
+        i = 0
+        prev_end = 0
+        prev_proc_job = 0
+        for seg_start, seg_end, kind, seg_job, _, _ in seq:
+            if seg_start > prev_end and kind == SETUP:
+                need_setup = prev_proc_job != job_id
+                start = prev_end + su if need_setup else prev_end
+                if start < ready:
+                    start = ready
+                if start + dur <= seg_start:
+                    break
+            prev_end = seg_end
+            if kind == PROCESS:
+                prev_proc_job = seg_job
+            i += 1
+        else:  # the open tail
+            need_setup = prev_proc_job != job_id
+            start = prev_end + su if need_setup else prev_end
+            if start < ready:
+                start = ready
+
+        end = start + dur
+        if need_setup:
+            seq[i:i] = (
+                (start - su, start, SETUP, job_id, 0, 0),
+                (start, end, PROCESS, job_id, op_idx, speed),
+            )
+            rows.append(ScheduledRow(job_id, 0, machine, 0, start - su, start))
+        else:
+            seq.insert(i, (start, end, PROCESS, job_id, op_idx, speed))
+        rows.append(ScheduledRow(job_id, op_idx, machine, speed, start, end))
+        job_ready[j] = end
+    return segs
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(shapes)
+def test_bisected_scan_places_like_the_linear_scan(problem):
+    inst, chrom = problem
+    matrices = build_message_matrix(inst)
+    want_rows: list[ScheduledRow] = []
+    want = _linear_place(inst, chrom, matrices, want_rows)
+    got_rows: list[ScheduledRow] = []
+    assert _place(inst, chrom, matrices, got_rows) == want
+    assert got_rows == want_rows
+    assert list(decode(inst, chrom, matrices).rows) == want_rows
+    # resuming from every checkpoint finishes the same placement
+    base = Checkpoints(inst, chrom, matrices)
+    assert base.timelines == want
+    for c, saved in enumerate(base.saved):
+        lo = c * base.every
+        assert _place(inst, chrom, matrices, None, base.layout, _copy(saved), lo) == want
+
+
+def _exact(objectives) -> tuple[str, str]:
+    # repr tells 0 from 0.0 and -0.0 from 0.0, and round-trips every float
+    return tuple(repr(v) for v in objectives)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(shapes, st.integers(0, 2**32 - 1))
+def test_vns_view_prices_every_neighbour_like_evaluate(problem, seed):
+    inst, chrom = problem
+    matrices = build_message_matrix(inst)
+    base = Checkpoints(inst, chrom, matrices)
+    view = _View(inst, chrom, base.timelines, matrices)
+    assert view.path == critical_path(inst, decode(inst, chrom, matrices))
+    want = _exact(evaluate(inst, chrom, matrices))
+    # the base itself, resumed at every position: all timelines equal
+    for first in range(len(chrom.os)):
+        assert _exact(base.price(chrom, first)) == want
+    rng = random.Random(seed)
+    for structure in STRUCTURES * 4:
+        drawn = view.draw(structure, rng)
+        if drawn is None:
+            continue
+        nb, first = drawn
+        assert nb.os[:first] == chrom.os[:first]
+        assert _exact(base.price(nb, first)) == _exact(evaluate(inst, nb, matrices))
