@@ -29,9 +29,10 @@ decrease and the gap scan can start by bisection: an operation that
 cannot start before its job is ready at ``ready`` fits in no gap ahead of
 a segment starting before ``ready + duration``.  Placement also resumes:
 ``Checkpoints`` copies the placement state every ceil(sqrt(d)) os
-positions of one chromosome and prices another that differs from it
-only from some position on by placing the rest from the last copy ahead
-of that position, which gives the timelines a fresh placement gives.
+positions of one chromosome, and ``evaluate(..., base=, first=)``
+prices another that differs from it only from some position on by
+placing the rest from the last copy ahead of that position, which gives
+the timelines a fresh placement gives.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .energy import Totals, account
+from .energy import account
 from .model import PROCESS, SETUP, ProblemInstance, ScheduledRow, ScheduleTable, Segment
 
 RULE_MIN_TIME = "min_time"
@@ -64,11 +65,15 @@ class Chromosome:
 
 @dataclass(frozen=True)
 class MessageMatrix:
-    """Option columns of one operation: three aligned rows."""
+    """Option columns of one operation: three aligned rows.  The decoder
+    also reads the operation's 0-based position in mv and its job's
+    setup time off it."""
 
     machines: tuple[int, ...]
     speeds: tuple[int, ...]
     durations: tuple[int, ...]
+    position: int
+    setup: int
 
     def __len__(self) -> int:
         return len(self.machines)
@@ -98,6 +103,8 @@ def build_message_matrix(
                 machines=tuple(c.machine for c in cols),
                 speeds=tuple(c.speed for c in cols),
                 durations=tuple(c.duration for c in cols),
+                position=len(out),
+                setup=job.setup_time,
             )
     return out
 
@@ -200,25 +207,11 @@ PlacementState = tuple[list[list[Segment]], list[int], list[int]]
 _EMPTY = (0, 0, PROCESS, 0, 0, 0)
 
 
-def _layout(inst: ProblemInstance) -> tuple[list[int], list[int]]:
-    """Each job's setup time and the mv position of its first operation,
-    minus one."""
-    setup_times = []
-    mv_base = []
-    pos = -1
-    for job in inst.jobs:
-        setup_times.append(job.setup_time)
-        mv_base.append(pos)
-        pos += len(job.operations)
-    return setup_times, mv_base
-
-
 def _place(
     inst: ProblemInstance,
     chrom: Chromosome,
     matrices: dict[tuple[int, int], MessageMatrix],
     rows: list[ScheduledRow] | None = None,
-    layout: tuple[list[int], list[int]] | None = None,
     state: PlacementState | None = None,
     lo: int = 0,
     hi: int | None = None,
@@ -228,8 +221,7 @@ def _place(
     Without a ``state``, places the whole chromosome on empty machines.
     With one, places the operations at os positions ``lo:hi`` (to the
     end by default) into it, updating it in place.  Returns the
-    timelines (see ``model.Segment``).  ``layout`` is ``_layout(inst)``,
-    worked out here when not given.  Appends the schedule rows to
+    timelines (see ``model.Segment``).  Appends the schedule rows to
     ``rows``, in os order, when a list is given.
 
     The gap scan starts at the first segment that starts no earlier than
@@ -237,17 +229,6 @@ def _place(
     of the segment just ahead, as the scan from the front would have
     them there.
     """
-    if layout is None:  # _layout(inst), inlined: the call would cost a
-        # placement on the six-operation sample instance some 4%
-        setup_times = []
-        mv_base = []
-        pos = -1
-        for job in inst.jobs:
-            setup_times.append(job.setup_time)
-            mv_base.append(pos)
-            pos += len(job.operations)
-    else:
-        setup_times, mv_base = layout
     if state is None:
         segs: list[list[Segment]] = [[] for _ in inst.machines]
         next_op = [1] * len(inst.jobs)
@@ -263,11 +244,11 @@ def _place(
         op_idx = next_op[j]
         next_op[j] = op_idx + 1
         mm = matrices[(job_id, op_idx)]
-        c = mv[mv_base[j] + op_idx] - 1
+        c = mv[mm.position] - 1
         machine = mm.machines[c]
         speed = mm.speeds[c]
         dur = mm.durations[c]
-        su = setup_times[j]
+        su = mm.setup
         ready = job_ready[j]
         seq = segs[machine - 1]
 
@@ -356,6 +337,9 @@ def evaluate(
     inst: ProblemInstance,
     chrom: Chromosome,
     matrices: dict[tuple[int, int], MessageMatrix] | None = None,
+    *,
+    base: Checkpoints | None = None,
+    first: int = 0,
 ) -> tuple[int, float]:
     """The two objectives (makespan, total energy) of a chromosome.
 
@@ -363,21 +347,23 @@ def evaluate(
     of ``decode``'s schedule, but priced off the placement timelines in
     one walk.  Raises ChromosomeError on malformed input, ValueError
     when nothing is processed.
+
+    ``base`` prices a chromosome made from a checked one, from that
+    one's ``Checkpoints``: the os entries ahead of position ``first``,
+    and the mv columns of the operations they place, must be the
+    base's.  The chromosome is then not checked, the base's matrices
+    are used, and placement resumes from the last checkpoint at or
+    before ``first``.  The result is the same.
     """
-    if matrices is None:
-        matrices = build_message_matrix(inst)
-    _check_chromosome(inst, chrom)
-    return _objectives(inst, _place(inst, chrom, matrices))
-
-
-def _objectives(
-    inst: ProblemInstance,
-    timelines: list[list[Segment]],
-    base: tuple[list[list[Segment]], list[Totals]] | None = None,
-) -> tuple[int, float]:
-    """(makespan, total energy) of placed timelines; ``base`` as for
-    ``energy.account``."""
-    cmax, ie1, ie2, se1, se2, ise = account(inst, timelines, base=base)
+    if base is None:
+        if matrices is None:
+            matrices = build_message_matrix(inst)
+        _check_chromosome(inst, chrom)
+        timelines = _place(inst, chrom, matrices)
+    else:
+        c = first // base.every
+        timelines = _place(inst, chrom, base.matrices, None, _copy(base.saved[c]), c * base.every)
+    cmax, ie1, ie2, se1, se2, ise = account(inst, timelines)
     if cmax < 0:
         raise ValueError("schedule has no process rows")
     return cmax, ie1 + ie2 + se1 + se2 + ise
@@ -389,14 +375,13 @@ def _copy(state: PlacementState) -> PlacementState:
 
 
 class Checkpoints:
-    """A chromosome placed and priced once, so that chromosomes which
-    differ from it only from some os position on are priced without
-    redoing what comes before that position.
+    """A chromosome placed once, so that ``evaluate`` prices chromosomes
+    which differ from it only from some os position on without redoing
+    the placement ahead of that position.
 
     The placement state is copied before every ``every``-th os position,
     ``every`` being the ceiling of the square root of the operation
-    count, and ``energy.account`` keeps its running sums before every
-    machine.  ``timelines`` are the chromosome's own, time-ordered per
+    count.  ``timelines`` are the chromosome's own, time-ordered per
     machine.  Raises ChromosomeError on a malformed chromosome.
     """
 
@@ -407,8 +392,7 @@ class Checkpoints:
         matrices: dict[tuple[int, int], MessageMatrix],
     ):
         _check_chromosome(inst, chrom)
-        self.inst, self.matrices = inst, matrices
-        self.layout = layout = _layout(inst)
+        self.matrices = matrices
         d = len(chrom.os)
         self.every = every = math.isqrt(max(d, 1) - 1) + 1
         state: PlacementState = (
@@ -419,18 +403,5 @@ class Checkpoints:
         self.saved: list[PlacementState] = []
         for lo in range(0, d, every):
             self.saved.append(_copy(state))
-            _place(inst, chrom, matrices, None, layout, state, lo, lo + every)
+            _place(inst, chrom, matrices, None, state, lo, lo + every)
         self.timelines = state[0]
-        self.sums: list[Totals] = []
-        account(inst, self.timelines, sums=self.sums)
-
-    def price(self, chrom: Chromosome, first: int) -> tuple[int, float]:
-        """The objectives of a chromosome whose os entries ahead of
-        position ``first``, and the mv columns of the operations they
-        place, are the base's; equal to ``evaluate(inst, chrom)``.  The
-        chromosome is not checked."""
-        c = first // self.every
-        lo = c * self.every
-        state = _copy(self.saved[c])
-        timelines = _place(self.inst, chrom, self.matrices, None, self.layout, state, lo)
-        return _objectives(self.inst, timelines, (self.timelines, self.sums))

@@ -38,10 +38,6 @@ from .model import (
 MODE_IDLE = "idle"
 MODE_STANDBY = "standby"
 
-# What ``account`` returns and keeps running: the makespan and the five
-# energy parts.
-Totals = tuple[int, float, float, float, float, float]
-
 
 @dataclass(frozen=True)
 class IntervalDecision:
@@ -124,9 +120,7 @@ def account(
     inst: ProblemInstance,
     timelines: list[list[Segment]],
     decisions: list[IntervalDecision] | None = None,
-    sums: list[Totals] | None = None,
-    base: tuple[list[list[Segment]], list[Totals]] | None = None,
-) -> Totals:
+) -> tuple[int, float, float, float, float, float]:
     """Makespan and the five energy parts, in one walk over the timelines.
 
     Returns ``(cmax, turn_on, transition, setup, process, interval)``;
@@ -139,33 +133,13 @@ def account(
     idle/standby stretch otherwise.  The first process segment of a
     machine pays its turn-on: the machine's turn-on vector when present,
     the switch table row from speed 0 otherwise.  Turning off is free.
-
-    The walk can resume.  When ``sums`` is a list, the six running values
-    are appended to it before each machine and once more at the end.
-    ``base`` is the ``(timelines, sums)`` of such a walk: this walk then
-    starts at the first machine whose timeline differs from the base's,
-    from the values the base had there.  Equal timelines give equal
-    running values and the rest is added in the same order, so the
-    result is the same, to the last bit, as a walk from the first machine.
     """
-    machines = inst.machines
-    first = 0
-    if base is None:
-        cmax = -1
-        ie1 = ie2 = se1 = se2 = 0.0
-        ise = 0  # an int while no stretch is priced, as the result documents record it
-    else:
-        base_timelines, base_sums = base
-        while first < len(machines) and timelines[first] == base_timelines[first]:
-            first += 1
-        cmax, ie1, ie2, se1, se2, ise = base_sums[first]
-    for m in range(first, len(machines)):
-        if sums is not None:
-            sums.append((cmax, ie1, ie2, se1, se2, ise))
-        seq = timelines[m]
+    cmax = -1
+    ie1 = ie2 = se1 = se2 = 0.0
+    ise = 0  # an int while no stretch is priced, as the result documents record it
+    for mach, seq in zip(inst.machines, timelines):
         if not seq:
             continue
-        mach = machines[m]
         switch = mach.switch
         process_power = mach.process_power
         setup_power = mach.setup_power
@@ -196,8 +170,6 @@ def account(
                     decisions.append(_decision(interval, cost, idle))
             prev_end, prev_speed = end, speed
             last = seg
-    if sums is not None:
-        sums.append((cmax, ie1, ie2, se1, se2, ise))
     return cmax, ie1, ie2, se1, se2, ise
 
 

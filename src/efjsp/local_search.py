@@ -2,8 +2,9 @@
 
 The search reads each solution off its machine timelines: in ``vns`` the
 decoder's own, time-ordered as placed (``encoding.Checkpoints``), so no
-schedule table is built or sorted; ``critical_path`` and ``neighbor``
-read a given table's (``model.machine_timelines``).  The critical path
+schedule table is built or sorted; ``neighbor``, and ``critical_path``
+unless it is given timelines, read a given table's
+(``model.machine_timelines``).  The critical path
 folds every setup into the process segment it serves and walks
 backwards from the latest completion, always stepping to the
 later-completing of the job predecessor and the machine predecessor (the
@@ -24,9 +25,9 @@ times the per-structure budget.  What the structures read about the
 current solution is worked out once per accepted solution, not once per
 neighbour.  A neighbour is priced from the current solution's last
 placement checkpoint ahead of the first os position it changes (the
-moved operation's for n1 and n3, the earlier swapped one's for n2), and
-its energy from the first machine whose timeline changed; the objectives
-are those ``encoding.evaluate`` gives, to the last bit.
+moved operation's for n1 and n3, the earlier swapped one's for n2)
+through ``encoding.evaluate(..., base=, first=)``; the objectives are
+those a fresh ``evaluate`` gives, to the last bit.
 """
 
 from __future__ import annotations
@@ -35,7 +36,13 @@ import itertools
 import random
 from functools import cached_property
 
-from .encoding import Checkpoints, Chromosome, MessageMatrix, build_message_matrix, canonical_order
+from .encoding import (
+    Checkpoints,
+    Chromosome,
+    MessageMatrix,
+    build_message_matrix,
+    evaluate,
+)
 from .model import PROCESS, SETUP, ProblemInstance, ScheduleTable, Segment, machine_timelines
 from .pareto import dominates
 
@@ -46,14 +53,18 @@ _TOTAL_BUDGET_FACTOR = 10
 
 
 def critical_path(
-    inst: ProblemInstance, sched: ScheduleTable
+    inst: ProblemInstance,
+    sched: ScheduleTable | None,
+    timelines: list[list[Segment]] | None = None,
 ) -> list[tuple[int, int]]:
-    """Operations on one critical chain, in processing order."""
-    return _chain(machine_timelines(inst, sched))
+    """Operations on one critical chain, in processing order.
 
-
-def _chain(timelines: list[list[Segment]]) -> list[tuple[int, int]]:
-    """``critical_path`` read off time-ordered machine timelines."""
+    ``timelines`` are the schedule's time-ordered machine timelines when
+    they are at hand (``sched`` is then not read), as ``vns`` has them
+    from the decoder; ``model.machine_timelines(inst, sched)`` otherwise.
+    """
+    if timelines is None:
+        timelines = machine_timelines(inst, sched)
     span = {}  # (job, op) -> (start with its setup folded in, end, machine predecessor)
     for seq in timelines:
         prev = last = None
@@ -85,8 +96,8 @@ def _chain(timelines: list[list[Segment]]) -> list[tuple[int, int]]:
 
 class _View:
     """One solution as the three structures read it, from its time-ordered
-    machine timelines: the critical chain, the os and mv positions of
-    every operation and, once n3 asks for them, the busiest machine's
+    machine timelines: the critical chain, the os position of every
+    operation and, once n3 asks for them, the busiest machine's
     operations in os order."""
 
     def __init__(
@@ -97,8 +108,7 @@ class _View:
         matrices: dict[tuple[int, int], MessageMatrix],
     ):
         self.chrom, self.timelines, self.matrices = chrom, timelines, matrices
-        self.path = _chain(timelines)
-        self.mv_index = {key: i for i, key in enumerate(canonical_order(inst))}
+        self.path = critical_path(inst, None, timelines)
         nth = {job.id: itertools.count(1) for job in inst.jobs}
         self.os_index = {(job, next(nth[job])): i for i, job in enumerate(chrom.os)}
 
@@ -119,13 +129,12 @@ class _View:
         for _ in range(_RETRIES):
             key = keys[rng.randrange(len(keys))]
             mm = self.matrices[key]
-            position = self.mv_index[key]
-            others = sorted(set(mm.machines) - {mm.machines[mv[position] - 1]})
+            others = sorted(set(mm.machines) - {mm.machines[mv[mm.position] - 1]})
             if others:
                 target = others[rng.randrange(len(others))]
                 columns = [i + 1 for i, m in enumerate(mm.machines) if m == target]
                 moved = list(mv)
-                moved[position] = columns[rng.randrange(len(columns))]
+                moved[mm.position] = columns[rng.randrange(len(columns))]
                 return Chromosome(self.chrom.os, tuple(moved)), self.os_index[key]
         return None
 
@@ -209,7 +218,7 @@ def vns(
             if drawn is None:
                 break
             nb, first = drawn
-            obj = base.price(nb, first)
+            obj = evaluate(inst, nb, base=base, first=first)
             spent += 1
             visited.append((nb, obj))
             if dominates(obj, cur_obj):

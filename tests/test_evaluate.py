@@ -228,7 +228,7 @@ def test_bisected_scan_places_like_the_linear_scan(problem):
     assert base.timelines == want
     for c, saved in enumerate(base.saved):
         lo = c * base.every
-        assert _place(inst, chrom, matrices, None, base.layout, _copy(saved), lo) == want
+        assert _place(inst, chrom, matrices, None, _copy(saved), lo) == want
 
 
 def _exact(objectives) -> tuple[str, str]:
@@ -247,7 +247,7 @@ def test_vns_view_prices_every_neighbour_like_evaluate(problem, seed):
     want = _exact(evaluate(inst, chrom, matrices))
     # the base itself, resumed at every position: all timelines equal
     for first in range(len(chrom.os)):
-        assert _exact(base.price(chrom, first)) == want
+        assert _exact(evaluate(inst, chrom, base=base, first=first)) == want
     rng = random.Random(seed)
     for structure in STRUCTURES * 4:
         drawn = view.draw(structure, rng)
@@ -255,4 +255,6 @@ def test_vns_view_prices_every_neighbour_like_evaluate(problem, seed):
             continue
         nb, first = drawn
         assert nb.os[:first] == chrom.os[:first]
-        assert _exact(base.price(nb, first)) == _exact(evaluate(inst, nb, matrices))
+        assert _exact(evaluate(inst, nb, base=base, first=first)) == _exact(
+            evaluate(inst, nb, matrices)
+        )
