@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import sys
 import time
 from dataclasses import asdict, fields, replace
@@ -34,7 +35,7 @@ from .benchmark import (
     read_instance,
     write_instance,
 )
-from .encoding import decode
+from .encoding import build_message_matrix, decode
 from .energy import MODE_IDLE, MODE_STANDBY, total_energy
 from .metrics import c_metric, hv, igd, normalize
 from .optimizer import AlgorithmConfig, run
@@ -171,9 +172,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
             )
 
     entries = sorted(result.archive.entries, key=lambda e: (e.cmax, e.tec))
+    matrices = build_message_matrix(inst)
     archive_docs = []
     for entry in entries:
-        sched = decode(inst, entry.chromosome)
+        sched = decode(inst, entry.chromosome, matrices)
         breakdown = total_energy(inst, sched)
         archive_docs.append(
             {
@@ -264,8 +266,8 @@ def _load_result(path: str) -> dict:
     if doc.get("schema_version") != RESULT_SCHEMA:
         raise ValueError(f"{path}: unsupported result schema")
     archive = _int_rows(doc.get("archive"), ("cmax",), f"{path}: archive")
-    if not all(_is_number(e.get("tec")) for e in archive):
-        raise ValueError(f"{path}: archive: every entry needs a numeric tec")
+    if not all(_is_number(e.get("tec")) and math.isfinite(e["tec"]) for e in archive):
+        raise ValueError(f"{path}: archive: every entry needs a finite numeric tec")
     return doc
 
 

@@ -317,16 +317,6 @@ def setup_rows(sched: ScheduleTable, machine_id: int) -> list[ScheduledRow]:
     return rows
 
 
-def _attached_setup(
-    setups: list[ScheduledRow], row: ScheduledRow
-) -> ScheduledRow | None:
-    """The setup row that ends exactly where ``row`` starts, if any."""
-    for s in setups:
-        if s.job == row.job and s.end == row.start:
-            return s
-    return None
-
-
 def _process_pairs(
     sched: ScheduleTable, machine_id: int
 ) -> Iterator[tuple[Segment, Segment, bool]]:
@@ -389,8 +379,11 @@ def validate_schedule(inst: ProblemInstance, sched: ScheduleTable) -> Validation
     and gear, with the option's duration), per-machine non-overlap of all
     rows, job precedence, and setup discipline: the first operation of
     every job block on a machine must be immediately preceded by a setup
-    row of the job's setup time.  Unknown ids are reported as structural
-    errors rather than feasibility violations.
+    row of the job's setup time, and every setup row must be followed at
+    its end by a process row of its job.  Each machine's rows are sorted
+    once by (start, end) and walked once for both machine checks.
+    Unknown ids are reported as structural errors rather than
+    feasibility violations.
     """
     report = ValidationReport()
     rows = []
@@ -461,15 +454,35 @@ def validate_schedule(inst: ProblemInstance, sched: ScheduleTable) -> Validation
                     f"operation ({job.id},{op.op_index}) is scheduled {n} times"
                 )
 
+    by_machine: dict[int, list[ScheduledRow]] = {}
+    for row in rows:
+        by_machine.setdefault(row.machine, []).append(row)
+    discipline: list[str] = []
     for mach in inst.machines:
-        mach_rows = sorted(
-            (r for r in rows if r.machine == mach.id), key=lambda r: (r.start, r.end)
-        )
-        for a, b in zip(mach_rows, mach_rows[1:]):
-            if b.start < a.end:
-                report.violations.append(
-                    f"rows overlap on machine {mach.id} at time {b.start}"
-                )
+        # a stable sort: rows that share a (start, end) span keep table order
+        timeline = sorted(by_machine.get(mach.id, ()), key=lambda r: (r.start, r.end))
+        setup_ends = {(r.job, r.end) for r in timeline if r.is_setup}
+        process_starts = {(r.job, r.start) for r in timeline if not r.is_setup}
+        missing, dangling = [], []
+        prev = block_job = None
+        for row in timeline:
+            if prev is not None and row.start < prev.end:
+                report.violations.append(f"rows overlap on machine {mach.id} at time {row.start}")
+            prev = row
+            if row.is_setup:
+                if (row.job, row.end) not in process_starts:
+                    dangling.append(
+                        f"dangling setup row for job {row.job} on machine {mach.id} "
+                        f"at time {row.start}"
+                    )
+            elif row.job != block_job:
+                block_job = row.job
+                if (row.job, row.start) not in setup_ends:
+                    missing.append(
+                        f"missing setup before operation ({row.job},{row.op_index}) "
+                        f"on machine {mach.id}"
+                    )
+        discipline += missing + dangling
 
     by_job: dict[tuple[int, int], ScheduledRow] = {
         (r.job, r.op_index): r for r in rows if not r.is_setup
@@ -484,25 +497,5 @@ def validate_schedule(inst: ProblemInstance, sched: ScheduleTable) -> Validation
                     f"operation {k} completes at {a.end}"
                 )
 
-    sched_view = ScheduleTable(tuple(rows), inst)
-    for mach in inst.machines:
-        procs = process_rows(sched_view, mach.id)
-        setups = setup_rows(sched_view, mach.id)
-        for idx, row in enumerate(procs):
-            pred = procs[idx - 1] if idx > 0 else None
-            if pred is None or pred.job != row.job:
-                if _attached_setup(setups, row) is None:
-                    report.violations.append(
-                        f"missing setup before operation ({row.job},{row.op_index}) "
-                        f"on machine {mach.id}"
-                    )
-        for setup in setups:
-            serves = any(
-                p.job == setup.job and p.start == setup.end for p in procs
-            )
-            if not serves:
-                report.violations.append(
-                    f"dangling setup row for job {setup.job} on machine {mach.id} "
-                    f"at time {setup.start}"
-                )
+    report.violations += discipline
     return report

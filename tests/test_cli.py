@@ -302,6 +302,12 @@ _ROW = "job: 1, op: 1, machine: 1, speed: 1, start: 0, end: 3"
         ("metrics", "archive:\n- 7\n", "list of mappings"),
         ("metrics", "archive:\n- {cmax: true, tec: 1.5}\n", "integer cmax"),
         ("metrics", "archive:\n- {cmax: 3, tec: low}\n", "numeric tec"),
+        ("metrics", "archive:\n- {cmax: 3, tec: .nan}\n", "finite numeric tec"),
+        ("gantt", "archive:\n- {cmax: 3, tec: .nan}\n", "finite numeric tec"),
+        ("metrics", "archive:\n- {cmax: 3, tec: .inf}\n", "finite numeric tec"),
+        ("gantt", "archive:\n- {cmax: 3, tec: .inf}\n", "finite numeric tec"),
+        ("metrics", "archive:\n- {cmax: 3, tec: -.inf}\n", "finite numeric tec"),
+        ("gantt", "archive:\n- {cmax: 3, tec: -.inf}\n", "finite numeric tec"),
         ("gantt", f"archive:\n- {{{_ENTRY}}}\n", "schedule"),
         ("gantt", f"archive:\n- {{{_ENTRY}, schedule: 4}}\n", "schedule"),
         ("gantt", f"archive:\n- {{{_ENTRY}, schedule: [{{job: 1}}]}}\n", "schedule"),
@@ -321,7 +327,9 @@ _ROW = "job: 1, op: 1, machine: 1, speed: 1, start: 0, end: 3"
     ids=[
         "metrics-no-archive", "gantt-no-archive", "metrics-archive-5", "gantt-archive-5",
         "metrics-no-tec", "gantt-no-tec", "metrics-entry-7", "metrics-bool-cmax",
-        "metrics-text-tec", "gantt-no-schedule", "gantt-schedule-4", "gantt-short-row",
+        "metrics-text-tec", "metrics-nan-tec", "gantt-nan-tec", "metrics-inf-tec",
+        "gantt-inf-tec", "metrics-neg-inf-tec", "gantt-neg-inf-tec", "gantt-no-schedule",
+        "gantt-schedule-4", "gantt-short-row",
         "gantt-no-energy", "gantt-short-interval", "gantt-interval-mode",
     ],
 )

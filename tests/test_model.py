@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
+import json
+import random
+from pathlib import Path
 
 import pytest
 
+from efjsp.benchmark import extend_instance, random_base
+from efjsp.encoding import decode, random_chromosome
 from efjsp.model import (
     IdleIntervalRecord,
     Machine,
@@ -18,6 +23,7 @@ from efjsp.model import (
     validate_instance,
     validate_schedule,
 )
+from efjsp.sample import sample_instance
 
 
 def test_sample_instance_is_valid(inst):
@@ -189,3 +195,98 @@ def test_instance_contiguity_check():
     inst = ProblemInstance(jobs=(job,), machines=(m,), speed_count=3)
     report = validate_instance(inst)
     assert not report.ok
+
+
+# Reports of `validate_schedule` on seeded perturbations of decoded
+# schedules, recorded before its overlap and setup-discipline checks were
+# folded into one walk per machine.  Re-record (only when a message is
+# meant to change) with ``PYTHONPATH=src python tests/test_model.py``.
+VALIDATE_PINS = Path(__file__).parent / "data" / "validate_pins.json"
+CASES_PER_INSTANCE = 600
+
+
+def _pin_instances() -> list[ProblemInstance]:
+    """The sample instance, generated ones, a one-machine and a zero-setup one."""
+    def generated(jobs, machines, seed):
+        return extend_instance(random_base(jobs, machines, seed=seed), seed=seed)
+
+    zero_setup = generated(6, 3, 34)
+    return [
+        sample_instance(),
+        generated(4, 3, 31),
+        generated(8, 5, 32),
+        generated(5, 1, 33),
+        dataclasses.replace(
+            zero_setup, jobs=tuple(dataclasses.replace(j, setup_time=0) for j in zero_setup.jobs)
+        ),
+    ]
+
+
+def _perturb(inst: ProblemInstance, rows: list[ScheduledRow], rng: random.Random) -> None:
+    """Apply one random edit to ``rows`` in place."""
+    kind = rng.choice(
+        ("drop", "shift", "duplicate", "machine", "job", "stretch", "shuffle", "tie", "twin")
+    )
+    if kind == "shuffle":
+        rng.shuffle(rows)
+        return
+    i = rng.randrange(len(rows))
+    r = rows[i]
+    if kind == "drop":
+        del rows[i]
+    elif kind == "shift":
+        d = rng.choice((-3, -2, -1, 1, 2, 3))
+        rows[i] = r._replace(start=r.start + d, end=r.end + d)
+    elif kind == "duplicate":
+        rows.insert(rng.randrange(len(rows) + 1), r)
+    elif kind == "machine":
+        rows[i] = r._replace(machine=rng.randint(0, len(inst.machines) + 1))
+    elif kind == "job":
+        rows[i] = r._replace(job=rng.randint(0, len(inst.jobs) + 1))
+    elif kind == "stretch":
+        rows[i] = r._replace(end=r.end + rng.randint(1, 3))
+    elif kind == "tie":
+        # another row onto the same machine and (start, end) span as r
+        j = rng.randrange(len(rows))
+        rows[j] = rows[j]._replace(machine=r.machine, start=r.start, end=r.end)
+    else:
+        # a copy of r for another job, ahead of r in the table
+        rows.insert(i, r._replace(job=rng.randint(1, len(inst.jobs))))
+
+
+def validation_record(inst: ProblemInstance, seed: int) -> list[list[str]]:
+    """The report on one seeded perturbation of a decoded schedule."""
+    rng = random.Random(seed)
+    rows = list(decode(inst, random_chromosome(inst, rng)).rows)
+    for _ in range(rng.randint(1, 3)):
+        _perturb(inst, rows, rng)
+    report = validate_schedule(inst, ScheduleTable(tuple(rows), inst))
+    return [report.errors, report.violations, report.warnings]
+
+
+def validation_records() -> list[list[list[str]]]:
+    return [
+        validation_record(inst, 1000 * k + i)
+        for k, inst in enumerate(_pin_instances())
+        for i in range(CASES_PER_INSTANCE)
+    ]
+
+
+def test_validate_schedule_reproduces_recorded_reports():
+    pins = json.loads(VALIDATE_PINS.read_text())
+    got = validation_records()
+    assert len(got) == len(pins)
+    for case, (report, pin) in enumerate(zip(got, pins)):
+        assert report == pin, case
+    messages = [m for report in pins for part in report for m in part]
+    for fragment in (
+        "unknown machine id", "unknown job id", "has no operation", "rows overlap",
+        "before operation", "missing setup", "dangling setup", "is scheduled 2 times",
+    ):
+        assert any(fragment in m for m in messages), fragment
+
+
+if __name__ == "__main__":
+    lines = ",\n".join(json.dumps(r, separators=(",", ":")) for r in validation_records())
+    VALIDATE_PINS.write_text(f"[\n{lines}\n]\n")
+    print(VALIDATE_PINS)
