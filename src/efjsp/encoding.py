@@ -32,7 +32,10 @@ a segment starting before ``ready + duration``.  Placement also resumes:
 positions of one chromosome, and ``evaluate(..., base=, first=)``
 prices another that differs from it only from some position on by
 placing the rest from the last copy ahead of that position, which gives
-the timelines a fresh placement gives.
+the timelines a fresh placement gives.  ``decode(..., base=, first=)``
+decodes such a chromosome the same way and moves the checkpoints on to
+it (``Checkpoints.advance``), so that a run of chromosomes, each close to
+the one before, is decoded one short placement at a time.
 """
 
 from __future__ import annotations
@@ -307,6 +310,9 @@ def decode(
     inst: ProblemInstance,
     chrom: Chromosome,
     matrices: dict[tuple[int, int], MessageMatrix] | None = None,
+    *,
+    base: Checkpoints | None = None,
+    first: int = 0,
 ) -> ScheduleTable:
     """Decode a chromosome into a schedule by earliest-gap insertion.
 
@@ -324,7 +330,17 @@ def decode(
 
     Rows come out in os order, each setup row just ahead of its process
     row.  Raises ChromosomeError on malformed input.
+
+    ``base`` decodes a chromosome made from the one ``base`` holds, under
+    the same conditions as in ``evaluate``, without checking it: placement
+    resumes from the last checkpoint at or before ``first``.  Unlike
+    ``evaluate``, which leaves its base alone, ``decode`` moves ``base``
+    on to the chromosome (``Checkpoints.advance``), so that the next one
+    can be decoded from it in turn.
     """
+    if base is not None:
+        base.advance(chrom, first)
+        return ScheduleTable(tuple(base.rows), inst)
     if matrices is None:
         matrices = build_message_matrix(inst)
     _check_chromosome(inst, chrom)
@@ -375,14 +391,17 @@ def _copy(state: PlacementState) -> PlacementState:
 
 
 class Checkpoints:
-    """A chromosome placed once, so that ``evaluate`` prices chromosomes
-    which differ from it only from some os position on without redoing
-    the placement ahead of that position.
+    """A chromosome placed with copies of its placement state, so that
+    ``evaluate`` prices, and ``decode`` places, chromosomes which differ
+    from it only from some os position on without redoing the placement
+    ahead of that position.
 
     The placement state is copied before every ``every``-th os position,
     ``every`` being the ceiling of the square root of the operation
-    count.  ``timelines`` are the chromosome's own, time-ordered per
-    machine.  Raises ChromosomeError on a malformed chromosome.
+    count; ``counts`` holds the number of schedule rows placed ahead of
+    each copy.  ``timelines`` are the chromosome's own, time-ordered per
+    machine, and ``rows`` its schedule rows in os order.  Raises
+    ChromosomeError on a malformed chromosome.
     """
 
     def __init__(
@@ -392,16 +411,30 @@ class Checkpoints:
         matrices: dict[tuple[int, int], MessageMatrix],
     ):
         _check_chromosome(inst, chrom)
-        self.matrices = matrices
+        self.inst, self.matrices = inst, matrices
+        self.every = math.isqrt(max(len(chrom.os), 1) - 1) + 1
+        self.saved: list[PlacementState] = [
+            ([[] for _ in inst.machines], [1] * len(inst.jobs), [0] * len(inst.jobs))
+        ]
+        self.counts = [0]
+        self.rows: list[ScheduledRow] = []
+        self.advance(chrom, 0)
+
+    def advance(self, chrom: Chromosome, first: int) -> None:
+        """Move on to ``chrom``, which must share the os entries ahead of
+        position ``first``, and the mv columns of the operations they
+        place, with the chromosome held now.  Keeps the copies up to the
+        last one at or before ``first`` and places the rest from there,
+        copying the state again at every later stride.  ``chrom`` is not
+        checked."""
+        every = self.every
+        c = first // every
+        del self.saved[c + 1 :], self.counts[c + 1 :], self.rows[self.counts[c] :]
+        state = _copy(self.saved[c])
         d = len(chrom.os)
-        self.every = every = math.isqrt(max(d, 1) - 1) + 1
-        state: PlacementState = (
-            [[] for _ in inst.machines],
-            [1] * len(inst.jobs),
-            [0] * len(inst.jobs),
-        )
-        self.saved: list[PlacementState] = []
-        for lo in range(0, d, every):
-            self.saved.append(_copy(state))
-            _place(inst, chrom, matrices, None, state, lo, lo + every)
+        for lo in range(c * every, d, every):
+            _place(self.inst, chrom, self.matrices, self.rows, state, lo, lo + every)
+            if lo + every < d:
+                self.saved.append(_copy(state))
+                self.counts.append(len(self.rows))
         self.timelines = state[0]

@@ -27,7 +27,9 @@ neighbour.  A neighbour is priced from the current solution's last
 placement checkpoint ahead of the first os position it changes (the
 moved operation's for n1 and n3, the earlier swapped one's for n2)
 through ``encoding.evaluate(..., base=, first=)``; the objectives are
-those a fresh ``evaluate`` gives, to the last bit.
+those a fresh ``evaluate`` gives, to the last bit.  An accepted
+neighbour moves the checkpoints on from that same position
+(``Checkpoints.advance``).
 """
 
 from __future__ import annotations
@@ -223,7 +225,7 @@ def vns(
             visited.append((nb, obj))
             if dominates(obj, cur_obj):
                 current, cur_obj = nb, obj
-                base = Checkpoints(inst, current, matrices)
+                base.advance(current, first)
                 view = _View(inst, current, base.timelines, matrices)
                 improved = True
                 break

@@ -1,11 +1,18 @@
 """Brute-force reference front by exhaustive enumeration.
 
 Walks every distinct operation-order permutation crossed with every
-machine/gear column combination, decodes each chromosome and evaluates
-the two objectives with a self-contained energy summation that shares no
-code with the accounting module.  The surviving non-dominated objective
-points form the exact reference front of everything the decoder can
-reach.
+machine/gear column combination and evaluates the two objectives of
+each chromosome's schedule with a self-contained energy summation that
+shares no code with the accounting module.  The surviving non-dominated
+objective points form the exact reference front of everything the
+decoder can reach.
+
+Within one permutation the column combinations change only a suffix of
+mv, so each chromosome is decoded from the placement checkpoints the one
+before it left (``encoding.decode(..., base=, first=)``), from the
+earliest os position of the operations whose columns changed.  The
+schedule rows are those of a fresh decode; only the placement ahead of
+that position is not redone.  The summation is always done in full.
 
 Enumeration refuses search spaces above a configurable point budget.
 """
@@ -13,11 +20,18 @@ Enumeration refuses search spaces above a configurable point budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import count, product
 from math import factorial
 from typing import Iterator
 
-from .encoding import Chromosome, build_message_matrix, canonical_order, decode, evaluate
+from .encoding import (
+    Checkpoints,
+    Chromosome,
+    build_message_matrix,
+    canonical_order,
+    decode,
+    evaluate,
+)
 from .model import ProblemInstance, ScheduledRow
 
 DEFAULT_MAX_POINTS = 10_000_000
@@ -145,13 +159,29 @@ def enumerate_front(
     matrices = build_message_matrix(inst)
     order = canonical_order(inst)
     widths = [range(1, len(matrices[key]) + 1) for key in order]
-    base = [job.id for job in inst.jobs for _ in job.operations]
+    jobs = [job.id for job in inst.jobs for _ in job.operations]
+    base = Checkpoints(inst, Chromosome(tuple(jobs), tuple(1 for _ in order)), matrices)
 
     front: list[tuple[int, float, Chromosome]] = []
-    for os_perm in _distinct_permutations(base):
+    for os_perm in _distinct_permutations(jobs):
+        # resume[k]: the earliest os position of canonical operations k on
+        nth = {job.id: count(1) for job in inst.jobs}
+        at = {(job, next(nth[job])): i for i, job in enumerate(os_perm)}
+        resume = [at[key] for key in order]
+        for k in range(len(resume) - 2, -1, -1):
+            resume[k] = min(resume[k], resume[k + 1])
+        prev = None
         for mv in product(*widths):
             chrom = Chromosome(os_perm, mv)
-            sched = decode(inst, chrom, matrices)
+            if prev is None:
+                first = 0
+            else:
+                k = 0
+                while mv[k] == prev[k]:
+                    k += 1
+                first = resume[k]
+            prev = mv
+            sched = decode(inst, chrom, base=base, first=first)
             c, t = independent_objectives(inst, sched.rows)
             keep = True
             for fc, ft, _ in front:
@@ -181,8 +211,9 @@ def cross_check(
     True when both agree on the makespan exactly and on total energy to
     the given relative tolerance.
     """
-    sched = decode(inst, chrom)
-    c1, t1 = evaluate(inst, chrom)
+    matrices = build_message_matrix(inst)
+    sched = decode(inst, chrom, matrices)
+    c1, t1 = evaluate(inst, chrom, matrices)
     c2, t2 = independent_objectives(inst, sched.rows)
     if c1 != c2:
         return False

@@ -1,7 +1,9 @@
 """The one-walk evaluator against the breakdown route, the independent
 oracle summation and objectives recorded before the evaluator was fused;
 the bisected gap scan against the linear one it replaced; and VNS's
-incremental pricing of neighbours against ``evaluate``."""
+incremental pricing of neighbours against ``evaluate``; and
+``decode(..., base=, first=)`` walking its checkpoints through a chain of
+chromosomes against a fresh ``decode``."""
 
 from __future__ import annotations
 
@@ -258,3 +260,34 @@ def test_vns_view_prices_every_neighbour_like_evaluate(problem, seed):
         assert _exact(evaluate(inst, nb, base=base, first=first)) == _exact(
             evaluate(inst, nb, matrices)
         )
+
+
+def _vary_from(matrices, chrom, first, rng):
+    """A chromosome sharing ``chrom``'s os entries ahead of ``first`` and the
+    mv columns of the operations they place; the rest is redrawn."""
+    tail = list(chrom.os[first:])
+    rng.shuffle(tail)
+    os = chrom.os[:first] + tuple(tail)
+    mv = list(chrom.mv)
+    nth: dict[int, int] = {}
+    for i, job in enumerate(os):
+        nth[job] = nth.get(job, 0) + 1
+        if i >= first:
+            mm = matrices[(job, nth[job])]
+            mv[mm.position] = rng.randint(1, len(mm))
+    return Chromosome(os, tuple(mv))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(shapes, st.integers(0, 2**32 - 1))
+def test_decode_from_checkpoints_follows_a_chain_like_a_fresh_decode(problem, seed):
+    inst, chrom = problem
+    matrices = build_message_matrix(inst)
+    base = Checkpoints(inst, chrom, matrices)
+    rng = random.Random(seed)
+    for _ in range(8):
+        first = rng.randrange(len(chrom.os))
+        chrom = _vary_from(matrices, chrom, first, rng)
+        got = decode(inst, chrom, base=base, first=first)
+        assert got.rows == decode(inst, chrom, matrices).rows
+        assert base.timelines == Checkpoints(inst, chrom, matrices).timelines

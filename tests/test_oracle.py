@@ -1,12 +1,23 @@
-"""Exhaustive reference front and the independent energy recomputation."""
+"""Exhaustive reference front and the independent energy recomputation.
+
+``tests/data/oracle_pins.json`` holds the exact front, points and
+witnesses, of the sample instance and of seven tiny generated ones: one
+machine, zero setup times, no turn-on vectors and one gear among them.
+Re-record (only when the enumeration is meant to change) with
+``PYTHONPATH=src python tests/test_oracle.py``.
+"""
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
+from efjsp.benchmark import GeneratorParams, extend_instance, random_base
 from efjsp.encoding import decode, evaluate, random_chromosome
 from efjsp.oracle import (
     SearchSpaceError,
@@ -16,6 +27,66 @@ from efjsp.oracle import (
     independent_objectives,
     search_space_size,
 )
+from efjsp.sample import sample_instance
+
+ORACLE_PINS = Path(__file__).parent / "data" / "oracle_pins.json"
+ONE_GEAR = GeneratorParams(speed_multipliers=(1,))
+
+
+def _tiny(jobs, machines, seed, params=None, **shape):
+    base = random_base(jobs, machines, seed=seed, ops_per_job=(1, 2), **shape)
+    return extend_instance(base, params, seed=seed)
+
+
+def _zero_setup(inst):
+    return dataclasses.replace(
+        inst, jobs=tuple(dataclasses.replace(j, setup_time=0) for j in inst.jobs)
+    )
+
+
+def _no_turn_on(inst):
+    return dataclasses.replace(
+        inst, machines=tuple(dataclasses.replace(m, turn_on=None) for m in inst.machines)
+    )
+
+
+# name -> instance builder; search spaces of 270 to 43,740 chromosomes
+PINNED = {
+    "sample": sample_instance,
+    "3x2-s1": lambda: _tiny(3, 2, 1, machines_per_op=(1, 2)),
+    "3x1-s4-one-machine": lambda: _tiny(3, 1, 4),
+    "3x2-s4-zero-setup": lambda: _zero_setup(_tiny(3, 2, 4, machines_per_op=(1, 2))),
+    "3x1-s10-no-turn-on": lambda: _no_turn_on(_tiny(3, 1, 10)),
+    "3x3-s9-one-gear": lambda: _tiny(3, 3, 9, ONE_GEAR, machines_per_op=(1, 3)),
+    "3x2-s10-one-gear-zero-setup": lambda: _zero_setup(_tiny(3, 2, 10, ONE_GEAR)),
+    "3x3-s7-one-gear-no-turn-on": lambda: _no_turn_on(
+        _tiny(3, 3, 7, ONE_GEAR, machines_per_op=(1, 3))
+    ),
+}
+
+
+def front_record(name: str) -> dict:
+    """The exact front of one pinned instance, as stored in the pin file:
+    points by ``repr`` (exact floats), witnesses as (os, mv) lists."""
+    result = enumerate_front(PINNED[name]())
+    return {
+        "points": [[repr(c), repr(t)] for c, t in result.points],
+        "witnesses": [[list(w.os), list(w.mv)] for w in result.witnesses],
+    }
+
+
+@pytest.fixture(scope="module")
+def oracle_pins() -> dict:
+    return json.loads(ORACLE_PINS.read_text())
+
+
+def test_oracle_pin_file_covers_every_case(oracle_pins):
+    assert sorted(oracle_pins) == sorted(PINNED)
+
+
+@pytest.mark.parametrize("name", list(PINNED))
+def test_enumerate_front_reproduces_recorded_front(oracle_pins, name):
+    assert front_record(name) == oracle_pins[name]
 
 
 def test_search_space_size_of_sample(inst):
@@ -65,3 +136,9 @@ def test_front_is_mutually_nondominated(inst):
     pts = enumerate_front(inst).points
     for a, b in itertools.permutations(pts, 2):
         assert not dominates(a, b)
+
+
+if __name__ == "__main__":
+    records = {name: front_record(name) for name in PINNED}
+    ORACLE_PINS.write_text(json.dumps(records, indent=1) + "\n")
+    print(ORACLE_PINS)
