@@ -363,21 +363,59 @@ def dump_document(data) -> str:
         return yaml.dump(data, Dumper=_PyDumper, sort_keys=False, default_flow_style=None)
 
 
-_SafeLoader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # libyaml when present
+_CORE_SCALARS = {
+    f"tag:yaml.org,2002:{name}": getattr(yaml.constructor.SafeConstructor, f"construct_yaml_{name}")
+    for name in ("str", "int", "float", "bool", "null")
+}
+
+
+class _SafeLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):  # libyaml when present
+    """The safe loader, less its per-scalar bookkeeping.
+
+    A document repeats few distinct scalars, so the implicit tag of each
+    ``(value, implicit)`` pair is resolved once per loader, that is once
+    per document.  A scalar with one of the five core tags is built by
+    SafeConstructor's own constructor for that tag, without the alias,
+    recursion and generator tables that only collections need; every
+    other node goes through the safe loader as it is.
+    """
+
+    def __init__(self, stream):
+        super().__init__(stream)
+        self._tags = {}
+
+    def resolve(self, kind, value, implicit):
+        if kind is not yaml.ScalarNode:
+            return super().resolve(kind, value, implicit)
+        key = (value, implicit)
+        tag = self._tags.get(key)
+        if tag is None:
+            tag = self._tags[key] = super().resolve(kind, value, implicit)
+        return tag
+
+    def construct_object(self, node, deep=False):
+        if node.__class__ is yaml.ScalarNode:
+            construct = _CORE_SCALARS.get(node.tag)
+            if construct is not None:
+                return construct(self, node)
+        return super().construct_object(node, deep)
 
 
 def load_document(text: str):
     """Parse one YAML document with the safe loader.
 
-    libyaml parses it when present; what that rejects is parsed again by
-    PyYAML's own loader, whose error stands if it rejects it too.
+    libyaml parses it when present.  Each distinct scalar's tag is
+    resolved once per document and core scalars are built directly
+    (``_SafeLoader``); the objects are those ``yaml.SafeLoader`` builds.
+    What libyaml rejects is parsed again by PyYAML's own loader, whose
+    error stands if it rejects it too.
     """
     try:
         return yaml.load(text, Loader=_SafeLoader)
     except yaml.YAMLError:
         # libyaml refuses escaped lone surrogates, which dump_document
         # writes for a file name that is not UTF-8
-        if _SafeLoader is yaml.SafeLoader:
+        if issubclass(_SafeLoader, yaml.SafeLoader):
             raise
         return yaml.load(text, Loader=yaml.SafeLoader)
 

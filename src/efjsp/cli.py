@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import math
+import os
 import sys
 import time
 from dataclasses import asdict, fields, replace
@@ -38,7 +39,7 @@ from .benchmark import (
 from .encoding import build_message_matrix, decode
 from .energy import MODE_IDLE, MODE_STANDBY, total_energy
 from .metrics import c_metric, hv, igd, normalize
-from .optimizer import AlgorithmConfig, run
+from .optimizer import AlgorithmConfig, IterationStats, run
 from .pareto import nondominated
 
 RESULT_SCHEMA = 1
@@ -156,20 +157,31 @@ def _config_from_args(args: argparse.Namespace) -> AlgorithmConfig:
     return cfg
 
 
+def _check_writable(path: str) -> None:
+    """Raise the OSError that writing ``path`` would raise, leaving no file behind."""
+    existed = os.path.lexists(path)
+    with open(path, "a"):
+        pass
+    if not existed:
+        os.remove(path)
+
+
+def _print_progress(stat: IterationStats) -> None:
+    print(
+        f"iter {stat.iteration}: best_cmax={stat.best_cmax} "
+        f"best_tec={stat.best_tec:.4f} archive={len(stat.archive_points)}",
+        flush=True,
+    )
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     text = Path(args.instance).read_text()
     inst = read_instance(text)
     cfg = _config_from_args(args)
+    _check_writable(args.out)  # before the solve, not after it
     started = time.perf_counter()
-    result = run(inst, cfg)
+    result = run(inst, cfg, _print_progress if args.progress else None)
     wall = time.perf_counter() - started
-
-    if args.progress:
-        for stat in result.trace:
-            print(
-                f"iter {stat.iteration}: best_cmax={stat.best_cmax} "
-                f"best_tec={stat.best_tec:.4f} archive={len(stat.archive_points)}"
-            )
 
     entries = sorted(result.archive.entries, key=lambda e: (e.cmax, e.tec))
     matrices = build_message_matrix(inst)

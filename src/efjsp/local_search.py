@@ -29,7 +29,11 @@ moved operation's for n1 and n3, the earlier swapped one's for n2)
 through ``encoding.evaluate(..., base=, first=)``; the objectives are
 those a fresh ``evaluate`` gives, to the last bit.  An accepted
 neighbour moves the checkpoints on from that same position
-(``Checkpoints.advance``).
+(``Checkpoints.advance``).  Each distinct neighbour is priced once per
+call: a neighbour drawn again takes the objectives kept for it, yet
+still counts against the budget and is still returned among the visited
+ones, so the draws, the stop point and the archive feed are those of
+pricing every draw.  Nothing is kept from one call to the next.
 """
 
 from __future__ import annotations
@@ -197,7 +201,8 @@ def vns(
     """Variable neighbourhood descent from one solution.
 
     Returns the best solution found (never dominated by the input), its
-    objectives, and every evaluated neighbour for archive feeding.
+    objectives, and every drawn neighbour with its objectives, repeats
+    included and in draw order, for archive feeding.
     """
     if matrices is None:
         matrices = build_message_matrix(inst)
@@ -207,6 +212,7 @@ def vns(
 
     cap = _TOTAL_BUDGET_FACTOR * budget
     spent = 0
+    priced: dict[Chromosome, tuple[int, float]] = {}  # this call's neighbours only
     current, cur_obj = chrom, objectives
     base = Checkpoints(inst, current, matrices)
     view = _View(inst, current, base.timelines, matrices)
@@ -220,7 +226,9 @@ def vns(
             if drawn is None:
                 break
             nb, first = drawn
-            obj = evaluate(inst, nb, base=base, first=first)
+            obj = priced.get(nb)
+            if obj is None:
+                obj = priced[nb] = evaluate(inst, nb, base=base, first=first)
             spent += 1
             visited.append((nb, obj))
             if dominates(obj, cur_obj):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from . import local_search as _local
@@ -320,8 +321,16 @@ def _top_indices(particles: list[Particle], count: int) -> list[int]:
     return ordered[:count]
 
 
-def run(inst: ProblemInstance, cfg: AlgorithmConfig) -> RunResult:
-    """Full solver loop; returns the final archive and a per-iteration trace."""
+def run(
+    inst: ProblemInstance,
+    cfg: AlgorithmConfig,
+    on_iteration: Callable[[IterationStats], None] | None = None,
+) -> RunResult:
+    """Full solver loop; returns the final archive and a per-iteration trace.
+
+    ``on_iteration``, when given, is called with each iteration's trace
+    entry as soon as the iteration ends.
+    """
     rng = random.Random(cfg.seed)
     matrices = build_message_matrix(inst)
     order = canonical_order(inst)
@@ -369,4 +378,6 @@ def run(inst: ProblemInstance, cfg: AlgorithmConfig) -> RunResult:
         pts = tuple(archive.points())
         best_cmax, best_tec = min(c for c, _ in pts), min(t for _, t in pts)
         trace.append(IterationStats(it, best_cmax, best_tec, pts))
+        if on_iteration is not None:
+            on_iteration(trace[-1])
     return RunResult(archive, tuple(trace))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 
 import pytest
+import yaml
 
 from efjsp.benchmark import (
     GeneratorParams,
@@ -236,3 +237,127 @@ def test_generator_params_validation():
         GeneratorParams(setup_time_range=(2, 1))
     with pytest.raises(ValueError):
         GeneratorParams(turn_on_factor_range=(-1, 2))
+
+
+def _same_objects(fast, slow, pairs=None) -> bool:
+    """Equal by value, repr and type all the way down, with collections
+    shared (and self-containing) in the same places on both sides."""
+    pairs = {} if pairs is None else pairs
+    if type(fast) is not type(slow):
+        return False
+    if isinstance(fast, (list, dict, set)):
+        if id(fast) in pairs:
+            return pairs[id(fast)] is slow
+        pairs[id(fast)] = slow
+        if isinstance(fast, set):
+            return fast == slow
+        if isinstance(fast, dict):
+            return list(fast) == list(slow) and all(
+                _same_objects(k, l, pairs) and _same_objects(fast[k], slow[l], pairs)
+                for k, l in zip(fast, slow)
+            )
+        return len(fast) == len(slow) and all(
+            _same_objects(a, b, pairs) for a, b in zip(fast, slow)
+        )
+    if isinstance(fast, tuple):
+        return len(fast) == len(slow) and all(_same_objects(a, b, pairs) for a, b in zip(fast, slow))
+    return repr(fast) == repr(slow) and (fast == slow or fast != fast)  # NaN: repr only
+
+
+# YAML that `dump_document` never writes: aliases, merge keys, explicit
+# tags and YAML 1.1 scalar spellings
+_HAND_WRITTEN = {
+    "aliases": """\
+scalar: &s 42
+scalar again: *s
+text: &t hello
+text again: *t
+list: &l [1, two, 3.0, [nested]]
+list again: *l
+map: &m {a: 1, b: [x, y]}
+map again: *m
+inside: [*l, *m, {k: *l}]
+""",
+    "recursive list": "&a [*a]",
+    "recursive map": "&m {self: *m, other: [*m]}",
+    "merge keys": """\
+base: &base {a: 1, b: two}
+other: &other {c: 3.5}
+one:
+  <<: *base
+  b: three
+many:
+  <<: [*base, *other]
+  d: 4
+""",
+    "explicit tags": """\
+- !!str 1
+- !!float 1
+- !!int "12"
+- !!bool "yes"
+- !!null ""
+- !!str
+- !!binary aGVsbG8gd29ybGQ=
+- !!timestamp 2001-12-14t21:59:43.10-05:00
+- !!timestamp 2002-12-14
+- !!set {a, b, 3}
+- !!omap [a: 1, b: 2]
+- !!pairs [a: 1, a: 2]
+- !!seq [1, 2]
+- !!map {1: one}
+""",
+    "yaml 1.1 scalars": """\
+bools: [yes, off, On, NO, y, n, True, FALSE]
+ints: [0o17, 017, 0x1F, 0b101, 1_000, +12, -0, 1:30, 190:20:30]
+floats: [1.5, .NaN, .inf, -.Inf, 1e3, 6.8523015e+5, 685.230_15e+03, 1:30.5, -1.]
+nulls: [~, null, Null, NULL, '~']
+empty:
+empty in flow: {a: , b: }
+empty item:
+  -
+  - ''
+  - ""
+quoted: ['yes', "1", '1.5', "~"]
+date: 2002-12-14
+stamp: 2001-12-14 21:59:43.10 -5
+~: null key
+1: int key
+1.5: float key
+yes: bool key
+""",
+}
+
+
+@pytest.mark.parametrize("name", list(_HAND_WRITTEN))
+def test_load_document_reads_hand_written_yaml_like_the_safe_loader(name):
+    text = _HAND_WRITTEN[name]
+    fast, slow = load_document(text), yaml.load(text, Loader=yaml.SafeLoader)
+    assert repr(fast) == repr(slow)
+    assert _same_objects(fast, slow)
+    if name not in ("recursive list", "recursive map", "yaml 1.1 scalars"):
+        assert fast == slow  # self-containing collections and .NaN never compare equal
+
+
+def test_load_document_keeps_aliased_collections_one_object():
+    doc = load_document(_HAND_WRITTEN["aliases"])
+    assert doc["list again"] is doc["list"] and doc["map again"] is doc["map"]
+    assert doc["inside"][0] is doc["list"] and doc["inside"][2]["k"] is doc["list"]
+    looped = load_document("&a [*a]")
+    assert looped[0] is looped
+    merged = load_document(_HAND_WRITTEN["merge keys"])
+    assert merged["one"] == {"a": 1, "b": "three"}
+    assert merged["many"] == {"a": 1, "b": "two", "c": 3.5, "d": 4}
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["!!int abc", "value: !!float abc", "!foo bar", "!foo [1]", "{[1]: 2}", "? {a: 1}\n: 2\n"],
+    ids=["bad-int", "bad-float", "unknown-tag", "unknown-tag-on-seq", "unhashable-list-key", "unhashable-map-key"],
+)
+def test_load_document_fails_like_the_safe_loader(text):
+    with pytest.raises(Exception) as fast:
+        load_document(text)
+    with pytest.raises(Exception) as slow:
+        yaml.load(text, Loader=yaml.SafeLoader)
+    assert type(fast.value) is type(slow.value)
+    assert str(fast.value) == str(slow.value)

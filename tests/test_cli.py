@@ -11,6 +11,7 @@ import yaml
 from efjsp.benchmark import dump_document, load_document, random_base, read_instance, write_base
 from efjsp.cli import main
 from efjsp.model import validate_instance
+from efjsp.optimizer import run
 
 
 @pytest.fixture()
@@ -391,6 +392,51 @@ def test_generate_into_a_file_is_one_line_error(tmp_path, base_file, capsys, sub
     out_dir = blocker / sub if sub else blocker
     assert main(["generate", str(base_file), "--out-dir", str(out_dir)]) == 2
     _assert_one_line_error(capsys, str(blocker))
+
+
+@pytest.mark.parametrize("target", ["missing/o.yaml", "."], ids=["missing-dir", "directory"])
+def test_solve_refuses_an_unwritable_out_before_solving(tmp_path, instance_file, capsys, monkeypatch, target):
+    def no_run(*args, **kwargs):
+        raise AssertionError("run must not start")
+
+    monkeypatch.setattr("efjsp.cli.run", no_run)
+    out = tmp_path / target
+    with pytest.raises(OSError) as writing:
+        out.write_text("")
+    assert _solve(instance_file, out) == 2
+    assert capsys.readouterr().err == f"error: {writing.value}\n"
+
+
+def test_solve_out_check_leaves_no_file_when_the_solve_fails(tmp_path, instance_file, monkeypatch):
+    def failing_run(*args, **kwargs):
+        raise ValueError("stop")
+
+    monkeypatch.setattr("efjsp.cli.run", failing_run)
+    fresh, kept = tmp_path / "fresh.yaml", tmp_path / "kept.yaml"
+    kept.write_text("old result\n")
+    assert _solve(instance_file, fresh) == 1 and _solve(instance_file, kept) == 1
+    assert not fresh.exists() and kept.read_text() == "old result\n"
+
+
+def test_solve_progress_streams_one_line_per_iteration(tmp_path, instance_file, capsys, monkeypatch):
+    printed_during_run = []
+
+    def watched_run(inst, cfg, on_iteration):
+        def hook(stat):
+            on_iteration(stat)
+            printed_during_run.append(capsys.readouterr().out)
+
+        return run(inst, cfg, hook)
+
+    monkeypatch.setattr("efjsp.cli.run", watched_run)
+    assert _solve(instance_file, tmp_path / "r.yaml", "--progress") == 0
+    doc = load_document((tmp_path / "r.yaml").read_text())
+    assert printed_during_run == [
+        f"iter {s['iteration']}: best_cmax={s['best_cmax']} "
+        f"best_tec={s['best_tec']:.4f} archive={len(s['archive'])}\n"
+        for s in doc["iterations"]
+    ]
+    assert capsys.readouterr().out.startswith("archive ")
 
 
 def test_version_flag():

@@ -9,6 +9,7 @@ import random
 from pathlib import Path
 
 from efjsp.benchmark import GeneratorParams, extend_instance, random_base
+from efjsp import local_search
 from efjsp.encoding import Chromosome, build_message_matrix, decode, evaluate, random_chromosome
 from efjsp.local_search import STRUCTURES, critical_path, neighbor, vns
 from efjsp.model import (
@@ -246,3 +247,39 @@ def test_vns_reproduces_recorded_outputs():
     assert len(calls) == len(pins) == 200
     for (i, inst, chrom, seed), pin in zip(calls, pins):
         assert vns_record(inst, chrom, seed) == pin, (i, seed)
+
+
+def test_vns_prices_each_distinct_neighbour_once_per_call(monkeypatch):
+    # a neighbour drawn again in the same call is not priced again, yet is
+    # still returned among the visited ones, in draw order
+    priced: list[Chromosome] = []
+    drawn: list[Chromosome] = []
+    draw = local_search._View.draw
+
+    def spy_evaluate(inst, chrom, *args, **kwargs):
+        priced.append(chrom)
+        return evaluate(inst, chrom, *args, **kwargs)
+
+    def spy_draw(view, structure, rng):
+        out = draw(view, structure, rng)
+        if out is not None:
+            drawn.append(out[0])
+        return out
+
+    monkeypatch.setattr(local_search, "evaluate", spy_evaluate)
+    monkeypatch.setattr(local_search._View, "draw", spy_draw)
+    pins = json.loads(VNS_PINS.read_text())["calls"]
+    repeats = 0
+    for (i, inst, chrom, seed), pin in zip(pinned_calls(), pins):
+        matrices = build_message_matrix(inst)
+        objectives = evaluate(inst, chrom, matrices)
+        priced.clear()
+        drawn.clear()
+        _, _, visited = vns(chrom, objectives, inst, random.Random(seed), 20, matrices)
+        assert len(set(priced)) == len(priced), (i, seed)
+        assert [nb for nb, _ in visited] == drawn, (i, seed)
+        assert set(priced) == set(drawn)
+        assert len(visited) == pin["visited"]
+        assert _digest([_chrom(ch) + list(o) for ch, o in visited]) == pin["visited_sha256"]
+        repeats += len(drawn) - len(priced)
+    assert repeats > 0

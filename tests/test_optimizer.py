@@ -264,6 +264,16 @@ def test_run_is_seed_deterministic(inst):
     assert [s.archive_points for s in r1.trace] == [s.archive_points for s in r2.trace]
 
 
+def test_run_reports_each_iteration_as_it_ends(inst):
+    cfg = AlgorithmConfig(population=12, max_iter=8, seed=42)
+    seen = []
+    res = run(inst, cfg, seen.append)
+    assert [s.iteration for s in seen] == list(range(1, 9))
+    assert all(stat is entry for stat, entry in zip(seen, res.trace, strict=True))
+    plain = run(inst, cfg)
+    assert plain.trace == res.trace and plain.archive.points() == res.archive.points()
+
+
 def test_run_trace_monotone_best(inst):
     cfg = AlgorithmConfig(population=12, max_iter=10, seed=5)
     res = run(inst, cfg)
