@@ -5,7 +5,8 @@ Base files use the common text layout: a header line ``jobs machines``
 (a third average-flexibility number is tolerated and ignored), then one
 line per job starting with its operation count, followed for each
 operation by the number of alternatives and (machine, duration) pairs
-with 1-based machine ids.
+with 1-based machine ids.  Counts, machine ids and durations must be
+whole numbers; one written with a point (``5.0``) is accepted.
 
 The extension turns every base duration d into per-gear durations
 (3d, 2d, d by default), and draws setup times, power profiles, turn-on
@@ -76,17 +77,33 @@ def parse_base(text: str) -> BaseFjspInstance:
     if not lines:
         raise ParseError("line 1: empty file")
 
+    def number(n: int, t: str) -> float:
+        try:
+            value = float(t)
+        except ValueError:
+            raise ParseError(f"line {n}: not a number: {t!r}") from None
+        if not math.isfinite(value):
+            raise ParseError(f"line {n}: not a finite number: {t!r}")
+        return value
+
     def ints(n: int, tokens: list[str]) -> list[int]:
         out = []
         for t in tokens:
-            try:
-                out.append(int(float(t)) if "." in t else int(t))
-            except ValueError:
-                raise ParseError(f"line {n}: not a number: {t!r}") from None
+            if "." not in t:
+                try:
+                    out.append(int(t))
+                except ValueError:
+                    raise ParseError(f"line {n}: not a number: {t!r}") from None
+            elif (value := number(n, t)).is_integer():
+                out.append(int(value))
+            else:
+                raise ParseError(f"line {n}: not a whole number: {t!r}")
         return out
 
     header_no, header = lines[0]
-    head = ints(header_no, header)
+    head = ints(header_no, header[:2])
+    for t in header[2:]:
+        number(header_no, t)  # average flexibility: any number, ignored
     if len(head) < 2:
         raise ParseError(f"line {header_no}: header needs job and machine counts")
     n_jobs, n_machines = head[0], head[1]
@@ -508,7 +525,7 @@ def read_instance(text: str) -> ProblemInstance:
     if not isinstance(data, dict):
         raise InstanceFormatError("document root must be a mapping")
     version = data.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if not isinstance(version, int) or isinstance(version, bool) or version != SCHEMA_VERSION:
         raise InstanceFormatError(
             f"unsupported schema_version {version!r}, expected {SCHEMA_VERSION}"
         )

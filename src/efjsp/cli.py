@@ -124,7 +124,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def _config_from_args(args: argparse.Namespace) -> AlgorithmConfig:
     cfg = AlgorithmConfig()
     if args.config:
-        doc = load_document(Path(args.config).read_text()) or {}
+        doc = load_document(Path(args.config).read_text())
+        if doc is None:  # an empty document: the defaults
+            doc = {}
         if not isinstance(doc, dict):
             raise ValueError(f"{args.config}: config must be a mapping of solver settings")
         defaults = {f.name: f.default for f in fields(AlgorithmConfig)}
@@ -275,7 +277,8 @@ def _load_result(path: str) -> dict:
     doc = load_document(Path(path).read_text())
     if not isinstance(doc, dict) or doc.get("kind") != "result":
         raise ValueError(f"{path}: not a result file")
-    if doc.get("schema_version") != RESULT_SCHEMA:
+    version = doc.get("schema_version")
+    if not _is_int(version) or version != RESULT_SCHEMA:
         raise ValueError(f"{path}: unsupported result schema")
     archive = _int_rows(doc.get("archive"), ("cmax",), f"{path}: archive")
     if not all(_is_number(e.get("tec")) and math.isfinite(e["tec"]) for e in archive):

@@ -3,11 +3,17 @@
 All indicators treat points as minimisation objectives.  Fronts are
 plain sequences of (f1, f2) pairs; normalisation maps them into the unit
 square spanned by the union of all supplied fronts.
+
+Everything is plain Python: fronts hold a few hundred points at most, so
+the quadratic IGD distance scan is cheap, and the package needs no
+numerical library.  IGD adds its nearest distances left to right in
+reference order (not ``sum()``, which compensates rounding from Python
+3.12 on), so a value is the same on every supported Python.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
 from .pareto import dominates
 
@@ -30,11 +36,19 @@ def igd(reference: list[Point], candidate: list[Point]) -> float:
     """
     if not reference or not candidate:
         raise ValueError("igd needs non-empty fronts")
-    ref = np.asarray(reference, dtype=float)
-    cand = np.asarray(candidate, dtype=float)
-    diff = ref[:, None, :] - cand[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=-1))
-    return float(dist.min(axis=1).mean())
+    cand = [(float(c1), float(c2)) for c1, c2 in candidate]
+    total = 0.0
+    for r1, r2 in reference:
+        r1, r2 = float(r1), float(r2)
+        nearest = math.inf
+        for c1, c2 in cand:
+            dx = r1 - c1
+            dy = r2 - c2
+            d = math.sqrt(dx * dx + dy * dy)
+            if d < nearest:
+                nearest = d
+        total += nearest
+    return total / len(reference)
 
 
 def hv(front: list[Point], ref_point: Point) -> float:
@@ -96,20 +110,19 @@ def normalize(
     union = [p for front in fronts for p in front]
     if not union:
         raise ValueError("normalize needs at least one point")
-    arr = np.asarray(union, dtype=float)
-    lo = arr.min(axis=0)
-    hi = arr.max(axis=0)
-    span = hi - lo
+    lo = tuple(min(float(p[k]) for p in union) for k in range(2))
+    hi = tuple(max(float(p[k]) for p in union) for k in range(2))
+    span = tuple(h - l for l, h in zip(lo, hi))
     out = []
     for front in fronts:
         mapped = []
         for p in front:
             mapped.append(
                 tuple(
-                    float((v - l) / s) if s > 0 else 0.0
+                    (float(v) - l) / s if s > 0 else 0.0
                     for v, l, s in zip(p, lo, span)
                 )
             )
         out.append(mapped)
-    bounds = ((float(lo[0]), float(hi[0])), (float(lo[1]), float(hi[1])))
+    bounds = ((lo[0], hi[0]), (lo[1], hi[1]))
     return out, bounds

@@ -63,6 +63,33 @@ def test_parse_rejects_trailing_tokens():
         parse_base("1 1\n1 1 1 5 9\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1 1\n1 1 1 2.5\n", "not a whole number: '2.5'"),
+        ("1 1\n1 1 1.9 5\n", "not a whole number: '1.9'"),
+        ("1 1\n1 1 1 " + "9" * 400 + ".0\n", "not a finite number"),
+        ("1 1 nan\n1 1 1 5\n", "not a finite number: 'nan'"),
+    ],
+    ids=["duration-2.5", "machine-1.9", "overflow", "header-nan"],
+)
+def test_parse_rejects_numbers_that_are_not_whole(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_base(text)
+    assert str(err.value).startswith("line ")
+    assert message in str(err.value)
+
+
+def test_parse_accepts_whole_numbers_written_with_a_point():
+    assert parse_base("1 1\n1 1 1 5.0\n").jobs == ((((1, 5),),),)
+
+
+def test_parse_accepts_a_fractional_average_flexibility():
+    base = parse_base("1 1 1.15\n1 1 1 5\n")
+    assert base.n_machines == 1
+    assert base.jobs == ((((1, 5),),),)
+
+
 def test_random_base_round_trip():
     base = random_base(n_jobs=5, n_machines=4, seed=11)
     again = parse_base(write_base(base))
@@ -175,6 +202,14 @@ def test_read_instance_rejects_unknown_schema():
     inst = extend_instance(random_base(2, 2, seed=0), seed=0)
     text = write_instance(inst).replace("schema_version: 1", "schema_version: 99")
     with pytest.raises(InstanceFormatError):
+        read_instance(text)
+
+
+@pytest.mark.parametrize("version", ["true", "1.0"])
+def test_read_instance_rejects_a_schema_version_that_is_not_the_integer_1(version):
+    inst = extend_instance(random_base(2, 2, seed=0), seed=0)
+    text = write_instance(inst).replace("schema_version: 1", f"schema_version: {version}")
+    with pytest.raises(InstanceFormatError, match="schema_version"):
         read_instance(text)
 
 

@@ -11,7 +11,7 @@ import yaml
 from efjsp.benchmark import dump_document, load_document, random_base, read_instance, write_base
 from efjsp.cli import main
 from efjsp.model import validate_instance
-from efjsp.optimizer import run
+from efjsp.optimizer import AlgorithmConfig, run
 
 
 @pytest.fixture()
@@ -231,6 +231,30 @@ def test_solve_refuses_mistyped_config(tmp_path, instance_file, capsys, setting)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("document", ["[]", "0", "false", "''", "[1]"])
+def test_solve_refuses_a_config_that_is_not_a_mapping(tmp_path, instance_file, capsys, document):
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text(document + "\n")
+    out = tmp_path / "result.yaml"
+    code = main(["solve", str(instance_file), "--config", str(cfg), "--out", str(out)])
+    assert code == 1
+    _assert_one_line_error(capsys, str(cfg), "config must be a mapping")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("document", ["", "# no settings\n", "---\n"])
+def test_solve_runs_an_empty_config_on_the_defaults(tmp_path, instance_file, document):
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text(document)
+    out = tmp_path / "result.yaml"
+    code = main(
+        ["solve", str(instance_file), "--config", str(cfg), "--pop", "6", "--iters", "1",
+         "--out", str(out)]
+    )
+    assert code == 0
+    assert load_document(out.read_text())["config"]["vns_budget"] == AlgorithmConfig().vns_budget
+
+
 def test_solve_ablation_flags_recorded(tmp_path, instance_file):
     out = tmp_path / "result.yaml"
     assert _solve(instance_file, out, "--ablate", "nde", "--ablate", "ncp") == 0
@@ -341,6 +365,22 @@ def test_result_documents_of_the_wrong_shape_fail_closed(tmp_path, capsys, comma
     extra = ["--out", str(prefix)] if command == "gantt" else []
     assert main([command, str(result), *extra]) == 1
     _assert_one_line_error(capsys, str(result), message)
+    assert not list(tmp_path.glob("chart.*"))
+
+
+@pytest.mark.parametrize("command", ["metrics", "gantt"])
+@pytest.mark.parametrize("version", ["true", "1.0"])
+def test_result_schema_version_must_be_the_integer_1(tmp_path, instance_file, capsys, command, version):
+    result = tmp_path / "result.yaml"
+    assert _solve(instance_file, result) == 0
+    text = result.read_text()
+    assert text.startswith("schema_version: 1\n")
+    result.write_text(text.replace("schema_version: 1", f"schema_version: {version}", 1))
+    capsys.readouterr()
+    prefix = tmp_path / "chart"
+    extra = ["--out", str(prefix)] if command == "gantt" else []
+    assert main([command, str(result), *extra]) == 1
+    _assert_one_line_error(capsys, str(result), "unsupported result schema")
     assert not list(tmp_path.glob("chart.*"))
 
 
