@@ -22,6 +22,7 @@ significant digits, so a write/read round trip is lossless.
 
 from __future__ import annotations
 
+import io
 import math
 import random
 from dataclasses import dataclass
@@ -344,34 +345,143 @@ class _Dumper(getattr(yaml, "CSafeDumper", _PyDumper)):  # libyaml when present
     pass
 
 
-def _float_representer(dumper: yaml.SafeDumper, value: float):
-    """A plain float scalar that YAML's implicit resolver reads back.
+_STR, _INT, _FLOAT, _BOOL, _NULL = (
+    f"tag:yaml.org,2002:{name}" for name in ("str", "int", "float", "bool", "null")
+)
+
+
+def _float_text(value: float) -> str:
+    """A plain float scalar's text that YAML's implicit resolver reads back.
 
     17 significant digits, with a ``.0`` put before any exponent when the
     digits have no point (``1.0e+17``), and ``.inf``/``-.inf``/``.nan``
     for the non-finite values, so no float needs a tag or quotes.
     """
     if math.isnan(value):
-        text = ".nan"
-    elif math.isinf(value):
-        text = ".inf" if value > 0 else "-.inf"
-    else:
-        text = format(value, ".17g")
-        if "." not in text:
-            digits, e, exponent = text.partition("e")
-            text = f"{digits}.0{e}{exponent}"
-    return dumper.represent_scalar("tag:yaml.org,2002:float", text)
+        return ".nan"
+    if math.isinf(value):
+        return ".inf" if value > 0 else "-.inf"
+    text = format(value, ".17g")
+    if "." not in text:
+        digits, e, exponent = text.partition("e")
+        text = f"{digits}.0{e}{exponent}"
+    return text
+
+
+def _float_representer(dumper: yaml.SafeDumper, value: float):
+    """Stock PyYAML's float scalar, with ``_float_text``'s text."""
+    return dumper.represent_scalar(_FLOAT, _float_text(value))
 
 
 for _cls in (_PyDumper, _Dumper):
     _cls.add_representer(float, _float_representer)
 
 
+class _Fallback(Exception):
+    """The event walk met what only stock PyYAML writes or reads."""
+
+
+# The tag and text SafeRepresenter gives each scalar type it writes
+# plainly; what a document holds of any other type goes to stock PyYAML.
+_SCALAR_TEXT = {
+    str: (_STR, str),
+    int: (_INT, str),
+    float: (_FLOAT, _float_text),
+    bool: (_BOOL, lambda value: "true" if value else "false"),
+    type(None): (_NULL, lambda value: "null"),
+}
+_COLLECTIONS = frozenset((list, dict))
+# Emitters only read events, so one event serves every collection.
+_SEQUENCE_START = {
+    flow: yaml.SequenceStartEvent(None, "tag:yaml.org,2002:seq", True, flow_style=flow)
+    for flow in (False, True)
+}
+_MAPPING_START = {
+    flow: yaml.MappingStartEvent(None, "tag:yaml.org,2002:map", True, flow_style=flow)
+    for flow in (False, True)
+}
+_SEQUENCE_END = yaml.SequenceEndEvent()
+_MAPPING_END = yaml.MappingEndEvent()
+
+
+def _emit_document(dumper, data) -> None:
+    """Emit ``data`` as one document through ``dumper``'s own emitter.
+
+    The events are those the safe representer and serializer would give:
+    a collection is flow style iff all its items are scalars (so an empty
+    one is too), and each distinct scalar's implicit flags come from the
+    dumper's resolver, once per document.  Raises ``_Fallback`` on a
+    collection met twice, which stock PyYAML writes with an anchor, and on
+    any type but str, int, float, bool, None, list and dict.
+    """
+    emit = dumper.emit
+    resolve = dumper.resolve
+    seen = set()
+    scalars = {cls: {} for cls in _SCALAR_TEXT}  # per type: value (float: text) -> event
+
+    def scalar(cls, value):
+        tag, to_text = _SCALAR_TEXT[cls]
+        text = to_text(value)
+        implicit = (
+            resolve(yaml.ScalarNode, text, (True, False)) == tag,
+            resolve(yaml.ScalarNode, text, (False, True)) == tag,
+        )
+        return yaml.ScalarEvent(None, tag, implicit, text)
+
+    def walk(data):
+        cls = type(data)
+        events = scalars.get(cls)
+        if events is not None:
+            key = _float_text(data) if cls is float else data
+            event = events.get(key)
+            if event is None:
+                event = events[key] = scalar(cls, data)
+            emit(event)
+            return
+        if cls not in _COLLECTIONS or id(data) in seen:
+            raise _Fallback
+        seen.add(id(data))
+        if cls is list:
+            emit(_SEQUENCE_START[_COLLECTIONS.isdisjoint(map(type, data))])
+            for item in data:
+                walk(item)
+            emit(_SEQUENCE_END)
+        else:
+            emit(_MAPPING_START[_COLLECTIONS.isdisjoint(map(type, data.values()))])
+            for key, value in data.items():
+                walk(key)
+                walk(value)
+            emit(_MAPPING_END)
+
+    emit(yaml.DocumentStartEvent(explicit=None, version=None, tags=None))
+    walk(data)
+    emit(yaml.DocumentEndEvent(explicit=None))
+
+
 def dump_document(data) -> str:
     """YAML text with floats at 17 significant digits, keys in order.
 
-    libyaml emits it when present; the bytes are the same either way.
+    The data is walked into YAML events for libyaml's emitter when it is
+    present (PyYAML's otherwise), with no node graph; the bytes are those
+    ``yaml.dump`` writes.  What the walk does not cover (``_Fallback``)
+    and a lone surrogate, which libyaml cannot encode, go through
+    ``yaml.dump`` itself.
     """
+    stream = io.StringIO()
+    dumper = _Dumper(stream)
+    try:
+        dumper.open()
+        _emit_document(dumper, data)
+        dumper.close()
+    except (_Fallback, UnicodeEncodeError):
+        return _stock_dump(data)
+    finally:
+        dumper.dispose()
+    return stream.getvalue()
+
+
+def _stock_dump(data) -> str:
+    """``dump_document`` through PyYAML's representer and serializer."""
     try:
         return yaml.dump(data, Dumper=_Dumper, sort_keys=False, default_flow_style=None)
     except UnicodeEncodeError:
@@ -380,59 +490,101 @@ def dump_document(data) -> str:
         return yaml.dump(data, Dumper=_PyDumper, sort_keys=False, default_flow_style=None)
 
 
+_Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # libyaml when present
 _CORE_SCALARS = {
     f"tag:yaml.org,2002:{name}": getattr(yaml.constructor.SafeConstructor, f"construct_yaml_{name}")
     for name in ("str", "int", "float", "bool", "null")
 }
+_SEQUENCE_TAGS = frozenset((None, "!", "tag:yaml.org,2002:seq"))
+_MAPPING_TAGS = frozenset((None, "!", "tag:yaml.org,2002:map"))
 
 
-class _SafeLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):  # libyaml when present
-    """The safe loader, less its per-scalar bookkeeping.
+def _load_events(text: str):
+    """Build one document from the parser's events, with no node graph.
 
-    A document repeats few distinct scalars, so the implicit tag of each
-    ``(value, implicit)`` pair is resolved once per loader, that is once
-    per document.  A scalar with one of the five core tags is built by
-    SafeConstructor's own constructor for that tag, without the alias,
-    recursion and generator tables that only collections need; every
-    other node goes through the safe loader as it is.
+    Lists, dicts and the five core scalars are built directly, the same
+    objects the safe loader builds: each distinct ``(tag, implicit,
+    value)`` is resolved once per document and built by SafeConstructor's
+    own constructor for its tag.  Raises ``_Fallback`` on an anchor or
+    alias, another tag (explicit, or implicit as for merge keys and
+    timestamps) and a second document.
     """
+    loader = _Loader(text)
+    next_event = loader.get_event
+    built = {}
 
-    def __init__(self, stream):
-        super().__init__(stream)
-        self._tags = {}
+    def scalar(event):
+        key = (event.tag, event.implicit, event.value)
+        value = built.get(key, built)
+        if value is not built:
+            return value
+        tag = event.tag
+        if tag is None or tag == "!":
+            tag = loader.resolve(yaml.ScalarNode, event.value, event.implicit)
+        construct = _CORE_SCALARS.get(tag)
+        if construct is None:
+            raise _Fallback
+        value = built[key] = construct(loader, yaml.ScalarNode(tag, event.value))
+        return value
 
-    def resolve(self, kind, value, implicit):
-        if kind is not yaml.ScalarNode:
-            return super().resolve(kind, value, implicit)
-        key = (value, implicit)
-        tag = self._tags.get(key)
-        if tag is None:
-            tag = self._tags[key] = super().resolve(kind, value, implicit)
-        return tag
+    def build(event):
+        if event.anchor is not None:  # an alias's anchor names its target
+            raise _Fallback
+        cls = type(event)
+        if cls is yaml.ScalarEvent:
+            return scalar(event)
+        if cls is yaml.SequenceStartEvent and event.tag in _SEQUENCE_TAGS:
+            items = []
+            event = next_event()
+            while type(event) is not yaml.SequenceEndEvent:
+                items.append(build(event))
+                event = next_event()
+            return items
+        if cls is yaml.MappingStartEvent and event.tag in _MAPPING_TAGS:
+            mapping = {}
+            event = next_event()
+            while type(event) is not yaml.MappingEndEvent:
+                key = build(event)
+                mapping[key] = build(next_event())  # TypeError on an unhashable key
+                event = next_event()
+            return mapping
+        raise _Fallback
 
-    def construct_object(self, node, deep=False):
-        if node.__class__ is yaml.ScalarNode:
-            construct = _CORE_SCALARS.get(node.tag)
-            if construct is not None:
-                return construct(self, node)
-        return super().construct_object(node, deep)
+    try:
+        next_event()  # stream start
+        if type(next_event()) is yaml.StreamEndEvent:
+            return None  # no document
+        data = build(next_event())
+        next_event()  # document end
+        if type(next_event()) is not yaml.StreamEndEvent:
+            raise _Fallback  # a second document
+        return data
+    finally:
+        loader.dispose()
 
 
 def load_document(text: str):
-    """Parse one YAML document with the safe loader.
+    """Parse one YAML document into the objects the safe loader builds.
 
-    libyaml parses it when present.  Each distinct scalar's tag is
-    resolved once per document and core scalars are built directly
-    (``_SafeLoader``); the objects are those ``yaml.SafeLoader`` builds.
-    What libyaml rejects is parsed again by PyYAML's own loader, whose
-    error stands if it rejects it too.
+    libyaml parses it when present, and the objects are built from its
+    events (``_load_events``).  A document the walk does not cover, and
+    any error, go through ``yaml.load`` itself, whose objects or error
+    stand.
     """
     try:
-        return yaml.load(text, Loader=_SafeLoader)
+        return _load_events(text)
+    except Exception:
+        return _stock_load(text)
+
+
+def _stock_load(text: str):
+    """``load_document`` through PyYAML's composer and constructor."""
+    try:
+        return yaml.load(text, Loader=_Loader)
     except yaml.YAMLError:
         # libyaml refuses escaped lone surrogates, which dump_document
         # writes for a file name that is not UTF-8
-        if issubclass(_SafeLoader, yaml.SafeLoader):
+        if issubclass(_Loader, yaml.SafeLoader):
             raise
         return yaml.load(text, Loader=yaml.SafeLoader)
 
@@ -574,6 +726,12 @@ def read_instance(text: str) -> ProblemInstance:
     inst = ProblemInstance(
         jobs=tuple(jobs), machines=tuple(machines), speed_count=s
     )
+    return require_valid(inst)
+
+
+def require_valid(inst: ProblemInstance) -> ProblemInstance:
+    """``inst`` itself, or InstanceFormatError listing every violation
+    ``validate_instance`` finds."""
     report = validate_instance(inst)
     if not report.ok:
         raise InstanceFormatError(

@@ -34,6 +34,7 @@ from .benchmark import (
     load_document,
     parse_base,
     read_instance,
+    require_valid,
     write_instance,
 )
 from .encoding import build_message_matrix, decode
@@ -107,13 +108,13 @@ def cmd_generate(args: argparse.Namespace) -> int:
         print("error: --replicas must be at least 1", file=sys.stderr)
         return 1
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for base_path in args.bases:
         text = Path(base_path).read_text()
         base = parse_base(text)
         stem = Path(base_path).stem
         for k in range(1, args.replicas + 1):
-            inst = extend_instance(base, seed=args.seed + k - 1)
+            inst = require_valid(extend_instance(base, seed=args.seed + k - 1))
+            out_dir.mkdir(parents=True, exist_ok=True)  # only once there is an instance to write
             name = f"{stem}-{k:02d}.yaml" if args.replicas > 1 else f"{stem}.yaml"
             target = out_dir / name
             target.write_text(write_instance(inst))

@@ -213,12 +213,18 @@ class ValidationReport:
         return "\n".join(parts)
 
 
+# Every schedule ends by the horizon, and the energy model multiplies
+# times by float powers, so times must stay exact as floats.
+MAX_HORIZON = 2**53
+
+
 def validate_instance(inst: ProblemInstance) -> ValidationReport:
     """Check an instance for well-formedness.
 
     Structural rules (contiguous ids, gear ranges, positive durations,
     power vector shapes, finite powers and energies, zero switch
-    diagonal) land in ``violations``, one per non-finite value.
+    diagonal, a horizon of at most ``MAX_HORIZON``) land in
+    ``violations``, one per non-finite value.
     Economically odd but legal data (standby power above the cheapest
     idle power) only produces a warning.
     """
@@ -255,6 +261,17 @@ def validate_instance(inst: ProblemInstance) -> ValidationReport:
                 if key in seen:
                     report.violations.append(f"{label}: duplicate option {key}")
                 seen.add(key)
+
+    horizon = sum(
+        max((opt.duration for opt in op.options), default=0) + job.setup_time
+        for job in inst.jobs
+        for op in job.operations
+    )
+    if horizon > MAX_HORIZON:
+        report.violations.append(
+            "horizon (each operation's longest option plus its job's setup, summed) "
+            "exceeds 2**53, beyond which times are not exact as floats"
+        )
 
     for pos, mach in enumerate(inst.machines, start=1):
         label = f"machine {mach.id}"

@@ -386,8 +386,14 @@ def test_load_document_keeps_aliased_collections_one_object():
 
 @pytest.mark.parametrize(
     "text",
-    ["!!int abc", "value: !!float abc", "!foo bar", "!foo [1]", "{[1]: 2}", "? {a: 1}\n: 2\n"],
-    ids=["bad-int", "bad-float", "unknown-tag", "unknown-tag-on-seq", "unhashable-list-key", "unhashable-map-key"],
+    [
+        "!!int abc", "value: !!float abc", "!foo bar", "!foo [1]", "{[1]: 2}", "? {a: 1}\n: 2\n",
+        "a: 1\n---\nb: 2\n", "a: [1, 2]\n]\n",
+    ],
+    ids=[
+        "bad-int", "bad-float", "unknown-tag", "unknown-tag-on-seq", "unhashable-list-key", "unhashable-map-key",
+        "two-documents", "trailing-garbage",
+    ],
 )
 def test_load_document_fails_like_the_safe_loader(text):
     with pytest.raises(Exception) as fast:

@@ -8,7 +8,16 @@ import os
 import pytest
 import yaml
 
-from efjsp.benchmark import dump_document, load_document, random_base, read_instance, write_base
+from efjsp.benchmark import (
+    dump_document,
+    extend_instance,
+    load_document,
+    parse_base,
+    random_base,
+    read_instance,
+    write_base,
+    write_instance,
+)
 from efjsp.cli import main
 from efjsp.model import validate_instance
 from efjsp.optimizer import AlgorithmConfig, run
@@ -208,6 +217,24 @@ def test_solve_refuses_non_finite_power(tmp_path, instance_file, capsys, edit, m
     out = tmp_path / "result.yaml"
     assert _solve(broken, out) == 1
     _assert_one_line_error(capsys, "invalid instance", message)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("digits", [400, 30])
+def test_durations_beyond_the_horizon_bound_are_one_line_errors(tmp_path, capsys, digits):
+    # unbounded, a 400-digit duration overflows float arithmetic inside
+    # solve, and a 30-digit one solves to a makespan no float holds exactly
+    base = tmp_path / "huge.txt"
+    base.write_text(f"1 1\n1 1 1 {'9' * digits}\n")
+    out_dir = tmp_path / "out"
+    assert main(["generate", str(base), "--out-dir", str(out_dir)]) == 1
+    _assert_one_line_error(capsys, "invalid instance", "exceeds 2**53")
+    assert not out_dir.exists()
+    instance = tmp_path / "huge.yaml"
+    instance.write_text(write_instance(extend_instance(parse_base(base.read_text()))))
+    out = tmp_path / "result.yaml"
+    assert _solve(instance, out) == 1
+    _assert_one_line_error(capsys, "invalid instance", "exceeds 2**53")
     assert not out.exists()
 
 
@@ -477,6 +504,32 @@ def test_solve_progress_streams_one_line_per_iteration(tmp_path, instance_file, 
         for s in doc["iterations"]
     ]
     assert capsys.readouterr().out.startswith("archive ")
+
+
+def test_pipeline_documents_take_the_event_path(tmp_path, base_file, monkeypatch):
+    # The stock PyYAML fallback writes the same bytes and builds the same
+    # objects, so only a spy tells that the event walk was left.
+    from efjsp import benchmark
+
+    calls = []
+
+    def spy(name):
+        real = getattr(benchmark, name)
+        monkeypatch.setattr(benchmark, name, lambda *args: calls.append(name) or real(*args))
+
+    for name in ("_emit_document", "_load_events", "_stock_dump", "_stock_load"):
+        spy(name)
+    config = tmp_path / "solver.yaml"
+    config.write_text("population: 6\nmax_iter: 1\narchive_capacity: 3\n")
+    instance, runs = tmp_path / "tiny.yaml", [tmp_path / "r1.yaml", tmp_path / "r2.yaml"]
+    assert main(["generate", str(base_file), "--out-dir", str(tmp_path)]) == 0
+    for seed, out in enumerate(runs, start=1):
+        argv = ["solve", str(instance), "--config", str(config), "--seed", str(seed)]
+        assert main([*argv, "--out", str(out)]) == 0
+    assert main(["metrics", *map(str, runs), "--out", str(tmp_path / "report.yaml")]) == 0
+    assert main(["gantt", str(runs[0]), "--out", str(tmp_path / "chart")]) == 0
+    # written: instance, 2 results, report, chart data; read: 2 x (config, instance), 3 results
+    assert sorted(calls) == ["_emit_document"] * 5 + ["_load_events"] * 7
 
 
 def test_version_flag():

@@ -13,7 +13,10 @@ from efjsp.benchmark import extend_instance, random_base
 from efjsp.encoding import decode, random_chromosome
 from efjsp.model import (
     IdleIntervalRecord,
+    JobSpec,
     Machine,
+    OperationSpec,
+    ProcessingOption,
     ProblemInstance,
     ScheduledRow,
     ScheduleTable,
@@ -54,6 +57,20 @@ def test_validate_instance_flags_negative_switch(inst):
     report = validate_instance(inst2)
     assert not report.ok
     assert any("switch" in v for v in report.violations)
+
+
+@pytest.mark.parametrize("duration, ok", [(2**53 - 1, True), (2**53, False)])
+def test_validate_instance_bounds_the_horizon(inst, duration, ok):
+    # one operation: its longest option plus its job's setup of 1
+    options = (ProcessingOption(1, 1, 1), ProcessingOption(1, 2, duration))
+    job = JobSpec(id=1, setup_time=1, operations=(OperationSpec(job=1, op_index=1, options=options),))
+    report = validate_instance(dataclasses.replace(inst, jobs=(job,)))
+    horizon = [v for v in report.violations if "horizon" in v]
+    assert horizon == ([] if ok else [
+        "horizon (each operation's longest option plus its job's setup, summed) "
+        "exceeds 2**53, beyond which times are not exact as floats"
+    ])
+    assert report.ok is ok
 
 
 def test_validate_instance_flags_each_non_finite_value(inst):
