@@ -341,9 +341,7 @@ class _PyDumper(yaml.SafeDumper):
         return len(event.value.encode("utf-8")) <= 128
 
 
-class _Dumper(getattr(yaml, "CSafeDumper", _PyDumper)):  # libyaml when present
-    pass
-
+_Dumper = getattr(yaml, "CSafeDumper", _PyDumper)  # libyaml when present
 
 _STR, _INT, _FLOAT, _BOOL, _NULL = (
     f"tag:yaml.org,2002:{name}" for name in ("str", "int", "float", "bool", "null")
@@ -368,21 +366,8 @@ def _float_text(value: float) -> str:
     return text
 
 
-def _float_representer(dumper: yaml.SafeDumper, value: float):
-    """Stock PyYAML's float scalar, with ``_float_text``'s text."""
-    return dumper.represent_scalar(_FLOAT, _float_text(value))
-
-
-for _cls in (_PyDumper, _Dumper):
-    _cls.add_representer(float, _float_representer)
-
-
-class _Fallback(Exception):
-    """The event walk met what only stock PyYAML writes or reads."""
-
-
 # The tag and text SafeRepresenter gives each scalar type it writes
-# plainly; what a document holds of any other type goes to stock PyYAML.
+# plainly; documents hold no other scalar type.
 _SCALAR_TEXT = {
     str: (_STR, str),
     int: (_INT, str),
@@ -410,13 +395,12 @@ def _emit_document(dumper, data) -> None:
     The events are those the safe representer and serializer would give:
     a collection is flow style iff all its items are scalars (so an empty
     one is too), and each distinct scalar's implicit flags come from the
-    dumper's resolver, once per document.  Raises ``_Fallback`` on a
-    collection met twice, which stock PyYAML writes with an anchor, and on
-    any type but str, int, float, bool, None, list and dict.
+    dumper's resolver, once per document.  A collection met twice is
+    written twice.  Raises TypeError on any type but str, int, float,
+    bool, None, list and dict.
     """
     emit = dumper.emit
     resolve = dumper.resolve
-    seen = set()
     scalars = {cls: {} for cls in _SCALAR_TEXT}  # per type: value (float: text) -> event
 
     def scalar(cls, value):
@@ -438,20 +422,19 @@ def _emit_document(dumper, data) -> None:
                 event = events[key] = scalar(cls, data)
             emit(event)
             return
-        if cls not in _COLLECTIONS or id(data) in seen:
-            raise _Fallback
-        seen.add(id(data))
         if cls is list:
             emit(_SEQUENCE_START[_COLLECTIONS.isdisjoint(map(type, data))])
             for item in data:
                 walk(item)
             emit(_SEQUENCE_END)
-        else:
+        elif cls is dict:
             emit(_MAPPING_START[_COLLECTIONS.isdisjoint(map(type, data.values()))])
             for key, value in data.items():
                 walk(key)
                 walk(value)
             emit(_MAPPING_END)
+        else:
+            raise TypeError(f"cannot write a {cls.__name__} to a YAML document")
 
     emit(yaml.DocumentStartEvent(explicit=None, version=None, tags=None))
     walk(data)
@@ -461,33 +444,34 @@ def _emit_document(dumper, data) -> None:
 def dump_document(data) -> str:
     """YAML text with floats at 17 significant digits, keys in order.
 
-    The data is walked into YAML events for libyaml's emitter when it is
-    present (PyYAML's otherwise), with no node graph; the bytes are those
-    ``yaml.dump`` writes.  What the walk does not cover (``_Fallback``)
-    and a lone surrogate, which libyaml cannot encode, go through
-    ``yaml.dump`` itself.
+    ``data`` is dicts and lists of str, int, float, bool and None, and
+    raises TypeError on anything else.  It is walked into YAML events for
+    libyaml's emitter when present, with no node graph; the bytes are
+    those ``yaml.dump`` writes.  A lone surrogate (a file name that is not
+    UTF-8), which libyaml cannot encode, sends the walk to PyYAML's own
+    emitter, which escapes it.
     """
+    try:
+        return _dump_through(_Dumper, data)
+    except UnicodeEncodeError:
+        return _dump_through(_PyDumper, data)
+
+
+def _dump_through(dumper_class, data) -> str:
+    """``data`` as YAML text through ``dumper_class``'s emitter."""
     stream = io.StringIO()
-    dumper = _Dumper(stream)
+    dumper = dumper_class(stream)
     try:
         dumper.open()
         _emit_document(dumper, data)
         dumper.close()
-    except (_Fallback, UnicodeEncodeError):
-        return _stock_dump(data)
     finally:
         dumper.dispose()
     return stream.getvalue()
 
 
-def _stock_dump(data) -> str:
-    """``dump_document`` through PyYAML's representer and serializer."""
-    try:
-        return yaml.dump(data, Dumper=_Dumper, sort_keys=False, default_flow_style=None)
-    except UnicodeEncodeError:
-        # libyaml takes UTF-8 only, so a lone surrogate (a file name that
-        # is not UTF-8) goes through PyYAML's emitter, which escapes it
-        return yaml.dump(data, Dumper=_PyDumper, sort_keys=False, default_flow_style=None)
+class _Fallback(Exception):
+    """The event walk met what only ``yaml.safe_load`` reads."""
 
 
 _Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # libyaml when present
@@ -564,29 +548,22 @@ def _load_events(text: str):
 
 
 def load_document(text: str):
-    """Parse one YAML document into the objects the safe loader builds.
+    """Parse one YAML document into the objects ``yaml.safe_load`` builds.
 
     libyaml parses it when present, and the objects are built from its
-    events (``_load_events``).  A document the walk does not cover, and
-    any error, go through ``yaml.load`` itself, whose objects or error
-    stand.
+    events (``_load_events``).  An anchor or alias, a merge key, another
+    tag, an unhashable key, a second document and any error send the
+    text to ``yaml.safe_load`` itself, whose objects or error stand,
+    except that a document nested too deeply for it raises a one-line
+    ValueError.
     """
     try:
         return _load_events(text)
     except Exception:
-        return _stock_load(text)
-
-
-def _stock_load(text: str):
-    """``load_document`` through PyYAML's composer and constructor."""
-    try:
-        return yaml.load(text, Loader=_Loader)
-    except yaml.YAMLError:
-        # libyaml refuses escaped lone surrogates, which dump_document
-        # writes for a file name that is not UTF-8
-        if issubclass(_Loader, yaml.SafeLoader):
-            raise
-        return yaml.load(text, Loader=yaml.SafeLoader)
+        try:
+            return yaml.load(text, Loader=yaml.SafeLoader)
+        except RecursionError:
+            raise ValueError("YAML document nested too deeply to read") from None
 
 
 def write_instance(inst: ProblemInstance) -> str:

@@ -112,12 +112,10 @@ class ParetoArchive:
 
     def add(self, chromosome: Chromosome, objectives: Objectives) -> bool:
         c, t = objectives
-        for e in self.entries:
-            if (e.cmax == c and e.tec == t) or dominates(e.objectives, objectives):
-                return False
-        self.entries = [
-            e for e in self.entries if not dominates(objectives, e.objectives)
-        ]
+        if any(e.cmax <= c and e.tec <= t for e in self.entries):
+            return False  # equal to or dominated by a member
+        # no member equals the point, so these are the ones it dominates
+        self.entries = [e for e in self.entries if not (c <= e.cmax and t <= e.tec)]
         self.entries.append(ArchiveEntry(chromosome, c, t))
         while len(self.entries) > self.capacity:
             self._evict_one()

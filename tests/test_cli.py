@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
 
+import efjsp
 from efjsp.benchmark import (
     dump_document,
     extend_instance,
@@ -337,6 +341,41 @@ def test_metrics_report_naming_a_file_that_is_not_utf8_loads_back(tmp_path, inst
     assert doc["results"][0]["file"] == str(result)
 
 
+def _efjsp(*argv: str) -> subprocess.CompletedProcess:
+    """``efjsp`` run in a fresh interpreter, which a crash cannot take down."""
+    src = str(Path(efjsp.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run(
+        [sys.executable, "-m", "efjsp.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+def test_metrics_reads_a_file_name_that_is_not_utf8_from_the_command_line(tmp_path, instance_file):
+    result = tmp_path / os.fsdecode(b"r\xff.yaml")
+    assert _solve(instance_file, result) == 0
+    report = tmp_path / "report.yaml"
+    ran = _efjsp("metrics", str(result), "--out", str(report))
+    assert ran.returncode == 0, ran.stderr
+    assert load_document(report.read_text())["results"][0]["file"] == str(result)
+
+
+def test_a_deeply_nested_document_is_a_one_line_error(tmp_path, instance_file):
+    deep = tmp_path / "deep.yaml"
+    deep.write_text("[" * 100_000 + "]" * 100_000 + "\n")
+    out = str(tmp_path / "out")
+    for argv in (
+        ["metrics", str(deep)],
+        ["solve", str(deep), "--out", out],
+        ["solve", str(instance_file), "--config", str(deep), "--out", out],
+        ["gantt", str(deep), "--out", out],
+    ):
+        ran = _efjsp(*argv)
+        assert ran.returncode == 1, (argv, ran.returncode)
+        lines = ran.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), (argv, ran.stderr[-500:])
+        assert "nested too deeply" in lines[0]
+
+
 _RESULT_HEAD = "schema_version: 1\nkind: result\n"
 _ENTRY = "cmax: 3, tec: 1.5"
 _ROW = "job: 1, op: 1, machine: 1, speed: 1, start: 0, end: 3"
@@ -507,18 +546,20 @@ def test_solve_progress_streams_one_line_per_iteration(tmp_path, instance_file, 
 
 
 def test_pipeline_documents_take_the_event_path(tmp_path, base_file, monkeypatch):
-    # The stock PyYAML fallback writes the same bytes and builds the same
-    # objects, so only a spy tells that the event walk was left.
+    # yaml.safe_load, the read side's fallback, builds the same objects,
+    # so only a spy tells that the event walk was left.
     from efjsp import benchmark
 
     calls = []
 
-    def spy(name):
-        real = getattr(benchmark, name)
-        monkeypatch.setattr(benchmark, name, lambda *args: calls.append(name) or real(*args))
+    def spy(owner, name):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, **kw: calls.append(name) or real(*args, **kw))
 
-    for name in ("_emit_document", "_load_events", "_stock_dump", "_stock_load"):
-        spy(name)
+    for name in ("_emit_document", "_load_events"):
+        spy(benchmark, name)
+    for name in ("dump", "load"):
+        spy(benchmark.yaml, name)
     config = tmp_path / "solver.yaml"
     config.write_text("population: 6\nmax_iter: 1\narchive_capacity: 3\n")
     instance, runs = tmp_path / "tiny.yaml", [tmp_path / "r1.yaml", tmp_path / "r2.yaml"]
