@@ -635,7 +635,10 @@ def _list_field(mapping, key, label) -> list:
 def _float_field(value, label) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InstanceFormatError(f"{label}: expected a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise InstanceFormatError(f"{label}: integer too large for a float") from None
 
 
 def _floats(value, label) -> tuple[float, ...]:
@@ -681,21 +684,21 @@ def read_instance(text: str) -> ProblemInstance:
     for mdoc in _list_field(data, "machines", "document"):
         label = f"machine {mdoc.get('id') if isinstance(mdoc, dict) else '?'}"
         mach_id = _int_field(mdoc, "id", label)
-        process = _floats(_require(mdoc, "process_power", label), label)
-        idle = _floats(_require(mdoc, "idle_power", label), label)
-        switch = tuple(_floats(row, label) for row in _list_field(mdoc, "switch", label))
+        process = _floats(_require(mdoc, "process_power", label), f"{label} process_power")
+        idle = _floats(_require(mdoc, "idle_power", label), f"{label} idle_power")
+        switch = tuple(_floats(r, f"{label} switch") for r in _list_field(mdoc, "switch", label))
+        setup = _float_field(_require(mdoc, "setup_power", label), f"{label} setup_power")
+        standby = _float_field(_require(mdoc, "standby_power", label), f"{label} standby_power")
         turn_on = None
         if "turn_on" in mdoc:
-            turn_on = _floats(mdoc["turn_on"], label)
+            turn_on = _floats(mdoc["turn_on"], f"{label} turn_on")
         machines.append(
             Machine(
                 id=mach_id,
-                setup_power=_float_field(_require(mdoc, "setup_power", label), label),
+                setup_power=setup,
                 process_power=process,
                 idle_power=idle,
-                standby_power=_float_field(
-                    _require(mdoc, "standby_power", label), label
-                ),
+                standby_power=standby,
                 switch=switch,
                 turn_on=turn_on,
             )

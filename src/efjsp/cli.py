@@ -37,9 +37,10 @@ from .benchmark import (
     require_valid,
     write_instance,
 )
-from .encoding import build_message_matrix, decode
+from .encoding import decode
 from .energy import MODE_IDLE, MODE_STANDBY, total_energy
 from .metrics import c_metric, hv, igd, normalize
+from .model import MAX_HORIZON
 from .optimizer import AlgorithmConfig, IterationStats, run
 from .pareto import nondominated
 
@@ -187,10 +188,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     wall = time.perf_counter() - started
 
     entries = sorted(result.archive.entries, key=lambda e: (e.cmax, e.tec))
-    matrices = build_message_matrix(inst)
     archive_docs = []
     for entry in entries:
-        sched = decode(inst, entry.chromosome, matrices)
+        sched = decode(inst, entry.chromosome)
         breakdown = total_energy(inst, sched)
         archive_docs.append(
             {
@@ -261,16 +261,25 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_number(value) -> bool:
-    return _is_int(value) or isinstance(value, float)
+def _is_finite(value) -> bool:
+    """Whether ``value`` is a number that converts to a finite float."""
+    try:
+        return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _int_rows(rows, keys: tuple[str, ...], what: str) -> list[dict]:
-    """``rows`` when it is a list of mappings with integer ``keys``."""
+    """``rows`` when it is a list of mappings with integer ``keys`` in
+    -``MAX_HORIZON``..``MAX_HORIZON``."""
     if not isinstance(rows, list) or not all(
-        isinstance(r, dict) and all(_is_int(r.get(k)) for k in keys) for r in rows
+        isinstance(r, dict) and all(_is_int(r.get(k)) and abs(r[k]) <= MAX_HORIZON for k in keys)
+        for r in rows
     ):
-        raise ValueError(f"{what} must be a list of mappings with integer {', '.join(keys)}")
+        raise ValueError(
+            f"{what} must be a list of mappings with integer {', '.join(keys)} "
+            "of at most 2**53 in magnitude"
+        )
     return rows
 
 
@@ -282,7 +291,7 @@ def _load_result(path: str) -> dict:
     if not _is_int(version) or version != RESULT_SCHEMA:
         raise ValueError(f"{path}: unsupported result schema")
     archive = _int_rows(doc.get("archive"), ("cmax",), f"{path}: archive")
-    if not all(_is_number(e.get("tec")) and math.isfinite(e["tec"]) for e in archive):
+    if not all(_is_finite(e.get("tec")) for e in archive):
         raise ValueError(f"{path}: archive: every entry needs a finite numeric tec")
     return doc
 

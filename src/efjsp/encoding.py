@@ -11,7 +11,8 @@ A solution is a pair of equal-length vectors:
 
 The message matrix of an operation lists its (machine, gear, duration)
 options as columns sorted by duration, ties broken by lower machine id
-and then lower gear, so column 1 is always a fastest option.
+and then lower gear, so column 1 is always a fastest option.  They are
+derived once per instance and kept on it (``ProblemInstance.matrices``).
 
 Decoding walks the os vector and inserts every operation into the first
 gap on its chosen machine that admits it, adding a setup row whenever the
@@ -97,7 +98,9 @@ class MessageMatrix:
 def build_message_matrix(
     inst: ProblemInstance,
 ) -> dict[tuple[int, int], MessageMatrix]:
-    """Message matrices for every operation, keyed by (job, op_index)."""
+    """Message matrices for every operation, keyed by (job, op_index) in
+    canonical order.  Built once per instance, as ``inst.matrices``, which
+    is what the decoder, the search and the oracle read."""
     out = {}
     for job in inst.jobs:
         for op in job.operations:
@@ -114,9 +117,7 @@ def build_message_matrix(
 
 def canonical_order(inst: ProblemInstance) -> tuple[tuple[int, int], ...]:
     """Operation keys in mv order: jobs ascending, op index ascending."""
-    return tuple(
-        (job.id, op.op_index) for job in inst.jobs for op in job.operations
-    )
+    return tuple(inst.matrices)
 
 
 def random_chromosome(inst: ProblemInstance, rng: random.Random) -> Chromosome:
@@ -132,11 +133,7 @@ def random_chromosome(inst: ProblemInstance, rng: random.Random) -> Chromosome:
 
 
 def heuristic_chromosome(
-    inst: ProblemInstance,
-    rule: str,
-    mode: str,
-    rng: random.Random,
-    matrices: dict[tuple[int, int], MessageMatrix] | None = None,
+    inst: ProblemInstance, rule: str, mode: str, rng: random.Random
 ) -> Chromosome:
     """Rule-guided chromosome: random os, greedy mv.
 
@@ -150,13 +147,10 @@ def heuristic_chromosome(
         raise ValueError(f"unknown rule {rule!r}")
     if mode not in (MODE_TOTAL, MODE_PARTIAL):
         raise ValueError(f"unknown mode {mode!r}")
-    if matrices is None:
-        matrices = build_message_matrix(inst)
     os = [job.id for job in inst.jobs for _ in job.operations]
     rng.shuffle(os)
     mv = []
-    for key in canonical_order(inst):
-        mm = matrices[key]
+    for mm in inst.matrices.values():
         if rule == RULE_MIN_TIME:
             ranked = list(range(1, len(mm) + 1))
         else:
@@ -213,7 +207,6 @@ _EMPTY = (0, 0, PROCESS, 0, 0, 0)
 def _place(
     inst: ProblemInstance,
     chrom: Chromosome,
-    matrices: dict[tuple[int, int], MessageMatrix],
     rows: list[ScheduledRow] | None = None,
     state: PlacementState | None = None,
     lo: int = 0,
@@ -241,6 +234,7 @@ def _place(
         segs, next_op, job_ready = state
         os = chrom.os[lo:hi]
     mv = chrom.mv
+    matrices = inst.matrices
 
     for job_id in os:
         j = job_id - 1
@@ -309,7 +303,6 @@ def _place(
 def decode(
     inst: ProblemInstance,
     chrom: Chromosome,
-    matrices: dict[tuple[int, int], MessageMatrix] | None = None,
     *,
     base: Checkpoints | None = None,
     first: int = 0,
@@ -341,18 +334,16 @@ def decode(
     if base is not None:
         base.advance(chrom, first)
         return ScheduleTable(tuple(base.rows), inst)
-    if matrices is None:
-        matrices = build_message_matrix(inst)
     _check_chromosome(inst, chrom)
     rows: list[ScheduledRow] = []
-    _place(inst, chrom, matrices, rows)
+    _place(inst, chrom, rows)
     return ScheduleTable(tuple(rows), inst)
 
 
 def evaluate(
     inst: ProblemInstance,
     chrom: Chromosome,
-    matrices: dict[tuple[int, int], MessageMatrix] | None = None,
+    _matrices: object = None,
     *,
     base: Checkpoints | None = None,
     first: int = 0,
@@ -367,18 +358,19 @@ def evaluate(
     ``base`` prices a chromosome made from a checked one, from that
     one's ``Checkpoints``: the os entries ahead of position ``first``,
     and the mv columns of the operations they place, must be the
-    base's.  The chromosome is then not checked, the base's matrices
-    are used, and placement resumes from the last checkpoint at or
-    before ``first``.  The result is the same.
+    base's.  The chromosome is then not checked, and placement resumes
+    from the last checkpoint at or before ``first``.  The result is the
+    same.
+
+    ``_matrices`` is a no-op kept so that existing calls passing the
+    message matrices still run; they are read off ``inst.matrices``.
     """
     if base is None:
-        if matrices is None:
-            matrices = build_message_matrix(inst)
         _check_chromosome(inst, chrom)
-        timelines = _place(inst, chrom, matrices)
+        timelines = _place(inst, chrom)
     else:
         c = first // base.every
-        timelines = _place(inst, chrom, base.matrices, None, _copy(base.saved[c]), c * base.every)
+        timelines = _place(inst, chrom, None, _copy(base.saved[c]), c * base.every)
     cmax, ie1, ie2, se1, se2, ise = account(inst, timelines)
     if cmax < 0:
         raise ValueError("schedule has no process rows")
@@ -400,18 +392,14 @@ class Checkpoints:
     ``every`` being the ceiling of the square root of the operation
     count; ``counts`` holds the number of schedule rows placed ahead of
     each copy.  ``timelines`` are the chromosome's own, time-ordered per
-    machine, and ``rows`` its schedule rows in os order.  Raises
+    machine, and ``rows`` its schedule rows in os order.  Placement reads
+    the instance's own message matrices (``inst.matrices``).  Raises
     ChromosomeError on a malformed chromosome.
     """
 
-    def __init__(
-        self,
-        inst: ProblemInstance,
-        chrom: Chromosome,
-        matrices: dict[tuple[int, int], MessageMatrix],
-    ):
+    def __init__(self, inst: ProblemInstance, chrom: Chromosome):
         _check_chromosome(inst, chrom)
-        self.inst, self.matrices = inst, matrices
+        self.inst = inst
         self.every = math.isqrt(max(len(chrom.os), 1) - 1) + 1
         self.saved: list[PlacementState] = [
             ([[] for _ in inst.machines], [1] * len(inst.jobs), [0] * len(inst.jobs))
@@ -433,7 +421,7 @@ class Checkpoints:
         state = _copy(self.saved[c])
         d = len(chrom.os)
         for lo in range(c * every, d, every):
-            _place(self.inst, chrom, self.matrices, self.rows, state, lo, lo + every)
+            _place(self.inst, chrom, self.rows, state, lo, lo + every)
             if lo + every < d:
                 self.saved.append(_copy(state))
                 self.counts.append(len(self.rows))

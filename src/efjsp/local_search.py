@@ -33,7 +33,9 @@ neighbour moves the checkpoints on from that same position
 call: a neighbour drawn again takes the objectives kept for it, yet
 still counts against the budget and is still returned among the visited
 ones, so the draws, the stop point and the archive feed are those of
-pricing every draw.  Nothing is kept from one call to the next.
+pricing every draw.  Nothing is kept from one call to the next; the
+message matrices the structures read are the instance's own
+(``ProblemInstance.matrices``), derived once per instance.
 """
 
 from __future__ import annotations
@@ -42,13 +44,7 @@ import itertools
 import random
 from functools import cached_property
 
-from .encoding import (
-    Checkpoints,
-    Chromosome,
-    MessageMatrix,
-    build_message_matrix,
-    evaluate,
-)
+from .encoding import Checkpoints, Chromosome, evaluate
 from .model import PROCESS, SETUP, ProblemInstance, ScheduleTable, Segment, machine_timelines
 from .pareto import dominates
 
@@ -106,14 +102,8 @@ class _View:
     operation and, once n3 asks for them, the busiest machine's
     operations in os order."""
 
-    def __init__(
-        self,
-        inst: ProblemInstance,
-        chrom: Chromosome,
-        timelines: list[list[Segment]],
-        matrices: dict[tuple[int, int], MessageMatrix],
-    ):
-        self.chrom, self.timelines, self.matrices = chrom, timelines, matrices
+    def __init__(self, inst: ProblemInstance, chrom: Chromosome, timelines: list[list[Segment]]):
+        self.chrom, self.timelines, self.matrices = chrom, timelines, inst.matrices
         self.path = critical_path(inst, None, timelines)
         nth = {job.id: itertools.count(1) for job in inst.jobs}
         self.os_index = {(job, next(nth[job])): i for i, job in enumerate(chrom.os)}
@@ -174,7 +164,6 @@ def neighbor(
     inst: ProblemInstance,
     sched: ScheduleTable,
     rng: random.Random,
-    matrices: dict[tuple[int, int], MessageMatrix] | None = None,
 ) -> Chromosome | None:
     """One random neighbour under the given structure, or None.
 
@@ -184,9 +173,7 @@ def neighbor(
     """
     if structure not in STRUCTURES:
         raise ValueError(f"unknown neighbourhood structure {structure!r}")
-    if matrices is None:
-        matrices = build_message_matrix(inst)
-    drawn = _View(inst, chrom, machine_timelines(inst, sched), matrices).draw(structure, rng)
+    drawn = _View(inst, chrom, machine_timelines(inst, sched)).draw(structure, rng)
     return None if drawn is None else drawn[0]
 
 
@@ -196,7 +183,6 @@ def vns(
     inst: ProblemInstance,
     rng: random.Random,
     budget: int = 20,
-    matrices: dict[tuple[int, int], MessageMatrix] | None = None,
 ) -> tuple[Chromosome, tuple[int, float], list[tuple[Chromosome, tuple[int, float]]]]:
     """Variable neighbourhood descent from one solution.
 
@@ -204,8 +190,6 @@ def vns(
     objectives, and every drawn neighbour with its objectives, repeats
     included and in draw order, for archive feeding.
     """
-    if matrices is None:
-        matrices = build_message_matrix(inst)
     visited: list[tuple[Chromosome, tuple[int, float]]] = []
     if budget <= 0:
         return chrom, objectives, visited
@@ -214,8 +198,8 @@ def vns(
     spent = 0
     priced: dict[Chromosome, tuple[int, float]] = {}  # this call's neighbours only
     current, cur_obj = chrom, objectives
-    base = Checkpoints(inst, current, matrices)
-    view = _View(inst, current, base.timelines, matrices)
+    base = Checkpoints(inst, current)
+    view = _View(inst, current, base.timelines)
     k = 0
     while k < len(STRUCTURES) and spent < cap:
         improved = False
@@ -234,7 +218,7 @@ def vns(
             if dominates(obj, cur_obj):
                 current, cur_obj = nb, obj
                 base.advance(current, first)
-                view = _View(inst, current, base.timelines, matrices)
+                view = _View(inst, current, base.timelines)
                 improved = True
                 break
         k = 0 if improved else k + 1

@@ -17,7 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from functools import cached_property
+from typing import TYPE_CHECKING, Iterator, NamedTuple
+
+if TYPE_CHECKING:
+    from .encoding import MessageMatrix
 
 
 @dataclass(frozen=True)
@@ -88,6 +92,13 @@ class ProblemInstance:
     @property
     def total_operations(self) -> int:
         return sum(len(j.operations) for j in self.jobs)
+
+    @cached_property
+    def matrices(self) -> dict[tuple[int, int], MessageMatrix]:
+        """``encoding.build_message_matrix(self)``, built on first use and kept
+        (equality and hashing still read only the three fields)."""
+        from .encoding import build_message_matrix  # encoding imports this module
+        return build_message_matrix(self)
 
 
 class ScheduledRow(NamedTuple):

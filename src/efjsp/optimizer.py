@@ -30,7 +30,6 @@ from .encoding import (
     RULE_MIN_ENERGY,
     RULE_MIN_TIME,
     Chromosome,
-    build_message_matrix,
     canonical_order,
     evaluate,
     heuristic_chromosome,
@@ -99,10 +98,7 @@ class RunResult:
 
 
 def initialize_population(
-    inst: ProblemInstance,
-    cfg: AlgorithmConfig,
-    rng: random.Random,
-    matrices=None,
+    inst: ProblemInstance, cfg: AlgorithmConfig, rng: random.Random
 ) -> list[Particle]:
     """Seed the swarm: 40% time-greedy, 40% energy-greedy, rest random.
 
@@ -111,8 +107,6 @@ def initialize_population(
     hybrid seeding disabled the whole population is random.  Every
     particle starts with itself as personal best.
     """
-    if matrices is None:
-        matrices = build_message_matrix(inst)
     n = cfg.population
     if cfg.disable_hybrid_init:
         n1 = n2 = 0
@@ -122,12 +116,12 @@ def initialize_population(
     for rule, count in ((RULE_MIN_TIME, n1), (RULE_MIN_ENERGY, n2)):
         for k in range(count):
             mode = MODE_TOTAL if k == 0 else MODE_PARTIAL
-            chroms.append(heuristic_chromosome(inst, rule, mode, rng, matrices))
+            chroms.append(heuristic_chromosome(inst, rule, mode, rng))
     while len(chroms) < n:
         chroms.append(random_chromosome(inst, rng))
     particles = []
     for ch in chroms:
-        obj = evaluate(inst, ch, matrices)
+        obj = evaluate(inst, ch)
         particles.append(Particle(ch, obj, ch, obj))
     return particles
 
@@ -241,18 +235,15 @@ def weighted_fusion(
     p3: Chromosome,
     weights: tuple[float, float, float],
     rng: random.Random,
-    order: tuple[tuple[int, int], ...] | None = None,
 ) -> Chromosome:
     """Three-parent fusion over a random weight-proportional job partition."""
-    if order is None:
-        order = canonical_order(inst)
     jobs = [job.id for job in inst.jobs]
     n1, n2, _ = subset_sizes(*weights, len(jobs))
     shuffled = rng.sample(jobs, len(jobs))
     s1 = set(shuffled[:n1])
     s2 = set(shuffled[n1 : n1 + n2])
     s3 = set(shuffled[n1 + n2 :])
-    return fuse_parents(order, p1, p2, p3, s1, s2, s3)
+    return fuse_parents(canonical_order(inst), p1, p2, p3, s1, s2, s3)
 
 
 def inertia_weight(iteration: int, max_iter: int) -> float:
@@ -284,7 +275,6 @@ def update_position(
     cfg: AlgorithmConfig,
     rng: random.Random,
     inst: ProblemInstance,
-    order: tuple[tuple[int, int], ...] | None = None,
 ) -> tuple[Chromosome, Chromosome]:
     """One particle move: returns (rotated position, fused candidate).
 
@@ -298,7 +288,7 @@ def update_position(
     r1 = rng.random()
     r2 = rng.random()
     candidate = weighted_fusion(
-        inst, rotated, exemplar, gbest, (w, c1 * r1, c2 * r2), rng, order
+        inst, rotated, exemplar, gbest, (w, c1 * r1, c2 * r2), rng
     )
     return rotated, candidate
 
@@ -332,9 +322,7 @@ def run(
     entry as soon as the iteration ends.
     """
     rng = random.Random(cfg.seed)
-    matrices = build_message_matrix(inst)
-    order = canonical_order(inst)
-    particles = initialize_population(inst, cfg, rng, matrices)
+    particles = initialize_population(inst, cfg, rng)
     archive = ParetoArchive(cfg.archive_capacity)
     for p in particles:
         archive.add(p.position, p.objectives)
@@ -352,9 +340,9 @@ def run(
                 exemplar = de_crossover(mutant, part.pbest, cfg.crossover_rate, rng)
             gbest = archive.sample(rng).chromosome
             moves = update_position(
-                part.position, exemplar, gbest, it, cfg, rng, inst, order
+                part.position, exemplar, gbest, it, cfg, rng, inst
             )
-            rotated, candidate = [(ch, evaluate(inst, ch, matrices)) for ch in moves]
+            rotated, candidate = [(ch, evaluate(inst, ch)) for ch in moves]
             evaluated += (rotated, candidate)
             part.position, part.objectives = select(rotated, candidate)
 
@@ -364,7 +352,7 @@ def run(
                 part = particles[i]
                 part.position, part.objectives, visited = _local.vns(
                     part.position, part.objectives, inst,
-                    random.Random(rng.getrandbits(64)), cfg.vns_budget, matrices,
+                    random.Random(rng.getrandbits(64)), cfg.vns_budget,
                 )
                 evaluated += visited
 

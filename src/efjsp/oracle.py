@@ -24,14 +24,7 @@ from itertools import count, product
 from math import factorial
 from typing import Iterator
 
-from .encoding import (
-    Checkpoints,
-    Chromosome,
-    build_message_matrix,
-    canonical_order,
-    decode,
-    evaluate,
-)
+from .encoding import Checkpoints, Chromosome, decode, evaluate
 from .model import ProblemInstance, ScheduledRow
 
 DEFAULT_MAX_POINTS = 10_000_000
@@ -156,18 +149,16 @@ def enumerate_front(
     size = search_space_size(inst)
     if size > max_points:
         raise SearchSpaceError(size, max_points)
-    matrices = build_message_matrix(inst)
-    order = canonical_order(inst)
-    widths = [range(1, len(matrices[key]) + 1) for key in order]
+    widths = [range(1, len(mm) + 1) for mm in inst.matrices.values()]
     jobs = [job.id for job in inst.jobs for _ in job.operations]
-    base = Checkpoints(inst, Chromosome(tuple(jobs), tuple(1 for _ in order)), matrices)
+    base = Checkpoints(inst, Chromosome(tuple(jobs), tuple(1 for _ in jobs)))
 
     front: list[tuple[int, float, Chromosome]] = []
     for os_perm in _distinct_permutations(jobs):
         # resume[k]: the earliest os position of canonical operations k on
         nth = {job.id: count(1) for job in inst.jobs}
         at = {(job, next(nth[job])): i for i, job in enumerate(os_perm)}
-        resume = [at[key] for key in order]
+        resume = [at[key] for key in inst.matrices]
         for k in range(len(resume) - 2, -1, -1):
             resume[k] = min(resume[k], resume[k + 1])
         prev = None
@@ -211,9 +202,8 @@ def cross_check(
     True when both agree on the makespan exactly and on total energy to
     the given relative tolerance.
     """
-    matrices = build_message_matrix(inst)
-    sched = decode(inst, chrom, matrices)
-    c1, t1 = evaluate(inst, chrom, matrices)
+    sched = decode(inst, chrom)
+    c1, t1 = evaluate(inst, chrom)
     c2, t2 = independent_objectives(inst, sched.rows)
     if c1 != c2:
         return False

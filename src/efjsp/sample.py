@@ -13,7 +13,7 @@ J1, J2, J2, J2, J2, J1 on the machines and gears that give a makespan of
 
 from __future__ import annotations
 
-from .encoding import Chromosome, build_message_matrix
+from .encoding import Chromosome
 from .model import (
     JobSpec,
     Machine,
@@ -83,7 +83,6 @@ def sample_chromosome(inst: ProblemInstance | None = None) -> Chromosome:
     """
     if inst is None:
         inst = sample_instance()
-    matrices = build_message_matrix(inst)
     picks = {
         (1, 1): (1, 3),
         (1, 2): (1, 3),
@@ -93,7 +92,7 @@ def sample_chromosome(inst: ProblemInstance | None = None) -> Chromosome:
         (2, 4): (2, 3),
     }
     mv = tuple(
-        matrices[key].column_for(*picks[key])
+        inst.matrices[key].column_for(*picks[key])
         for key in sorted(picks)
     )
     return Chromosome(os=(1, 2, 2, 2, 2, 1), mv=mv)

@@ -19,7 +19,7 @@ from contextlib import contextmanager
 
 from efjsp.benchmark import extend_instance, load_document, random_base, write_base
 from efjsp.cli import main
-from efjsp.encoding import build_message_matrix, decode, random_chromosome
+from efjsp.encoding import decode, random_chromosome
 from efjsp.energy import MODE_IDLE, MODE_STANDBY, interval_energy, total_energy
 from efjsp.metrics import c_metric, hv, igd, normalize
 from efjsp.model import IdleIntervalRecord, makespan, validate_schedule
@@ -87,14 +87,14 @@ def test_interval_choice_golden_arithmetic(capsys, inst):
         assert elapsed < 1e-3
 
 
-def test_worked_sample_decode(capsys, inst, chrom, matrices):
+def test_worked_sample_decode(capsys, inst, chrom):
     with _verdict(capsys, "worked-sample decode"):
-        sched = decode(inst, chrom, matrices)
+        sched = decode(inst, chrom)
         report = validate_schedule(inst, sched)
         assert report.ok, str(report)
         assert makespan(sched) == 21
         assert total_energy(inst, sched).interval == 53.0
-        elapsed = _best_time(lambda: decode(inst, chrom, matrices))
+        elapsed = _best_time(lambda: decode(inst, chrom))
         assert elapsed < 1e-3
 
 
@@ -124,10 +124,9 @@ def test_random_chromosome_feasibility_and_energy_agreement(capsys, inst):
     with _verdict(capsys, "random-chromosome feasibility and energy agreement"):
         for label, case_inst, seed in cases:
             rng = random.Random(seed)
-            case_matrices = build_message_matrix(case_inst)
             for _ in range(1000):
                 candidate = random_chromosome(case_inst, rng)
-                sched = decode(case_inst, candidate, case_matrices)
+                sched = decode(case_inst, candidate)
                 report = validate_schedule(case_inst, sched)
                 assert report.ok, f"{label}: {report}"
                 assert cross_check(case_inst, candidate, rel_tol=1e-9), label

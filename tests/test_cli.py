@@ -242,6 +242,70 @@ def test_durations_beyond_the_horizon_bound_are_one_line_errors(tmp_path, capsys
     assert not out.exists()
 
 
+_BIG = 10**399  # 400 digits: float() of it raises OverflowError
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda m: m.update(setup_power=_BIG), "setup_power"),
+        (lambda m: m["process_power"].__setitem__(1, -_BIG), "process_power"),
+        (lambda m: m["idle_power"].__setitem__(0, _BIG), "idle_power"),
+        (lambda m: m.update(standby_power=_BIG), "standby_power"),
+        (lambda m: m["switch"][0].__setitem__(1, _BIG), "switch"),
+        (lambda m: m["turn_on"].__setitem__(2, _BIG), "turn_on"),
+    ],
+    ids=["setup", "process", "idle", "standby", "switch", "turn-on"],
+)
+def test_solve_refuses_a_power_too_large_for_a_float(tmp_path, instance_file, capsys, edit, field):
+    doc = load_document(instance_file.read_text())
+    edit(doc["machines"][-1])
+    broken = tmp_path / "broken.yaml"
+    broken.write_text(dump_document(doc))
+    out = tmp_path / "result.yaml"
+    assert _solve(broken, out) == 1
+    _assert_one_line_error(capsys, f"machine {len(doc['machines'])} {field}", "too large")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, edit, message",
+    [
+        ("metrics", lambda e: e.update(tec=_BIG), "finite numeric tec"),
+        ("gantt", lambda e: e.update(tec=-_BIG), "finite numeric tec"),
+        ("metrics", lambda e: e.update(cmax=_BIG), "integer cmax of at most 2**53"),
+        ("metrics", lambda e: e.update(cmax=-_BIG), "integer cmax of at most 2**53"),
+        ("gantt", lambda e: e.update(cmax=_BIG), "integer cmax of at most 2**53"),
+        ("gantt", lambda e: e["schedule"][0].update(start=_BIG), "schedule must be"),
+        ("gantt", lambda e: e["schedule"][0].update(end=2**53 + 1), "schedule must be"),
+    ],
+    ids=[
+        "metrics-tec", "gantt-neg-tec", "metrics-cmax", "metrics-neg-cmax", "gantt-cmax",
+        "gantt-start", "gantt-end-past-2-53",
+    ],
+)
+def test_result_integers_too_large_for_a_float_are_one_line_errors(
+    tmp_path, instance_file, capsys, command, edit, message
+):
+    result = tmp_path / "result.yaml"
+    assert _solve(instance_file, result) == 0
+    doc = load_document(result.read_text())
+    edit(doc["archive"][0])
+    result.write_text(dump_document(doc))
+    capsys.readouterr()
+    prefix = tmp_path / "chart"
+    extra = ["--out", str(prefix)] if command == "gantt" else []
+    assert main([command, str(result), *extra]) == 1
+    _assert_one_line_error(capsys, str(result), message)
+    assert not list(tmp_path.glob("chart.*"))
+
+
+def test_solve_derives_the_message_matrices_once(tmp_path, instance_file, matrix_builds):
+    # one build, in ``run``, serves the solve and the archive's breakdowns
+    assert _solve(instance_file, tmp_path / "result.yaml") == 0
+    assert len(matrix_builds) == 1
+
+
 def test_solve_refuses_malformed_yaml(tmp_path, instance_file, capsys):
     broken = tmp_path / "broken.yaml"
     broken.write_text(instance_file.read_text() + "jobs: [unclosed\n")

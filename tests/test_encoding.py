@@ -7,6 +7,7 @@ from collections import Counter
 
 import pytest
 
+from efjsp.benchmark import extend_instance, random_base, read_instance, write_instance
 from efjsp.encoding import (
     MODE_PARTIAL,
     MODE_TOTAL,
@@ -36,6 +37,16 @@ def test_canonical_order(inst):
     assert canonical_order(inst) == (
         (1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (2, 4),
     )
+
+
+def test_derived_matrices_leave_equality_and_hashing_alone():
+    inst = extend_instance(random_base(3, 2, seed=5), seed=5)
+    assert inst.matrices is inst.matrices
+    assert inst.matrices == build_message_matrix(inst)
+    copy = read_instance(write_instance(inst))
+    assert "matrices" in vars(inst) and "matrices" not in vars(copy)
+    assert inst == copy
+    assert hash(inst) == hash(copy)
 
 
 def test_message_matrix_of_flexible_operation(matrices):
@@ -124,24 +135,24 @@ def test_total_greedy_min_time(inst):
     assert ch.mv == (1, 1, 1, 1, 1, 1)
 
 
-def test_partial_greedy_uses_top_two_columns(inst, matrices):
+def test_partial_greedy_uses_top_two_columns(inst):
     rng = random.Random(3)
     seen = set()
     for _ in range(200):
-        ch = heuristic_chromosome(inst, RULE_MIN_TIME, MODE_PARTIAL, rng, matrices)
+        ch = heuristic_chromosome(inst, RULE_MIN_TIME, MODE_PARTIAL, rng)
         seen.update((pos, col) for pos, col in enumerate(ch.mv))
     # O22 (position 3) alternates between its two fastest columns only
     cols = {col for pos, col in seen if pos == 3}
     assert cols == {1, 2}
 
 
-def test_partial_min_energy_offers_slow_gear(inst, matrices):
+def test_partial_min_energy_offers_slow_gear(inst):
     # O24 runs 3 units at gear 3 or 9 units at gear 1 for the same
     # processing energy, so the energy rule's top two include the slow column
     rng = random.Random(4)
     cols = set()
     for _ in range(200):
-        ch = heuristic_chromosome(inst, RULE_MIN_ENERGY, MODE_PARTIAL, rng, matrices)
+        ch = heuristic_chromosome(inst, RULE_MIN_ENERGY, MODE_PARTIAL, rng)
         cols.add(ch.mv[5])
     assert cols == {1, 3}
 

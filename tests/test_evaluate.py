@@ -222,15 +222,15 @@ def test_bisected_scan_places_like_the_linear_scan(problem):
     want_rows: list[ScheduledRow] = []
     want = _linear_place(inst, chrom, matrices, want_rows)
     got_rows: list[ScheduledRow] = []
-    assert _place(inst, chrom, matrices, got_rows) == want
+    assert _place(inst, chrom, got_rows) == want
     assert got_rows == want_rows
-    assert list(decode(inst, chrom, matrices).rows) == want_rows
+    assert list(decode(inst, chrom).rows) == want_rows
     # resuming from every checkpoint finishes the same placement
-    base = Checkpoints(inst, chrom, matrices)
+    base = Checkpoints(inst, chrom)
     assert base.timelines == want
     for c, saved in enumerate(base.saved):
         lo = c * base.every
-        assert _place(inst, chrom, matrices, None, _copy(saved), lo) == want
+        assert _place(inst, chrom, None, _copy(saved), lo) == want
 
 
 def _exact(objectives) -> tuple[str, str]:
@@ -242,11 +242,10 @@ def _exact(objectives) -> tuple[str, str]:
 @given(shapes, st.integers(0, 2**32 - 1))
 def test_vns_view_prices_every_neighbour_like_evaluate(problem, seed):
     inst, chrom = problem
-    matrices = build_message_matrix(inst)
-    base = Checkpoints(inst, chrom, matrices)
-    view = _View(inst, chrom, base.timelines, matrices)
-    assert view.path == critical_path(inst, decode(inst, chrom, matrices))
-    want = _exact(evaluate(inst, chrom, matrices))
+    base = Checkpoints(inst, chrom)
+    view = _View(inst, chrom, base.timelines)
+    assert view.path == critical_path(inst, decode(inst, chrom))
+    want = _exact(evaluate(inst, chrom))
     # the base itself, resumed at every position: all timelines equal
     for first in range(len(chrom.os)):
         assert _exact(evaluate(inst, chrom, base=base, first=first)) == want
@@ -258,7 +257,7 @@ def test_vns_view_prices_every_neighbour_like_evaluate(problem, seed):
         nb, first = drawn
         assert nb.os[:first] == chrom.os[:first]
         assert _exact(evaluate(inst, nb, base=base, first=first)) == _exact(
-            evaluate(inst, nb, matrices)
+            evaluate(inst, nb)
         )
 
 
@@ -282,12 +281,11 @@ def _vary_from(matrices, chrom, first, rng):
 @given(shapes, st.integers(0, 2**32 - 1))
 def test_decode_from_checkpoints_follows_a_chain_like_a_fresh_decode(problem, seed):
     inst, chrom = problem
-    matrices = build_message_matrix(inst)
-    base = Checkpoints(inst, chrom, matrices)
+    base = Checkpoints(inst, chrom)
     rng = random.Random(seed)
     for _ in range(8):
         first = rng.randrange(len(chrom.os))
-        chrom = _vary_from(matrices, chrom, first, rng)
+        chrom = _vary_from(inst.matrices, chrom, first, rng)
         got = decode(inst, chrom, base=base, first=first)
-        assert got.rows == decode(inst, chrom, matrices).rows
-        assert base.timelines == Checkpoints(inst, chrom, matrices).timelines
+        assert got.rows == decode(inst, chrom).rows
+        assert base.timelines == Checkpoints(inst, chrom).timelines

@@ -65,7 +65,7 @@ def test_n1_moves_a_critical_operation_to_another_machine(inst, chrom, sched):
     path = critical_path(inst, sched)
     matrices = build_message_matrix(inst)
     for _ in range(20):
-        out = neighbor(chrom, "n1", inst, sched, rng, matrices)
+        out = neighbor(chrom, "n1", inst, sched, rng)
         assert out is not None
         changed = [
             p for p, (a, b) in enumerate(zip(chrom.mv, out.mv)) if a != b
@@ -92,7 +92,7 @@ def test_n3_unloads_the_busiest_machine(inst, chrom, sched):
     rng = random.Random(2)
     moved_from = set()
     for _ in range(30):
-        out = neighbor(chrom, "n3", inst, sched, rng, matrices)
+        out = neighbor(chrom, "n3", inst, sched, rng)
         assert out is not None
         pos = next(
             p for p, (a, b) in enumerate(zip(chrom.mv, out.mv)) if a != b
@@ -224,19 +224,18 @@ def _digest(value) -> str:
 
 def vns_record(inst: ProblemInstance, chrom: Chromosome, seed: int) -> dict:
     """What one pinned call returns, as stored in the pin file."""
-    matrices = build_message_matrix(inst)
-    out, obj, visited = vns(chrom, evaluate(inst, chrom, matrices), inst, random.Random(seed), 20, matrices)
-    sched = decode(inst, chrom, matrices)
+    out, obj, visited = vns(chrom, evaluate(inst, chrom), inst, random.Random(seed), 20)
+    sched = decode(inst, chrom)
     return {
         "critical_path": [list(key) for key in critical_path(inst, sched)],
         "out": _chrom(out),
         "objectives": list(obj),
         "visited": len(visited),
         "visited_sha256": _digest([_chrom(ch) + list(o) for ch, o in visited]),
-        "out_critical_path": [list(key) for key in critical_path(inst, decode(inst, out, matrices))],
+        "out_critical_path": [list(key) for key in critical_path(inst, decode(inst, out))],
         "neighbors_sha256": _digest([
             None if nb is None else _chrom(nb)
-            for nb in (neighbor(chrom, s, inst, sched, random.Random(seed), matrices) for s in STRUCTURES)
+            for nb in (neighbor(chrom, s, inst, sched, random.Random(seed)) for s in STRUCTURES)
         ]),
     }
 
@@ -271,11 +270,10 @@ def test_vns_prices_each_distinct_neighbour_once_per_call(monkeypatch):
     pins = json.loads(VNS_PINS.read_text())["calls"]
     repeats = 0
     for (i, inst, chrom, seed), pin in zip(pinned_calls(), pins):
-        matrices = build_message_matrix(inst)
-        objectives = evaluate(inst, chrom, matrices)
+        objectives = evaluate(inst, chrom)
         priced.clear()
         drawn.clear()
-        _, _, visited = vns(chrom, objectives, inst, random.Random(seed), 20, matrices)
+        _, _, visited = vns(chrom, objectives, inst, random.Random(seed), 20)
         assert len(set(priced)) == len(priced), (i, seed)
         assert [nb for nb, _ in visited] == drawn, (i, seed)
         assert set(priced) == set(drawn)

@@ -124,6 +124,14 @@ def test_cross_check_sample(inst, chrom):
     assert cross_check(inst, chrom)
 
 
+def test_cross_check_derives_the_message_matrices_once_per_instance(matrix_builds):
+    inst = _tiny(2, 2, seed=3)
+    rng = random.Random(0)
+    for _ in range(2):
+        assert cross_check(inst, random_chromosome(inst, rng))
+    assert len(matrix_builds) == 1 and matrix_builds[0] is inst
+
+
 def test_cross_check_random_chromosomes(inst):
     rng = random.Random(17)
     for _ in range(100):
