@@ -38,7 +38,6 @@ from .model import (
     Machine,
     ProblemInstance,
     ScheduledRow,
-    ScheduleTable,
     idle_intervals,
     makespan,
     validate_instance,
@@ -59,7 +58,6 @@ __all__ = [
     "ParetoArchive",
     "ProblemInstance",
     "RunResult",
-    "ScheduleTable",
     "ScheduledRow",
     "build_message_matrix",
     "c_metric",

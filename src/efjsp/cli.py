@@ -134,7 +134,7 @@ def _config_from_args(args: argparse.Namespace) -> AlgorithmConfig:
         defaults = {f.name: f.default for f in fields(AlgorithmConfig)}
         unknown = set(doc) - set(defaults)
         if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+            raise ValueError(f"unknown config keys: {sorted(unknown, key=str)}")
         for key, value in doc.items():
             expected = type(defaults[key])
             allowed = (int, float) if expected is float else expected
@@ -226,7 +226,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
                         "start": r.start,
                         "end": r.end,
                     }
-                    for r in sched.rows
+                    for r in sched
                 ],
             }
         )

@@ -21,9 +21,9 @@ as late as possible, ending exactly at the process start, and may overlap
 the job's previous operation running elsewhere.
 
 Placement builds one time-ordered timeline per machine.  ``decode``
-returns it as a schedule table; ``evaluate`` prices it directly, reading
-the makespan and the total energy off one walk over those timelines
-(``energy.account``) without building the table.
+returns the schedule rows it placed, in os order; ``evaluate`` prices the
+timelines directly, reading the makespan and the total energy off one
+walk over them (``energy.account``) without collecting any rows.
 
 Segments on a timeline never overlap, so their start times never
 decrease and the gap scan can start by bisection: an operation that
@@ -47,7 +47,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .energy import account
-from .model import PROCESS, SETUP, ProblemInstance, ScheduledRow, ScheduleTable, Segment
+from .model import PROCESS, SETUP, ProblemInstance, ScheduledRow, Segment
 
 RULE_MIN_TIME = "min_time"
 RULE_MIN_ENERGY = "min_energy"
@@ -199,6 +199,12 @@ def _check_chromosome(inst: ProblemInstance, chrom: Chromosome) -> None:
 # next operation and the time each job's last placed operation ends.
 PlacementState = tuple[list[list[Segment]], list[int], list[int]]
 
+
+def _empty_state(inst: ProblemInstance) -> PlacementState:
+    """The state ahead of the first os position: nothing placed yet."""
+    return [[] for _ in inst.machines], [1] * len(inst.jobs), [0] * len(inst.jobs)
+
+
 # What the gap scan reads of the segment ahead of a machine's first one:
 # it ends at time 0 and serves no job.
 _EMPTY = (0, 0, PROCESS, 0, 0, 0)
@@ -207,32 +213,26 @@ _EMPTY = (0, 0, PROCESS, 0, 0, 0)
 def _place(
     inst: ProblemInstance,
     chrom: Chromosome,
-    rows: list[ScheduledRow] | None = None,
-    state: PlacementState | None = None,
+    rows: list[ScheduledRow] | None,
+    state: PlacementState,
     lo: int = 0,
     hi: int | None = None,
 ) -> list[list[Segment]]:
     """Earliest-gap placement of a checked chromosome.
 
-    Without a ``state``, places the whole chromosome on empty machines.
-    With one, places the operations at os positions ``lo:hi`` (to the
-    end by default) into it, updating it in place.  Returns the
-    timelines (see ``model.Segment``).  Appends the schedule rows to
-    ``rows``, in os order, when a list is given.
+    Places the operations at os positions ``lo:hi`` (all of them by
+    default) into ``state``, updating it in place; ``_empty_state`` is
+    the state of a fresh placement.  Returns the timelines (see
+    ``model.Segment``).  Appends the schedule rows to ``rows``, in os
+    order, when a list is given.
 
     The gap scan starts at the first segment that starts no earlier than
     ``ready + dur`` (see the module docstring), with the end and the job
     of the segment just ahead, as the scan from the front would have
     them there.
     """
-    if state is None:
-        segs: list[list[Segment]] = [[] for _ in inst.machines]
-        next_op = [1] * len(inst.jobs)
-        job_ready = [0] * len(inst.jobs)
-        os = chrom.os
-    else:
-        segs, next_op, job_ready = state
-        os = chrom.os[lo:hi]
+    segs, next_op, job_ready = state
+    os = chrom.os[lo:hi]
     mv = chrom.mv
     matrices = inst.matrices
 
@@ -306,8 +306,8 @@ def decode(
     *,
     base: Checkpoints | None = None,
     first: int = 0,
-) -> ScheduleTable:
-    """Decode a chromosome into a schedule by earliest-gap insertion.
+) -> tuple[ScheduledRow, ...]:
+    """Decode a chromosome into its schedule rows by earliest-gap insertion.
 
     Machines are scanned gap by gap in time order (ending with the open
     tail).  A gap admits the operation when the process start, which is
@@ -333,11 +333,11 @@ def decode(
     """
     if base is not None:
         base.advance(chrom, first)
-        return ScheduleTable(tuple(base.rows), inst)
+        return tuple(base.rows)
     _check_chromosome(inst, chrom)
     rows: list[ScheduledRow] = []
-    _place(inst, chrom, rows)
-    return ScheduleTable(tuple(rows), inst)
+    _place(inst, chrom, rows, _empty_state(inst))
+    return tuple(rows)
 
 
 def evaluate(
@@ -367,7 +367,7 @@ def evaluate(
     """
     if base is None:
         _check_chromosome(inst, chrom)
-        timelines = _place(inst, chrom)
+        timelines = _place(inst, chrom, None, _empty_state(inst))
     else:
         c = first // base.every
         timelines = _place(inst, chrom, None, _copy(base.saved[c]), c * base.every)
@@ -401,9 +401,7 @@ class Checkpoints:
         _check_chromosome(inst, chrom)
         self.inst = inst
         self.every = math.isqrt(max(len(chrom.os), 1) - 1) + 1
-        self.saved: list[PlacementState] = [
-            ([[] for _ in inst.machines], [1] * len(inst.jobs), [0] * len(inst.jobs))
-        ]
+        self.saved: list[PlacementState] = [_empty_state(inst)]
         self.counts = [0]
         self.rows: list[ScheduledRow] = []
         self.advance(chrom, 0)

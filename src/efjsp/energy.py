@@ -15,9 +15,9 @@ The cheaper choice is taken, ties going to waiting idle.
 
 All five parts come from one walk over per-machine timelines
 (``account``).  ``encoding.evaluate`` runs it on the decoder's own
-timelines to price a chromosome; ``total_energy`` runs it on the sorted
-rows of a schedule table and also keeps every interval decision, so the
-breakdown and the objective are the same sums.
+timelines to price a chromosome; ``total_energy`` runs it on a
+schedule's rows, sorted per machine, and also keeps every interval
+decision, so the breakdown and the objective are the same sums.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .model import (
     IdleIntervalRecord,
     Machine,
     ProblemInstance,
-    ScheduleTable,
+    ScheduledRow,
     Segment,
     is_continuous,
     machine_timelines,
@@ -173,7 +173,7 @@ def account(
     return cmax, ie1, ie2, se1, se2, ise
 
 
-def total_energy(inst: ProblemInstance, sched: ScheduleTable) -> EnergyBreakdown:
+def total_energy(inst: ProblemInstance, sched: tuple[ScheduledRow, ...]) -> EnergyBreakdown:
     """Full energy breakdown of a schedule.
 
     ``tec`` is the exact sum of the five components, added in the same

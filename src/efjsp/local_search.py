@@ -2,9 +2,9 @@
 
 The search reads each solution off its machine timelines: in ``vns`` the
 decoder's own, time-ordered as placed (``encoding.Checkpoints``), so no
-schedule table is built or sorted; ``neighbor``, and ``critical_path``
-unless it is given timelines, read a given table's
-(``model.machine_timelines``).  The critical path
+schedule rows are collected or sorted; ``neighbor``, and
+``critical_path`` unless it is given timelines, sort a given schedule's
+rows into them (``model.machine_timelines``).  The critical path
 folds every setup into the process segment it serves and walks
 backwards from the latest completion, always stepping to the
 later-completing of the job predecessor and the machine predecessor (the
@@ -45,7 +45,7 @@ import random
 from functools import cached_property
 
 from .encoding import Checkpoints, Chromosome, evaluate
-from .model import PROCESS, SETUP, ProblemInstance, ScheduleTable, Segment, machine_timelines
+from .model import PROCESS, SETUP, ProblemInstance, ScheduledRow, Segment, machine_timelines
 from .pareto import dominates
 
 STRUCTURES = ("n1", "n2", "n3")
@@ -56,7 +56,7 @@ _TOTAL_BUDGET_FACTOR = 10
 
 def critical_path(
     inst: ProblemInstance,
-    sched: ScheduleTable | None,
+    sched: tuple[ScheduledRow, ...] | None,
     timelines: list[list[Segment]] | None = None,
 ) -> list[tuple[int, int]]:
     """Operations on one critical chain, in processing order.
@@ -162,7 +162,7 @@ def neighbor(
     chrom: Chromosome,
     structure: str,
     inst: ProblemInstance,
-    sched: ScheduleTable,
+    sched: tuple[ScheduledRow, ...],
     rng: random.Random,
 ) -> Chromosome | None:
     """One random neighbour under the given structure, or None.

@@ -105,7 +105,8 @@ class ScheduledRow(NamedTuple):
     """One occupied span on a machine.
 
     ``op_index`` 0 marks a setup row (``speed`` is 0 there); process rows
-    carry the operation's 1-based index and its chosen gear.
+    carry the operation's 1-based index and its chosen gear.  A schedule
+    is a tuple of these rows (``encoding.decode`` lists them in os order).
     """
 
     job: int
@@ -124,14 +125,6 @@ class ScheduledRow(NamedTuple):
         return self.end - self.start
 
 
-@dataclass(frozen=True)
-class ScheduleTable:
-    """A full schedule: setup and process rows plus the instance they serve."""
-
-    rows: tuple[ScheduledRow, ...]
-    instance: ProblemInstance
-
-
 # A machine timeline lists the machine's rows as plain tuples
 # (start, end, kind, job, op_index, speed) in time order, every setup
 # directly ahead of the process row it serves.  The decoder builds one
@@ -145,14 +138,16 @@ def _segment(r: ScheduledRow) -> Segment:
     return (r.start, r.end, SETUP if r.is_setup else PROCESS, r.job, r.op_index, r.speed)
 
 
-def machine_timelines(inst: ProblemInstance, sched: ScheduleTable) -> list[list[Segment]]:
+def machine_timelines(
+    inst: ProblemInstance, sched: tuple[ScheduledRow, ...]
+) -> list[list[Segment]]:
     """Timelines of all machines, indexed by machine id - 1.
 
     The rows are grouped by machine and each group is sorted once.
     Raises ValueError on a row whose machine id is not in the instance.
     """
     out: list[list[Segment]] = [[] for _ in inst.machines]
-    for r in sched.rows:
+    for r in sched:
         if not 1 <= r.machine <= len(out):
             raise ValueError(f"row {r} names unknown machine {r.machine}")
         out[r.machine - 1].append(_segment(r))
@@ -331,25 +326,25 @@ def validate_instance(inst: ProblemInstance) -> ValidationReport:
     return report
 
 
-def process_rows(sched: ScheduleTable, machine_id: int) -> list[ScheduledRow]:
+def process_rows(sched: tuple[ScheduledRow, ...], machine_id: int) -> list[ScheduledRow]:
     """Process rows on one machine, ordered by start time."""
-    rows = [r for r in sched.rows if r.machine == machine_id and not r.is_setup]
+    rows = [r for r in sched if r.machine == machine_id and not r.is_setup]
     rows.sort(key=lambda r: (r.start, r.end))
     return rows
 
 
-def setup_rows(sched: ScheduleTable, machine_id: int) -> list[ScheduledRow]:
+def setup_rows(sched: tuple[ScheduledRow, ...], machine_id: int) -> list[ScheduledRow]:
     """Setup rows on one machine, ordered by start time."""
-    rows = [r for r in sched.rows if r.machine == machine_id and r.is_setup]
+    rows = [r for r in sched if r.machine == machine_id and r.is_setup]
     rows.sort(key=lambda r: (r.start, r.end))
     return rows
 
 
 def _process_pairs(
-    sched: ScheduleTable, machine_id: int
+    sched: tuple[ScheduledRow, ...], machine_id: int
 ) -> Iterator[tuple[Segment, Segment, bool]]:
     """Consecutive process segments on one machine with their continuity."""
-    seq = sorted(_segment(r) for r in sched.rows if r.machine == machine_id)
+    seq = sorted(_segment(r) for r in sched if r.machine == machine_id)
     prev = last = None
     for seg in seq:
         if seg[2] == PROCESS:
@@ -359,7 +354,7 @@ def _process_pairs(
         last = seg
 
 
-def idle_intervals(sched: ScheduleTable, machine_id: int) -> list[IdleIntervalRecord]:
+def idle_intervals(sched: tuple[ScheduledRow, ...], machine_id: int) -> list[IdleIntervalRecord]:
     """Non-processing stretches on one machine, ascending by start.
 
     Gaps fully covered by a setup row are not intervals (the machine goes
@@ -375,7 +370,7 @@ def idle_intervals(sched: ScheduleTable, machine_id: int) -> list[IdleIntervalRe
 
 
 def continuous_pairs(
-    sched: ScheduleTable, machine_id: int
+    sched: tuple[ScheduledRow, ...], machine_id: int
 ) -> list[tuple[ScheduledRow, ScheduledRow]]:
     """Consecutive process-row pairs with no idle/standby stretch between."""
     def row(seg: Segment) -> ScheduledRow:
@@ -389,18 +384,18 @@ def continuous_pairs(
     ]
 
 
-def makespan(sched: ScheduleTable) -> int:
+def makespan(sched: tuple[ScheduledRow, ...]) -> int:
     """Completion time of the last process row.
 
     Raises ValueError on a schedule without process rows.
     """
-    ends = [r.end for r in sched.rows if not r.is_setup]
+    ends = [r.end for r in sched if not r.is_setup]
     if not ends:
         raise ValueError("schedule has no process rows")
     return max(ends)
 
 
-def validate_schedule(inst: ProblemInstance, sched: ScheduleTable) -> ValidationReport:
+def validate_schedule(inst: ProblemInstance, sched: tuple[ScheduledRow, ...]) -> ValidationReport:
     """Check a schedule against its instance.
 
     Verifies coverage (every operation exactly once, on a legal machine
@@ -415,7 +410,7 @@ def validate_schedule(inst: ProblemInstance, sched: ScheduleTable) -> Validation
     """
     report = ValidationReport()
     rows = []
-    for i, row in enumerate(sched.rows):
+    for i, row in enumerate(sched):
         if not 1 <= row.job <= len(inst.jobs):
             report.errors.append(f"row {i}: unknown job id {row.job}")
             continue
@@ -487,7 +482,7 @@ def validate_schedule(inst: ProblemInstance, sched: ScheduleTable) -> Validation
         by_machine.setdefault(row.machine, []).append(row)
     discipline: list[str] = []
     for mach in inst.machines:
-        # a stable sort: rows that share a (start, end) span keep table order
+        # a stable sort: rows that share a (start, end) span keep schedule order
         timeline = sorted(by_machine.get(mach.id, ()), key=lambda r: (r.start, r.end))
         setup_ends = {(r.job, r.end) for r in timeline if r.is_setup}
         process_starts = {(r.job, r.start) for r in timeline if not r.is_setup}

@@ -172,8 +172,7 @@ def enumerate_front(
                     k += 1
                 first = resume[k]
             prev = mv
-            sched = decode(inst, chrom, base=base, first=first)
-            c, t = independent_objectives(inst, sched.rows)
+            c, t = independent_objectives(inst, decode(inst, chrom, base=base, first=first))
             keep = True
             for fc, ft, _ in front:
                 if (fc <= c and ft <= t and (fc < c or ft < t)) or (fc == c and ft == t):
@@ -202,9 +201,8 @@ def cross_check(
     True when both agree on the makespan exactly and on total energy to
     the given relative tolerance.
     """
-    sched = decode(inst, chrom)
     c1, t1 = evaluate(inst, chrom)
-    c2, t2 = independent_objectives(inst, sched.rows)
+    c2, t2 = independent_objectives(inst, decode(inst, chrom))
     if c1 != c2:
         return False
     scale = max(abs(t1), abs(t2), 1.0)

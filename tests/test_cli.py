@@ -169,6 +169,16 @@ def test_solve_rejects_unknown_config_keys(tmp_path, instance_file, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+def test_solve_rejects_unknown_config_keys_of_mixed_types(tmp_path, instance_file, capsys):
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text("1: 2\nfoo: 3\n")
+    out = tmp_path / "result.yaml"
+    code = main(["solve", str(instance_file), "--config", str(cfg), "--out", str(out)])
+    assert code == 1
+    _assert_one_line_error(capsys, "unknown config keys: [1, 'foo']")
+    assert not out.exists()
+
+
 def _assert_one_line_error(capsys, *fragments):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1, err

@@ -73,7 +73,7 @@ def test_sample_chromosome_layout(chrom):
 
 def test_decode_sample_rows(inst, chrom):
     sched = decode(inst, chrom)
-    rows = set(sched.rows)
+    rows = set(sched)
     assert rows == {
         ScheduledRow(1, 0, 1, 0, 0, 1),
         ScheduledRow(1, 1, 1, 3, 1, 7),
@@ -90,7 +90,7 @@ def test_decode_sample_rows(inst, chrom):
 def test_decode_gap_reuse_same_job_needs_no_setup(inst, chrom):
     # O12 lands in machine 1's gap right behind its own job's O11
     sched = decode(inst, chrom)
-    o12 = next(r for r in sched.rows if (r.job, r.op_index) == (1, 2))
+    o12 = next(r for r in sched if (r.job, r.op_index) == (1, 2))
     assert (o12.start, o12.end) == (7, 9)
 
 
@@ -208,8 +208,8 @@ def test_decode_inserts_before_later_setup_segment():
     inst = _insertion_instance(second_op_duration=3)
     ch = Chromosome(os=(2, 2, 1, 1), mv=(1, 1, 1, 1))
     sched = decode(inst, ch)
-    rows = {(r.job, r.op_index): (r.start, r.end) for r in sched.rows if not r.is_setup}
-    setups = {(r.job, r.machine, r.start, r.end) for r in sched.rows if r.is_setup}
+    rows = {(r.job, r.op_index): (r.start, r.end) for r in sched if not r.is_setup}
+    setups = {(r.job, r.machine, r.start, r.end) for r in sched if r.is_setup}
     assert rows[(2, 1)] == (2, 8)
     assert (2, 3, 6, 8) in setups
     assert rows[(2, 2)] == (8, 12)
@@ -225,7 +225,7 @@ def test_decode_short_op_reuses_gap_without_setup():
     inst = _insertion_instance(second_op_duration=2)
     ch = Chromosome(os=(2, 2, 1, 1), mv=(1, 1, 1, 1))
     sched = decode(inst, ch)
-    rows = {(r.job, r.op_index): (r.start, r.end) for r in sched.rows if not r.is_setup}
+    rows = {(r.job, r.op_index): (r.start, r.end) for r in sched if not r.is_setup}
     # same job directly behind O11: no setup, fits before job 2's setup
     assert rows[(1, 2)] == (4, 6)
     assert validate_schedule(inst, sched).ok
@@ -245,14 +245,14 @@ def _no_earlier_slot(inst, sched, row) -> bool:
     ready = max(
         (
             r.end
-            for r in sched.rows
+            for r in sched
             if r.job == row.job and not r.is_setup and r.op_index < row.op_index
         ),
         default=0,
     )
     occupied = sorted(
         (r.start, r.end, r.is_setup, r.job)
-        for r in sched.rows
+        for r in sched
         if r.machine == row.machine
         and r != row
         and not (r.is_setup and r.job == row.job and r.end == row.start)
@@ -282,7 +282,7 @@ def test_decoded_schedules_are_active(inst):
     for _ in range(30):
         ch = random_chromosome(inst, rng)
         sched = decode(inst, ch)
-        for row in sched.rows:
+        for row in sched:
             if row.is_setup:
                 continue
             assert _no_earlier_slot(inst, sched, row), (ch, row)

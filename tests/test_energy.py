@@ -12,7 +12,7 @@ from efjsp.energy import (
     interval_energy,
     total_energy,
 )
-from efjsp.model import IdleIntervalRecord, ScheduledRow, ScheduleTable
+from efjsp.model import IdleIntervalRecord, ScheduledRow
 
 
 def test_turn_on_energy(inst, sched):
@@ -93,7 +93,7 @@ def test_total_energy_breakdown(inst, sched):
 def test_total_energy_rejects_unknown_machine(inst, sched, machine):
     stray = ScheduledRow(job=1, op_index=1, machine=machine, speed=1, start=40, end=45)
     with pytest.raises(ValueError, match="unknown machine"):
-        total_energy(inst, ScheduleTable(sched.rows + (stray,), inst))
+        total_energy(inst, sched + (stray,))
 
 
 def test_total_energy_decision_order(inst, sched):

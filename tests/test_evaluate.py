@@ -20,6 +20,7 @@ from efjsp.encoding import (
     Checkpoints,
     Chromosome,
     _copy,
+    _empty_state,
     _place,
     build_message_matrix,
     decode,
@@ -123,7 +124,7 @@ def test_three_routes_agree_on_generated_instances(problem):
     assert [d.interval for d in breakdown.interval_decisions] == [
         rec for mach in inst.machines for rec in idle_intervals(sched, mach.id)
     ]
-    cmax, tec = independent_objectives(inst, sched.rows)
+    cmax, tec = independent_objectives(inst, sched)
     assert fast[0] == cmax
     assert abs(fast[1] - tec) <= 1e-9 * max(abs(tec), 1.0)
 
@@ -222,9 +223,9 @@ def test_bisected_scan_places_like_the_linear_scan(problem):
     want_rows: list[ScheduledRow] = []
     want = _linear_place(inst, chrom, matrices, want_rows)
     got_rows: list[ScheduledRow] = []
-    assert _place(inst, chrom, got_rows) == want
+    assert _place(inst, chrom, got_rows, _empty_state(inst)) == want
     assert got_rows == want_rows
-    assert list(decode(inst, chrom).rows) == want_rows
+    assert list(decode(inst, chrom)) == want_rows
     # resuming from every checkpoint finishes the same placement
     base = Checkpoints(inst, chrom)
     assert base.timelines == want
@@ -287,5 +288,5 @@ def test_decode_from_checkpoints_follows_a_chain_like_a_fresh_decode(problem, se
         first = rng.randrange(len(chrom.os))
         chrom = _vary_from(inst.matrices, chrom, first, rng)
         got = decode(inst, chrom, base=base, first=first)
-        assert got.rows == decode(inst, chrom).rows
+        assert got == decode(inst, chrom)
         assert base.timelines == Checkpoints(inst, chrom).timelines

@@ -19,7 +19,6 @@ from efjsp.model import (
     ProblemInstance,
     ProcessingOption,
     ScheduledRow,
-    ScheduleTable,
 )
 from efjsp.optimizer import dominates
 
@@ -32,10 +31,10 @@ def test_critical_path_starts_at_zero(inst, sched):
     # with the setup merged, the first critical operation begins at time 0
     path = critical_path(inst, sched)
     first = path[0]
-    row = next(r for r in sched.rows if (r.job, r.op_index) == first)
+    row = next(r for r in sched if (r.job, r.op_index) == first)
     setup = next(
         r
-        for r in sched.rows
+        for r in sched
         if r.is_setup and r.machine == row.machine and r.end == row.start
     )
     assert setup.start == 0
@@ -45,7 +44,7 @@ def test_critical_path_ends_at_makespan(inst, sched):
     from efjsp.model import makespan
 
     path = critical_path(inst, sched)
-    last_row = next(r for r in sched.rows if (r.job, r.op_index) == path[-1])
+    last_row = next(r for r in sched if (r.job, r.op_index) == path[-1])
     assert last_row.end == makespan(sched)
 
 
@@ -57,7 +56,7 @@ def test_critical_path_folds_a_setup_into_its_operation(inst):
         ScheduledRow(1, 0, 2, 0, 0, 2),
         ScheduledRow(1, 2, 2, 1, 2, 5),
     )
-    assert critical_path(inst, ScheduleTable(rows, inst)) == [(1, 2)]
+    assert critical_path(inst, rows) == [(1, 2)]
 
 
 def test_n1_moves_a_critical_operation_to_another_machine(inst, chrom, sched):

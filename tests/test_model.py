@@ -1,4 +1,4 @@
-"""Schedule table structure, validation, and idle-interval extraction."""
+"""Schedule rows, validation, and idle-interval extraction."""
 
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ from efjsp.model import (
     ProcessingOption,
     ProblemInstance,
     ScheduledRow,
-    ScheduleTable,
     continuous_pairs,
     idle_intervals,
     makespan,
@@ -95,8 +94,8 @@ def test_validate_instance_flags_each_non_finite_value(inst):
 
 def test_makespan_and_rows(sched):
     assert makespan(sched) == 21
-    process = [r for r in sched.rows if not r.is_setup]
-    setups = [r for r in sched.rows if r.is_setup]
+    process = [r for r in sched if not r.is_setup]
+    setups = [r for r in sched if r.is_setup]
     assert len(process) == 6
     assert len(setups) == 3
     for r in setups:
@@ -111,18 +110,18 @@ def test_validate_schedule_accepts_decoded(inst, sched):
 
 def test_validate_schedule_rejects_overlap(inst, sched):
     shifted = []
-    for r in sched.rows:
+    for r in sched:
         if (r.job, r.op_index, r.machine) == (1, 2, 1):
             shifted.append(r._replace(start=5, end=7))
         else:
             shifted.append(r)
-    report = validate_schedule(inst, ScheduleTable(tuple(shifted), inst))
+    report = validate_schedule(inst, tuple(shifted))
     assert not report.ok
 
 
 def test_validate_schedule_rejects_missing_operation(inst, sched):
-    rows = tuple(r for r in sched.rows if (r.job, r.op_index) != (2, 4))
-    report = validate_schedule(inst, ScheduleTable(rows, inst))
+    rows = tuple(r for r in sched if (r.job, r.op_index) != (2, 4))
+    report = validate_schedule(inst, rows)
     assert not report.ok
     assert any("missing" in v for v in report.violations)
 
@@ -130,20 +129,20 @@ def test_validate_schedule_rejects_missing_operation(inst, sched):
 def test_validate_schedule_rejects_precedence_break(inst, sched):
     # swap the start times of a job's two consecutive operations
     rows = []
-    for r in sched.rows:
+    for r in sched:
         if (r.job, r.op_index) == (2, 3):
             rows.append(r._replace(start=2, end=5))
         elif (r.job, r.op_index) == (2, 1):
             rows.append(r._replace(start=12, end=21))
         else:
             rows.append(r)
-    report = validate_schedule(inst, ScheduleTable(tuple(rows), inst))
+    report = validate_schedule(inst, tuple(rows))
     assert not report.ok
 
 
 def test_validate_schedule_flags_new_job_block_without_setup(inst, sched):
-    rows = tuple(r for r in sched.rows if not (r.is_setup and r.machine == 2))
-    report = validate_schedule(inst, ScheduleTable(rows, inst))
+    rows = tuple(r for r in sched if not (r.is_setup and r.machine == 2))
+    report = validate_schedule(inst, rows)
     assert not report.ok
     assert any("setup" in v for v in report.violations)
 
@@ -173,7 +172,7 @@ def test_continuous_pairs_of_sample(sched):
     assert ((2, 1), (2, 2)) in keys2
 
 
-def test_setup_covered_gap_is_continuous(inst):
+def test_setup_covered_gap_is_continuous():
     # a gap fully hidden behind the follower's setup produces no interval
     rows = (
         ScheduledRow(job=1, op_index=0, machine=1, speed=0, start=0, end=1),
@@ -181,14 +180,13 @@ def test_setup_covered_gap_is_continuous(inst):
         ScheduledRow(job=2, op_index=0, machine=1, speed=0, start=7, end=9),
         ScheduledRow(job=2, op_index=1, machine=1, speed=3, start=9, end=19),
     )
-    sched = ScheduleTable(rows, inst)
-    assert idle_intervals(sched, 1) == []
+    assert idle_intervals(rows, 1) == []
 
 
-def test_makespan_requires_process_rows(inst):
+def test_makespan_requires_process_rows():
     only_setup = (ScheduledRow(1, 0, 1, 0, 0, 1),)
     with pytest.raises(ValueError):
-        makespan(ScheduleTable(only_setup, inst))
+        makespan(only_setup)
 
 
 def test_instance_contiguity_check():
@@ -267,17 +265,17 @@ def _perturb(inst: ProblemInstance, rows: list[ScheduledRow], rng: random.Random
         j = rng.randrange(len(rows))
         rows[j] = rows[j]._replace(machine=r.machine, start=r.start, end=r.end)
     else:
-        # a copy of r for another job, ahead of r in the table
+        # a copy of r for another job, ahead of r in the schedule
         rows.insert(i, r._replace(job=rng.randint(1, len(inst.jobs))))
 
 
 def validation_record(inst: ProblemInstance, seed: int) -> list[list[str]]:
     """The report on one seeded perturbation of a decoded schedule."""
     rng = random.Random(seed)
-    rows = list(decode(inst, random_chromosome(inst, rng)).rows)
+    rows = list(decode(inst, random_chromosome(inst, rng)))
     for _ in range(rng.randint(1, 3)):
         _perturb(inst, rows, rng)
-    report = validate_schedule(inst, ScheduleTable(tuple(rows), inst))
+    report = validate_schedule(inst, tuple(rows))
     return [report.errors, report.violations, report.warnings]
 
 

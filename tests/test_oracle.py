@@ -117,7 +117,7 @@ def test_enumerate_front_refuses_large_spaces(inst):
 
 def test_independent_objectives_matches_walkthrough(inst, chrom):
     sched = decode(inst, chrom)
-    assert independent_objectives(inst, sched.rows) == (21, 868.0)
+    assert independent_objectives(inst, sched) == (21, 868.0)
 
 
 def test_cross_check_sample(inst, chrom):
