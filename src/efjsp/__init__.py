@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 
 from .benchmark import (
     BaseFjspInstance,
-    GeneratorParams,
     extend_instance,
     parse_base,
     random_base,
@@ -52,7 +51,6 @@ __all__ = [
     "BaseFjspInstance",
     "Chromosome",
     "EnergyBreakdown",
-    "GeneratorParams",
     "Machine",
     "MessageMatrix",
     "ParetoArchive",

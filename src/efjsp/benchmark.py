@@ -9,7 +9,7 @@ with 1-based machine ids.  Counts, machine ids and durations must be
 whole numbers; one written with a point (``5.0``) is accepted.
 
 The extension turns every base duration d into per-gear durations
-(3d, 2d, d by default), and draws setup times, power profiles, turn-on
+(3d, 2d, d), and draws setup times, power profiles, turn-on
 energies and switch tables from fixed uniform ranges, reproducibly per
 seed.  Turn-on energy scales the gap between idle and standby power;
 dormancy (the switch between a gear and speed 0) is a fifth of turn-on;
@@ -43,6 +43,19 @@ SCHEMA_VERSION = 1
 # A base job is a tuple of operations; each operation is a tuple of
 # (machine, duration) pairs.
 BaseJob = tuple[tuple[tuple[int, int], ...], ...]
+
+# The multi-state extension's data model: three gears, and the uniform
+# ranges every generated value is drawn from.
+SPEED_MULTIPLIERS = (3, 2, 1)  # per-gear duration factors, slowest gear first
+SETUP_TIME_RANGE = (1, 2)
+SETUP_POWER_RANGE = (10.0, 30.0)
+STANDBY_POWER_RANGE = (3.0, 5.0)
+PROCESS_BASE_RANGE = (30.0, 50.0)
+IDLE_BASE_RANGE = (5.0, 10.0)
+TURN_ON_FACTOR_RANGE = (6.0, 8.0)
+SWITCH_FACTOR_RANGE = (0.2, 0.3)
+DORMANCY_SHARE = 0.2  # dormancy energy as a share of turn-on energy
+DURATION_RANGE = (1, 10)  # base durations drawn by ``random_base``
 
 
 class ParseError(ValueError):
@@ -171,7 +184,6 @@ def random_base(
     seed: int,
     ops_per_job: tuple[int, int] = (4, 6),
     machines_per_op: tuple[int, int] = (1, 3),
-    duration_range: tuple[int, int] = (1, 10),
 ) -> BaseFjspInstance:
     """A random base instance, for tests and synthetic benchmarks."""
     rng = random.Random(seed)
@@ -182,70 +194,27 @@ def random_base(
             width = min(rng.randint(*machines_per_op), n_machines)
             machines = sorted(rng.sample(range(1, n_machines + 1), width))
             ops.append(
-                tuple((m, rng.randint(*duration_range)) for m in machines)
+                tuple((m, rng.randint(*DURATION_RANGE)) for m in machines)
             )
         jobs.append(tuple(ops))
     return BaseFjspInstance(n_machines=n_machines, jobs=tuple(jobs))
 
 
-@dataclass(frozen=True)
-class GeneratorParams:
-    """Ranges for the multi-state extension; all uniform draws."""
-
-    speed_multipliers: tuple[int, ...] = (3, 2, 1)
-    setup_time_range: tuple[int, int] = (1, 2)
-    setup_power_range: tuple[float, float] = (10.0, 30.0)
-    standby_power_range: tuple[float, float] = (3.0, 5.0)
-    process_base_range: tuple[float, float] = (30.0, 50.0)
-    idle_base_range: tuple[float, float] = (5.0, 10.0)
-    turn_on_factor_range: tuple[float, float] = (6.0, 8.0)
-    switch_factor_range: tuple[float, float] = (0.2, 0.3)
-    dormancy_share: float = 0.2
-
-    def __post_init__(self) -> None:
-        if not self.speed_multipliers:
-            raise ValueError("speed_multipliers must not be empty")
-        for name in (
-            "setup_time_range",
-            "setup_power_range",
-            "standby_power_range",
-            "process_base_range",
-            "idle_base_range",
-            "turn_on_factor_range",
-            "switch_factor_range",
-        ):
-            lo, hi = getattr(self, name)
-            if lo > hi:
-                raise ValueError(f"{name}: lower bound above upper bound")
-            if lo <= 0:
-                raise ValueError(f"{name}: bounds must be positive")
-        if not 0.0 < self.dormancy_share <= 1.0:
-            raise ValueError("dormancy_share must lie in (0, 1]")
-
-
-def extend_instance(
-    base: BaseFjspInstance,
-    params: GeneratorParams | None = None,
-    seed: int = 0,
-) -> ProblemInstance:
+def extend_instance(base: BaseFjspInstance, seed: int = 0) -> ProblemInstance:
     """Extend a base instance with gears, setups and power data.
 
-    Deterministic per (base, params, seed): job setup times are drawn
-    first in job order, then each machine's six values (setup power,
-    standby power, process power base, idle power base, turn-on factor,
-    switch factor) in machine order.  Per-gear process and idle power
-    grow linearly with the gear index; per-gear durations shrink by the
-    configured multipliers (slowest gear first).
+    Deterministic per (base, seed): job setup times are drawn first in
+    job order, then each machine's six values (setup power, standby
+    power, process power base, idle power base, turn-on factor, switch
+    factor) in machine order, each uniformly from its fixed range above.
+    Per-gear process and idle power grow linearly with the gear index;
+    per-gear durations are the base duration times ``SPEED_MULTIPLIERS``
+    (3d, 2d, d: slowest gear first).
     """
-    if params is None:
-        params = GeneratorParams()
     rng = random.Random(seed)
-    mult = params.speed_multipliers
-    s = len(mult)
+    s = len(SPEED_MULTIPLIERS)
 
-    setup_times = [
-        rng.randint(*params.setup_time_range) for _ in range(base.n_jobs)
-    ]
+    setup_times = [rng.randint(*SETUP_TIME_RANGE) for _ in range(base.n_jobs)]
     jobs = []
     for j, base_job in enumerate(base.jobs, start=1):
         ops = []
@@ -254,7 +223,7 @@ def extend_instance(
             for machine, duration in base_op:
                 for gear in range(1, s + 1):
                     options.append(
-                        ProcessingOption(machine, gear, duration * mult[gear - 1])
+                        ProcessingOption(machine, gear, duration * SPEED_MULTIPLIERS[gear - 1])
                     )
             ops.append(OperationSpec(job=j, op_index=o, options=tuple(options)))
         jobs.append(
@@ -263,18 +232,18 @@ def extend_instance(
 
     machines = []
     for m in range(1, base.n_machines + 1):
-        setup_power = rng.uniform(*params.setup_power_range)
-        standby = rng.uniform(*params.standby_power_range)
-        process_base = rng.uniform(*params.process_base_range)
-        idle_base = rng.uniform(*params.idle_base_range)
-        turn_on_factor = rng.uniform(*params.turn_on_factor_range)
-        switch_factor = rng.uniform(*params.switch_factor_range)
+        setup_power = rng.uniform(*SETUP_POWER_RANGE)
+        standby = rng.uniform(*STANDBY_POWER_RANGE)
+        process_base = rng.uniform(*PROCESS_BASE_RANGE)
+        idle_base = rng.uniform(*IDLE_BASE_RANGE)
+        turn_on_factor = rng.uniform(*TURN_ON_FACTOR_RANGE)
+        switch_factor = rng.uniform(*SWITCH_FACTOR_RANGE)
         process = tuple(process_base * g for g in range(1, s + 1))
         idle = tuple(idle_base * g for g in range(1, s + 1))
         turn_on = tuple((idle[g - 1] - standby) * turn_on_factor for g in range(1, s + 1))
         switch = [[0.0] * (s + 1) for _ in range(s + 1)]
         for g in range(1, s + 1):
-            dorm = params.dormancy_share * turn_on[g - 1]
+            dorm = DORMANCY_SHARE * turn_on[g - 1]
             switch[0][g] = switch[g][0] = dorm
         for a in range(1, s + 1):
             for b in range(a + 1, s + 1):

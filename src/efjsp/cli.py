@@ -293,6 +293,8 @@ def _load_result(path: str) -> dict:
     archive = _int_rows(doc.get("archive"), ("cmax",), f"{path}: archive")
     if not all(_is_finite(e.get("tec")) for e in archive):
         raise ValueError(f"{path}: archive: every entry needs a finite numeric tec")
+    if any(e["cmax"] < 0 for e in archive):
+        raise ValueError(f"{path}: archive: cmax must not be negative")
     return doc
 
 
@@ -355,6 +357,9 @@ def _gantt_rows(entry: dict, where: str) -> list[dict]:
     )
     if any(d.get("mode") not in (MODE_IDLE, MODE_STANDBY) for d in intervals):
         raise ValueError(f"{where} energy.intervals: mode must be idle or standby")
+    for what, spans in (("schedule", schedule), ("energy.intervals", intervals)):
+        if any(r["start"] < 0 or r["end"] < r["start"] for r in spans):
+            raise ValueError(f"{where} {what}: every row needs 0 <= start <= end")
     rows = []
     for r in schedule:
         rows.append(

@@ -82,11 +82,6 @@ class MessageMatrix:
     def __len__(self) -> int:
         return len(self.machines)
 
-    def column(self, index: int) -> tuple[int, int, int]:
-        """The (machine, gear, duration) triple at a 1-based column index."""
-        i = index - 1
-        return self.machines[i], self.speeds[i], self.durations[i]
-
     def column_for(self, machine: int, speed: int) -> int:
         """1-based column index of the given (machine, gear) option."""
         for i, (m, v) in enumerate(zip(self.machines, self.speeds)):

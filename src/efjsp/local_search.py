@@ -2,9 +2,8 @@
 
 The search reads each solution off its machine timelines: in ``vns`` the
 decoder's own, time-ordered as placed (``encoding.Checkpoints``), so no
-schedule rows are collected or sorted; ``neighbor``, and
-``critical_path`` unless it is given timelines, sort a given schedule's
-rows into them (``model.machine_timelines``).  The critical path
+schedule rows are collected or sorted; ``neighbor`` sorts a given
+schedule's rows into them (``model.machine_timelines``).  The critical path
 folds every setup into the process segment it serves and walks
 backwards from the latest completion, always stepping to the
 later-completing of the job predecessor and the machine predecessor (the
@@ -54,19 +53,11 @@ _RETRIES = 10
 _TOTAL_BUDGET_FACTOR = 10
 
 
-def critical_path(
-    inst: ProblemInstance,
-    sched: tuple[ScheduledRow, ...] | None,
-    timelines: list[list[Segment]] | None = None,
-) -> list[tuple[int, int]]:
-    """Operations on one critical chain, in processing order.
-
-    ``timelines`` are the schedule's time-ordered machine timelines when
-    they are at hand (``sched`` is then not read), as ``vns`` has them
-    from the decoder; ``model.machine_timelines(inst, sched)`` otherwise.
+def critical_path(timelines: list[list[Segment]]) -> list[tuple[int, int]]:
+    """Operations on one critical chain, in processing order, read off a
+    schedule's time-ordered machine timelines: the decoder's own in
+    ``vns``, ``model.machine_timelines(inst, sched)`` for given rows.
     """
-    if timelines is None:
-        timelines = machine_timelines(inst, sched)
     span = {}  # (job, op) -> (start with its setup folded in, end, machine predecessor)
     for seq in timelines:
         prev = last = None
@@ -104,7 +95,7 @@ class _View:
 
     def __init__(self, inst: ProblemInstance, chrom: Chromosome, timelines: list[list[Segment]]):
         self.chrom, self.timelines, self.matrices = chrom, timelines, inst.matrices
-        self.path = critical_path(inst, None, timelines)
+        self.path = critical_path(timelines)
         nth = {job.id: itertools.count(1) for job in inst.jobs}
         self.os_index = {(job, next(nth[job])): i for i, job in enumerate(chrom.os)}
 

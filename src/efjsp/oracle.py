@@ -14,7 +14,7 @@ earliest os position of the operations whose columns changed.  The
 schedule rows are those of a fresh decode; only the placement ahead of
 that position is not redone.  The summation is always done in full.
 
-Enumeration refuses search spaces above a configurable point budget.
+Enumeration refuses search spaces above ``MAX_POINTS`` chromosomes.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Iterator
 from .encoding import Checkpoints, Chromosome, decode, evaluate
 from .model import ProblemInstance, ScheduledRow
 
-DEFAULT_MAX_POINTS = 10_000_000
+MAX_POINTS = 10_000_000
 
 
 class SearchSpaceError(RuntimeError):
@@ -137,18 +137,17 @@ def independent_objectives(
     return cmax, tec
 
 
-def enumerate_front(
-    inst: ProblemInstance, max_points: int = DEFAULT_MAX_POINTS
-) -> FrontResult:
+def enumerate_front(inst: ProblemInstance) -> FrontResult:
     """Exact non-dominated front over the whole chromosome space.
 
     Deterministic: chromosomes are visited in lexicographic order and the
     first witness of every surviving objective point is kept.  Raises
-    SearchSpaceError when the space exceeds ``max_points``.
+    SearchSpaceError, before any enumeration, when the space exceeds
+    ``MAX_POINTS``.
     """
     size = search_space_size(inst)
-    if size > max_points:
-        raise SearchSpaceError(size, max_points)
+    if size > MAX_POINTS:
+        raise SearchSpaceError(size, MAX_POINTS)
     widths = [range(1, len(mm) + 1) for mm in inst.matrices.values()]
     jobs = [job.id for job in inst.jobs for _ in job.operations]
     base = Checkpoints(inst, Chromosome(tuple(jobs), tuple(1 for _ in jobs)))
@@ -193,17 +192,15 @@ def enumerate_front(
     )
 
 
-def cross_check(
-    inst: ProblemInstance, chrom: Chromosome, rel_tol: float = 1e-9
-) -> bool:
+def cross_check(inst: ProblemInstance, chrom: Chromosome) -> bool:
     """Compare the accounting module against the independent summation.
 
     True when both agree on the makespan exactly and on total energy to
-    the given relative tolerance.
+    a relative tolerance of 1e-9.
     """
     c1, t1 = evaluate(inst, chrom)
     c2, t2 = independent_objectives(inst, decode(inst, chrom))
     if c1 != c2:
         return False
     scale = max(abs(t1), abs(t2), 1.0)
-    return abs(t1 - t2) <= rel_tol * scale
+    return abs(t1 - t2) <= 1e-9 * scale

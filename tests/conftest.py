@@ -1,14 +1,48 @@
-"""Shared fixtures: the two-job walkthrough instance and derived objects."""
+"""Shared fixtures: the two-job walkthrough instance and derived objects;
+and ``fastest_gears``, which cuts an instance down to fewer gears."""
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 
 import pytest
 
 from efjsp import encoding
 from efjsp.encoding import build_message_matrix, decode
+from efjsp.model import ProblemInstance
 from efjsp.sample import sample_chromosome, sample_instance
+
+
+def fastest_gears(inst: ProblemInstance, k: int) -> ProblemInstance:
+    """``inst`` with only the options of its fastest ``k`` gears, relabelled
+    1..k, and each machine's gear tables cut to their first ``k`` gears.
+
+    On a generated instance, whose powers grow with the gear label, this
+    is (``==``) the instance the generator would draw with only the last
+    ``k`` speed multipliers: ``k=1`` gives one gear at the base durations.
+    """
+    drop = inst.speed_count - k
+    jobs = tuple(
+        dataclasses.replace(job, operations=tuple(
+            dataclasses.replace(op, options=tuple(
+                dataclasses.replace(o, speed=o.speed - drop) for o in op.options if o.speed > drop
+            ))
+            for op in job.operations
+        ))
+        for job in inst.jobs
+    )
+    machines = tuple(
+        dataclasses.replace(
+            m,
+            process_power=m.process_power[:k],
+            idle_power=m.idle_power[:k],
+            switch=tuple(row[: k + 1] for row in m.switch[: k + 1]),
+            turn_on=None if m.turn_on is None else m.turn_on[:k],
+        )
+        for m in inst.machines
+    )
+    return ProblemInstance(jobs=jobs, machines=machines, speed_count=k)
 
 
 @pytest.fixture(scope="session")

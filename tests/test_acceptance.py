@@ -129,7 +129,7 @@ def test_random_chromosome_feasibility_and_energy_agreement(capsys, inst):
                 sched = decode(case_inst, candidate)
                 report = validate_schedule(case_inst, sched)
                 assert report.ok, f"{label}: {report}"
-                assert cross_check(case_inst, candidate, rel_tol=1e-9), label
+                assert cross_check(case_inst, candidate), label
 
 
 def test_indicator_unit_arithmetic(capsys):

@@ -8,7 +8,6 @@ import pytest
 import yaml
 
 from efjsp.benchmark import (
-    GeneratorParams,
     InstanceFormatError,
     ParseError,
     dump_document,
@@ -132,11 +131,10 @@ def test_extend_instance_gear_multipliers():
 
 
 def test_extend_instance_parameter_ranges():
-    params = GeneratorParams()
     for seed in range(5):
         inst = extend_instance(random_base(4, 3, seed=seed), seed=seed)
         for job in inst.jobs:
-            assert params.setup_time_range[0] <= job.setup_time <= params.setup_time_range[1]
+            assert 1 <= job.setup_time <= 2
         for m in inst.machines:
             assert 10 <= m.setup_power <= 30
             assert 3 <= m.standby_power <= 5
@@ -265,13 +263,6 @@ def test_read_instance_lists_every_violation():
         read_instance(dump_document(doc))
     assert "non-positive duration" in str(exc.value)
     assert "machine 2: negative standby power" in str(exc.value)
-
-
-def test_generator_params_validation():
-    with pytest.raises(ValueError):
-        GeneratorParams(setup_time_range=(2, 1))
-    with pytest.raises(ValueError):
-        GeneratorParams(turn_on_factor_range=(-1, 2))
 
 
 def _same_objects(fast, slow, pairs=None) -> bool:

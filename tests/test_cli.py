@@ -488,6 +488,26 @@ _ROW = "job: 1, op: 1, machine: 1, speed: 1, start: 0, end: 3"
             "[{machine: 1, start: 3, end: 4, speed: 1, mode: off}]}}\n",
             "mode must be idle or standby",
         ),
+        ("metrics", "archive:\n- {cmax: -5, tec: 1.5}\n", "cmax must not be negative"),
+        ("gantt", "archive:\n- {cmax: -5, tec: 1.5}\n", "cmax must not be negative"),
+        (
+            "gantt",
+            f"archive:\n- {{{_ENTRY}, schedule: [{{{_ROW.replace('start: 0, end: 3', 'start: 7, end: 2')}}}], "
+            "energy: {intervals: []}}\n",
+            "schedule: every row needs 0 <= start <= end",
+        ),
+        (
+            "gantt",
+            f"archive:\n- {{{_ENTRY}, schedule: [{{{_ROW.replace('start: 0', 'start: -1')}}}], "
+            "energy: {intervals: []}}\n",
+            "schedule: every row needs 0 <= start <= end",
+        ),
+        (
+            "gantt",
+            f"archive:\n- {{{_ENTRY}, schedule: [], energy: {{intervals: "
+            "[{machine: 1, start: 3, end: 2, speed: 1, mode: idle}]}}\n",
+            "energy.intervals: every row needs 0 <= start <= end",
+        ),
     ],
     ids=[
         "metrics-no-archive", "gantt-no-archive", "metrics-archive-5", "gantt-archive-5",
@@ -496,6 +516,8 @@ _ROW = "job: 1, op: 1, machine: 1, speed: 1, start: 0, end: 3"
         "gantt-inf-tec", "metrics-neg-inf-tec", "gantt-neg-inf-tec", "gantt-no-schedule",
         "gantt-schedule-4", "gantt-short-row",
         "gantt-no-energy", "gantt-short-interval", "gantt-interval-mode",
+        "metrics-neg-cmax", "gantt-neg-cmax", "gantt-reversed-row", "gantt-neg-start",
+        "gantt-reversed-interval",
     ],
 )
 def test_result_documents_of_the_wrong_shape_fail_closed(tmp_path, capsys, command, body, message):

@@ -15,6 +15,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import fastest_gears
 from efjsp.benchmark import extend_instance, random_base
 from efjsp.encoding import (
     Checkpoints,
@@ -39,6 +40,7 @@ from efjsp.model import (
     ProcessingOption,
     ScheduledRow,
     idle_intervals,
+    machine_timelines,
     makespan,
     validate_instance,
     validate_schedule,
@@ -131,13 +133,14 @@ def test_three_routes_agree_on_generated_instances(problem):
 
 @st.composite
 def generated_problems(draw) -> tuple[ProblemInstance, Chromosome]:
-    """Generator instances big enough for long timelines, with zero setup
-    times or without turn-on vectors on some draws, and a random
-    chromosome."""
+    """Generator instances big enough for long timelines, with one, two or
+    three gears, with zero setup times or without turn-on vectors on some
+    draws, and a random chromosome."""
     seed = draw(st.integers(0, 10_000))
     inst = extend_instance(
         random_base(draw(st.integers(2, 10)), draw(st.integers(1, 6)), seed=seed), seed=seed
     )
+    inst = fastest_gears(inst, draw(st.integers(1, 3)))
     if draw(st.booleans()):
         inst = dataclasses.replace(
             inst, jobs=tuple(dataclasses.replace(j, setup_time=0) for j in inst.jobs)
@@ -245,7 +248,7 @@ def test_vns_view_prices_every_neighbour_like_evaluate(problem, seed):
     inst, chrom = problem
     base = Checkpoints(inst, chrom)
     view = _View(inst, chrom, base.timelines)
-    assert view.path == critical_path(inst, decode(inst, chrom))
+    assert view.path == critical_path(machine_timelines(inst, decode(inst, chrom)))
     want = _exact(evaluate(inst, chrom))
     # the base itself, resumed at every position: all timelines equal
     for first in range(len(chrom.os)):

@@ -8,7 +8,8 @@ import json
 import random
 from pathlib import Path
 
-from efjsp.benchmark import GeneratorParams, extend_instance, random_base
+from conftest import fastest_gears
+from efjsp.benchmark import extend_instance, random_base
 from efjsp import local_search
 from efjsp.encoding import Chromosome, build_message_matrix, decode, evaluate, random_chromosome
 from efjsp.local_search import STRUCTURES, critical_path, neighbor, vns
@@ -19,17 +20,18 @@ from efjsp.model import (
     ProblemInstance,
     ProcessingOption,
     ScheduledRow,
+    machine_timelines,
 )
 from efjsp.optimizer import dominates
 
 
 def test_critical_path_of_sample(inst, sched):
-    assert critical_path(inst, sched) == [(2, 1), (2, 2), (2, 3), (2, 4)]
+    assert critical_path(machine_timelines(inst, sched)) == [(2, 1), (2, 2), (2, 3), (2, 4)]
 
 
 def test_critical_path_starts_at_zero(inst, sched):
     # with the setup merged, the first critical operation begins at time 0
-    path = critical_path(inst, sched)
+    path = critical_path(machine_timelines(inst, sched))
     first = path[0]
     row = next(r for r in sched if (r.job, r.op_index) == first)
     setup = next(
@@ -43,7 +45,7 @@ def test_critical_path_starts_at_zero(inst, sched):
 def test_critical_path_ends_at_makespan(inst, sched):
     from efjsp.model import makespan
 
-    path = critical_path(inst, sched)
+    path = critical_path(machine_timelines(inst, sched))
     last_row = next(r for r in sched if (r.job, r.op_index) == path[-1])
     assert last_row.end == makespan(sched)
 
@@ -56,12 +58,12 @@ def test_critical_path_folds_a_setup_into_its_operation(inst):
         ScheduledRow(1, 0, 2, 0, 0, 2),
         ScheduledRow(1, 2, 2, 1, 2, 5),
     )
-    assert critical_path(inst, rows) == [(1, 2)]
+    assert critical_path(machine_timelines(inst, rows)) == [(1, 2)]
 
 
 def test_n1_moves_a_critical_operation_to_another_machine(inst, chrom, sched):
     rng = random.Random(0)
-    path = critical_path(inst, sched)
+    path = critical_path(machine_timelines(inst, sched))
     matrices = build_message_matrix(inst)
     for _ in range(20):
         out = neighbor(chrom, "n1", inst, sched, rng)
@@ -198,7 +200,7 @@ def pinned_instances() -> list[ProblemInstance]:
     )
     return [
         extend_instance(random_base(6, 4, seed=11), seed=11),
-        extend_instance(random_base(6, 4, seed=12), GeneratorParams(speed_multipliers=(1,)), seed=12),
+        fastest_gears(extend_instance(random_base(6, 4, seed=12), seed=12), 1),
         zero_setup,
         extend_instance(random_base(4, 1, seed=14), seed=14),
         no_turn_on,
@@ -226,12 +228,12 @@ def vns_record(inst: ProblemInstance, chrom: Chromosome, seed: int) -> dict:
     out, obj, visited = vns(chrom, evaluate(inst, chrom), inst, random.Random(seed), 20)
     sched = decode(inst, chrom)
     return {
-        "critical_path": [list(key) for key in critical_path(inst, sched)],
+        "critical_path": [list(key) for key in critical_path(machine_timelines(inst, sched))],
         "out": _chrom(out),
         "objectives": list(obj),
         "visited": len(visited),
         "visited_sha256": _digest([_chrom(ch) + list(o) for ch, o in visited]),
-        "out_critical_path": [list(key) for key in critical_path(inst, decode(inst, out))],
+        "out_critical_path": [list(key) for key in critical_path(machine_timelines(inst, decode(inst, out)))],
         "neighbors_sha256": _digest([
             None if nb is None else _chrom(nb)
             for nb in (neighbor(chrom, s, inst, sched, random.Random(seed)) for s in STRUCTURES)

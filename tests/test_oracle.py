@@ -2,7 +2,8 @@
 
 ``tests/data/oracle_pins.json`` holds the exact front, points and
 witnesses, of the sample instance and of seven tiny generated ones: one
-machine, zero setup times, no turn-on vectors and one gear among them.
+machine, zero setup times, no turn-on vectors and one gear (cut down by
+``conftest.fastest_gears``) among them.
 Re-record (only when the enumeration is meant to change) with
 ``PYTHONPATH=src python tests/test_oracle.py``.
 """
@@ -17,9 +18,11 @@ from pathlib import Path
 
 import pytest
 
-from efjsp.benchmark import GeneratorParams, extend_instance, random_base
+from conftest import fastest_gears
+from efjsp.benchmark import extend_instance, random_base
 from efjsp.encoding import decode, evaluate, random_chromosome
 from efjsp.oracle import (
+    MAX_POINTS,
     SearchSpaceError,
     _distinct_permutations,
     cross_check,
@@ -30,12 +33,11 @@ from efjsp.oracle import (
 from efjsp.sample import sample_instance
 
 ORACLE_PINS = Path(__file__).parent / "data" / "oracle_pins.json"
-ONE_GEAR = GeneratorParams(speed_multipliers=(1,))
 
 
-def _tiny(jobs, machines, seed, params=None, **shape):
+def _tiny(jobs, machines, seed, **shape):
     base = random_base(jobs, machines, seed=seed, ops_per_job=(1, 2), **shape)
-    return extend_instance(base, params, seed=seed)
+    return extend_instance(base, seed=seed)
 
 
 def _zero_setup(inst):
@@ -57,10 +59,10 @@ PINNED = {
     "3x1-s4-one-machine": lambda: _tiny(3, 1, 4),
     "3x2-s4-zero-setup": lambda: _zero_setup(_tiny(3, 2, 4, machines_per_op=(1, 2))),
     "3x1-s10-no-turn-on": lambda: _no_turn_on(_tiny(3, 1, 10)),
-    "3x3-s9-one-gear": lambda: _tiny(3, 3, 9, ONE_GEAR, machines_per_op=(1, 3)),
-    "3x2-s10-one-gear-zero-setup": lambda: _zero_setup(_tiny(3, 2, 10, ONE_GEAR)),
+    "3x3-s9-one-gear": lambda: fastest_gears(_tiny(3, 3, 9, machines_per_op=(1, 3)), 1),
+    "3x2-s10-one-gear-zero-setup": lambda: _zero_setup(fastest_gears(_tiny(3, 2, 10), 1)),
     "3x3-s7-one-gear-no-turn-on": lambda: _no_turn_on(
-        _tiny(3, 3, 7, ONE_GEAR, machines_per_op=(1, 3))
+        fastest_gears(_tiny(3, 3, 7, machines_per_op=(1, 3)), 1)
     ),
 }
 
@@ -109,10 +111,18 @@ def test_enumerate_front_of_sample(inst):
         assert evaluate(inst, witness) == point
 
 
-def test_enumerate_front_refuses_large_spaces(inst):
+def test_enumerate_front_refuses_large_spaces(monkeypatch):
+    inst = extend_instance(random_base(3, 3, seed=2), seed=2)
+    size = search_space_size(inst)
+    assert size > MAX_POINTS
+
+    def no_decode(*args, **kwargs):
+        raise AssertionError("decoded a chromosome of a refused space")
+
+    monkeypatch.setattr("efjsp.oracle.decode", no_decode)
     with pytest.raises(SearchSpaceError) as err:
-        enumerate_front(inst, max_points=1000)
-    assert err.value.size == 43_740
+        enumerate_front(inst)
+    assert (err.value.size, err.value.limit) == (size, MAX_POINTS)
 
 
 def test_independent_objectives_matches_walkthrough(inst, chrom):
