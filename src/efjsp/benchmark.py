@@ -218,14 +218,14 @@ def extend_instance(base: BaseFjspInstance, seed: int = 0) -> ProblemInstance:
     jobs = []
     for j, base_job in enumerate(base.jobs, start=1):
         ops = []
-        for o, base_op in enumerate(base_job, start=1):
+        for base_op in base_job:
             options = []
             for machine, duration in base_op:
                 for gear in range(1, s + 1):
                     options.append(
                         ProcessingOption(machine, gear, duration * SPEED_MULTIPLIERS[gear - 1])
                     )
-            ops.append(OperationSpec(job=j, op_index=o, options=tuple(options)))
+            ops.append(OperationSpec(tuple(options)))
         jobs.append(
             JobSpec(id=j, setup_time=setup_times[j - 1], operations=tuple(ops))
         )
@@ -568,11 +568,7 @@ def write_instance(inst: ProblemInstance) -> str:
                 "process_power": list(mach.process_power),
                 "idle_power": list(mach.idle_power),
                 "standby_power": mach.standby_power,
-                **(
-                    {"turn_on": list(mach.turn_on)}
-                    if mach.turn_on is not None
-                    else {}
-                ),
+                "turn_on": list(mach.turn_on),
                 "switch": [list(row) for row in mach.switch],
             }
             for mach in inst.machines
@@ -646,7 +642,7 @@ def read_instance(text: str) -> ProblemInstance:
                 gear = _int_field(optdoc, "gear", olabel)
                 duration = _int_field(optdoc, "duration", olabel)
                 options.append(ProcessingOption(machine, gear, duration))
-            ops.append(OperationSpec(job=job_id, op_index=o, options=tuple(options)))
+            ops.append(OperationSpec(tuple(options)))
         jobs.append(JobSpec(id=job_id, setup_time=setup, operations=tuple(ops)))
 
     machines = []
@@ -658,9 +654,7 @@ def read_instance(text: str) -> ProblemInstance:
         switch = tuple(_floats(r, f"{label} switch") for r in _list_field(mdoc, "switch", label))
         setup = _float_field(_require(mdoc, "setup_power", label), f"{label} setup_power")
         standby = _float_field(_require(mdoc, "standby_power", label), f"{label} standby_power")
-        turn_on = None
-        if "turn_on" in mdoc:
-            turn_on = _floats(mdoc["turn_on"], f"{label} turn_on")
+        turn_on = _floats(mdoc["turn_on"], f"{label} turn_on") if "turn_on" in mdoc else None
         machines.append(
             Machine(
                 id=mach_id,

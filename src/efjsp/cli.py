@@ -27,8 +27,6 @@ import yaml
 
 from . import __version__
 from .benchmark import (
-    InstanceFormatError,
-    ParseError,
     dump_document,
     extend_instance,
     load_document,
@@ -480,7 +478,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ParseError, InstanceFormatError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except yaml.YAMLError as exc:

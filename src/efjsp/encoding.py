@@ -98,9 +98,9 @@ def build_message_matrix(
     is what the decoder, the search and the oracle read."""
     out = {}
     for job in inst.jobs:
-        for op in job.operations:
+        for k, op in enumerate(job.operations, 1):
             cols = sorted(op.options, key=lambda o: (o.duration, o.machine, o.speed))
-            out[(job.id, op.op_index)] = MessageMatrix(
+            out[(job.id, k)] = MessageMatrix(
                 machines=tuple(c.machine for c in cols),
                 speeds=tuple(c.speed for c in cols),
                 durations=tuple(c.duration for c in cols),

@@ -131,8 +131,8 @@ def account(
     A pair of consecutive process segments pays a gear switch when it is
     continuous (``model.is_continuous``) and encloses a priced
     idle/standby stretch otherwise.  The first process segment of a
-    machine pays its turn-on: the machine's turn-on vector when present,
-    the switch table row from speed 0 otherwise.  Turning off is free.
+    machine pays its turn-on, ``mach.turn_on[gear - 1]``.  Turning off is
+    free.
     """
     cmax = -1
     ie1 = ie2 = se1 = se2 = 0.0
@@ -155,10 +155,7 @@ def account(
             if end > cmax:
                 cmax = end
             if not prev_speed:
-                if mach.turn_on is not None:
-                    ie1 += mach.turn_on[speed - 1]
-                else:
-                    ie1 += switch[0][speed]
+                ie1 += mach.turn_on[speed - 1]
             elif is_continuous(last, prev_end, start, job):
                 if prev_speed != speed:
                     ie2 += switch[prev_speed][speed]

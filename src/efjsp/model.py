@@ -35,10 +35,12 @@ class ProcessingOption:
 
 @dataclass(frozen=True)
 class OperationSpec:
-    """A single operation of a job together with its processing options."""
+    """One operation's processing options.
 
-    job: int
-    op_index: int
+    An operation is known by its place: operation ``k`` of job ``j`` is
+    ``inst.jobs[j - 1].operations[k - 1]``.
+    """
+
     options: tuple[ProcessingOption, ...]
 
 
@@ -59,8 +61,10 @@ class Machine:
     gears 1..s.  ``standby_power`` is drawn while the machine waits at
     speed 0.  ``switch[a][b]`` is the energy charged for changing speed
     from gear ``a`` to gear ``b`` (0 meaning standby); the diagonal is
-    zero.  ``turn_on``, when present, overrides ``switch[0][g]`` for the
-    initial power-up of the machine into gear ``g``.
+    zero.  ``turn_on[g - 1]`` is charged for the initial power-up of the
+    machine into gear ``g``; a machine built without one gets the switch
+    table's row from standby, ``switch[0][1..s]``, so after construction
+    ``turn_on`` is always a tuple.
     """
 
     id: int
@@ -70,6 +74,10 @@ class Machine:
     standby_power: float
     switch: tuple[tuple[float, ...], ...]
     turn_on: tuple[float, ...] | None = None
+
+    def __post_init__(self) -> None:
+        if self.turn_on is None:
+            object.__setattr__(self, "turn_on", tuple(self.switch[0][1:]) if self.switch else ())
 
 
 @dataclass(frozen=True)
@@ -251,8 +259,6 @@ def validate_instance(inst: ProblemInstance) -> ValidationReport:
             report.violations.append(f"job {job.id}: negative setup time")
         for opos, op in enumerate(job.operations, start=1):
             label = f"operation ({job.id},{opos})"
-            if op.job != job.id or op.op_index != opos:
-                report.violations.append(f"{label}: inconsistent job/op indices")
             if not op.options:
                 report.violations.append(f"{label}: unprocessable, no options")
             seen: set[tuple[int, int]] = set()
@@ -293,7 +299,7 @@ def validate_instance(inst: ProblemInstance) -> ValidationReport:
             ("idle power", mach.idle_power),
             ("standby power", (mach.standby_power,)),
             ("switch energy", [v for row in mach.switch for v in row]),
-            ("turn-on energy", mach.turn_on or ()),
+            ("turn-on energy", mach.turn_on),
         ):
             report.violations.extend(
                 f"{label}: non-finite {name} {v}" for v in values if not math.isfinite(v)
@@ -318,11 +324,10 @@ def validate_instance(inst: ProblemInstance) -> ValidationReport:
                 for b in range(s + 1):
                     if mach.switch[a][b] < 0:
                         report.violations.append(f"{label}: negative switch energy")
-        if mach.turn_on is not None:
-            if len(mach.turn_on) != s:
-                report.violations.append(f"{label}: turn_on vector must have {s} entries")
-            elif any(t < 0 for t in mach.turn_on):
-                report.violations.append(f"{label}: negative turn-on energy")
+        if len(mach.turn_on) != s:
+            report.violations.append(f"{label}: turn_on vector must have {s} entries")
+        elif any(t < 0 for t in mach.turn_on):
+            report.violations.append(f"{label}: negative turn-on energy")
     return report
 
 
@@ -466,15 +471,15 @@ def validate_schedule(inst: ProblemInstance, sched: tuple[ScheduledRow, ...]) ->
         if not row.is_setup:
             counts[(row.job, row.op_index)] = counts.get((row.job, row.op_index), 0) + 1
     for job in inst.jobs:
-        for op in job.operations:
-            n = counts.get((job.id, op.op_index), 0)
+        for k in range(1, len(job.operations) + 1):
+            n = counts.get((job.id, k), 0)
             if n == 0:
                 report.violations.append(
-                    f"operation ({job.id},{op.op_index}) is missing from the schedule"
+                    f"operation ({job.id},{k}) is missing from the schedule"
                 )
             elif n > 1:
                 report.violations.append(
-                    f"operation ({job.id},{op.op_index}) is scheduled {n} times"
+                    f"operation ({job.id},{k}) is scheduled {n} times"
                 )
 
     by_machine: dict[int, list[ScheduledRow]] = {}

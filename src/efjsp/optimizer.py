@@ -53,9 +53,18 @@ class Particle:
     pbest_objectives: Objectives
 
 
+# Sizes beyond which a solve would not finish: ``initialize_population``
+# builds every chromosome up front, and each iteration and VNS call runs
+# to its count.
+MAX_POPULATION = 10_000
+MAX_ITER = 1_000_000
+MAX_VNS_BUDGET = 10_000
+
+
 @dataclass
 class AlgorithmConfig:
-    """Tunables of the solver loop."""
+    """Tunables of the solver loop; sizes are bounded by the ``MAX_*``
+    constants above."""
 
     population: int = 30
     max_iter: int = 300
@@ -69,18 +78,18 @@ class AlgorithmConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.population < 3:
-            raise ValueError("population must be at least 3")
-        if self.max_iter < 0:
-            raise ValueError("max_iter must be non-negative")
+        if not 3 <= self.population <= MAX_POPULATION:
+            raise ValueError(f"population must lie in 3..{MAX_POPULATION}")
+        if not 0 <= self.max_iter <= MAX_ITER:
+            raise ValueError(f"max_iter must lie in 0..{MAX_ITER}")
         if not 0.0 <= self.scale_factor <= 1.0:
             raise ValueError("scale_factor must lie in [0, 1]")
         if not 0.0 <= self.crossover_rate <= 1.0:
             raise ValueError("crossover_rate must lie in [0, 1]")
         if self.archive_capacity < 1:
             raise ValueError("archive_capacity must be positive")
-        if self.vns_budget < 0:
-            raise ValueError("vns_budget must be non-negative")
+        if not 0 <= self.vns_budget <= MAX_VNS_BUDGET:
+            raise ValueError(f"vns_budget must lie in 0..{MAX_VNS_BUDGET}")
 
 
 @dataclass(frozen=True)

@@ -106,11 +106,7 @@ def independent_objectives(
             tec += mach.setup_power * (r.end - r.start)
         if not procs:
             continue
-        first_gear = procs[0].speed
-        if mach.turn_on is not None:
-            tec += mach.turn_on[first_gear - 1]
-        else:
-            tec += mach.switch[0][first_gear]
+        tec += mach.turn_on[procs[0].speed - 1]
         for r in procs:
             tec += mach.process_power[r.speed - 1] * (r.end - r.start)
             if r.end > cmax:

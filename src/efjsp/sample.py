@@ -30,12 +30,8 @@ _SWITCH = (
 )
 
 
-def _op(job: int, idx: int, *options: tuple[int, int, int]) -> OperationSpec:
-    return OperationSpec(
-        job=job,
-        op_index=idx,
-        options=tuple(ProcessingOption(m, v, d) for m, v, d in options),
-    )
+def _op(*options: tuple[int, int, int]) -> OperationSpec:
+    return OperationSpec(tuple(ProcessingOption(m, v, d) for m, v, d in options))
 
 
 def sample_instance() -> ProblemInstance:
@@ -45,18 +41,18 @@ def sample_instance() -> ProblemInstance:
             id=1,
             setup_time=1,
             operations=(
-                _op(1, 1, (1, 1, 18), (1, 2, 12), (1, 3, 6)),
-                _op(1, 2, (1, 1, 6), (1, 2, 4), (1, 3, 2)),
+                _op((1, 1, 18), (1, 2, 12), (1, 3, 6)),
+                _op((1, 1, 6), (1, 2, 4), (1, 3, 2)),
             ),
         ),
         JobSpec(
             id=2,
             setup_time=2,
             operations=(
-                _op(2, 1, (1, 1, 30), (1, 2, 20), (1, 3, 10), (2, 1, 27), (2, 2, 18), (2, 3, 9)),
-                _op(2, 2, (1, 1, 4), (1, 2, 2), (1, 3, 1), (2, 1, 6), (2, 2, 4), (2, 3, 2)),
-                _op(2, 3, (1, 1, 6), (1, 2, 3), (1, 3, 1)),
-                _op(2, 4, (2, 1, 9), (2, 2, 6), (2, 3, 3)),
+                _op((1, 1, 30), (1, 2, 20), (1, 3, 10), (2, 1, 27), (2, 2, 18), (2, 3, 9)),
+                _op((1, 1, 4), (1, 2, 2), (1, 3, 1), (2, 1, 6), (2, 2, 4), (2, 3, 2)),
+                _op((1, 1, 6), (1, 2, 3), (1, 3, 1)),
+                _op((2, 1, 9), (2, 2, 6), (2, 3, 3)),
             ),
         ),
     )

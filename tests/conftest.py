@@ -38,7 +38,7 @@ def fastest_gears(inst: ProblemInstance, k: int) -> ProblemInstance:
             process_power=m.process_power[:k],
             idle_power=m.idle_power[:k],
             switch=tuple(row[: k + 1] for row in m.switch[: k + 1]),
-            turn_on=None if m.turn_on is None else m.turn_on[:k],
+            turn_on=m.turn_on[:k],
         )
         for m in inst.machines
     )

@@ -336,6 +336,32 @@ def test_solve_refuses_mistyped_config(tmp_path, instance_file, capsys, setting)
     assert not out.exists()
 
 
+_HUGE = str(10**30)
+
+
+@pytest.mark.parametrize(
+    "key, extra, setting",
+    [
+        ("population", ["--pop", _HUGE], None),
+        ("max_iter", ["--iters", _HUGE], None),
+        ("population", [], "population: " + _HUGE),
+        ("max_iter", [], "max_iter: " + _HUGE),
+        ("vns_budget", [], "vns_budget: " + _HUGE),
+    ],
+    ids=["pop-flag", "iters-flag", "population", "max_iter", "vns_budget"],
+)
+def test_solve_refuses_sizes_beyond_their_bounds(tmp_path, instance_file, capsys, key, extra, setting):
+    if setting is not None:
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text(setting + "\n")
+        extra = ["--config", str(cfg)]
+    out = tmp_path / "result.yaml"
+    code = main(["solve", str(instance_file), *extra, "--out", str(out)])
+    assert code == 1
+    _assert_one_line_error(capsys, f"{key} must lie in ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("document", ["[]", "0", "false", "''", "[1]"])
 def test_solve_refuses_a_config_that_is_not_a_mapping(tmp_path, instance_file, capsys, document):
     cfg = tmp_path / "config.yaml"

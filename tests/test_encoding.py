@@ -185,16 +185,16 @@ def _insertion_instance(second_op_duration: int) -> ProblemInstance:
             id=1,
             setup_time=1,
             operations=(
-                OperationSpec(1, 1, (ProcessingOption(3, 1, 3),)),
-                OperationSpec(1, 2, (ProcessingOption(3, 1, second_op_duration),)),
+                OperationSpec((ProcessingOption(3, 1, 3),)),
+                OperationSpec((ProcessingOption(3, 1, second_op_duration),)),
             ),
         ),
         JobSpec(
             id=2,
             setup_time=2,
             operations=(
-                OperationSpec(2, 1, (ProcessingOption(1, 1, 6),)),
-                OperationSpec(2, 2, (ProcessingOption(3, 1, 4),)),
+                OperationSpec((ProcessingOption(1, 1, 6),)),
+                OperationSpec((ProcessingOption(3, 1, 4),)),
             ),
         ),
     )

@@ -3,9 +3,19 @@
 from __future__ import annotations
 
 import dataclasses
+import random
 
 import pytest
 
+from efjsp.benchmark import (
+    dump_document,
+    extend_instance,
+    load_document,
+    random_base,
+    read_instance,
+    write_instance,
+)
+from efjsp.encoding import decode, evaluate, random_chromosome
 from efjsp.energy import (
     MODE_IDLE,
     MODE_STANDBY,
@@ -13,6 +23,8 @@ from efjsp.energy import (
     total_energy,
 )
 from efjsp.model import IdleIntervalRecord, ScheduledRow
+from efjsp.oracle import cross_check
+from efjsp.sample import sample_instance
 
 
 def test_turn_on_energy(inst, sched):
@@ -111,3 +123,35 @@ def test_turn_on_vector_overrides_dormancy_row(inst, sched):
     inst2 = dataclasses.replace(inst, machines=(boosted,) + inst.machines[1:])
     # machine 1 starts at gear 3 -> 300 instead of switch[0][3] = 10
     assert total_energy(inst2, sched).turn_on == 300.0 + 10.0
+
+
+def _read_both_ways(inst):
+    """``inst`` read from a document without ``turn_on`` keys, and from one
+    whose ``turn_on`` is written out as ``switch[0][1..s]``."""
+    bare, written = load_document(write_instance(inst)), load_document(write_instance(inst))
+    for b, w in zip(bare["machines"], written["machines"]):
+        del b["turn_on"]
+        w["turn_on"] = w["switch"][0][1:]
+    return read_instance(dump_document(bare)), read_instance(dump_document(written))
+
+
+@pytest.mark.parametrize("name", ["sample", "generated"])
+def test_a_machine_read_without_turn_on_wakes_up_at_its_switch_row(name):
+    if name == "sample":
+        inst = sample_instance()
+    else:
+        inst = extend_instance(random_base(5, 3, seed=8), seed=8)
+    bare, written = _read_both_ways(inst)
+    assert all(m.turn_on == m.switch[0][1:] for m in bare.machines)
+    assert bare == written
+    rng = random.Random(0)
+    for _ in range(20):
+        chrom = random_chromosome(bare, rng)
+        assert repr(evaluate(bare, chrom)) == repr(evaluate(written, chrom))
+        assert repr(total_energy(bare, decode(bare, chrom))) == repr(
+            total_energy(written, decode(written, chrom))
+        )
+        assert cross_check(bare, chrom) and cross_check(written, chrom)
+    text = write_instance(bare)
+    assert all("turn_on" in m for m in load_document(text)["machines"])
+    assert read_instance(text) == bare

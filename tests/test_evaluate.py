@@ -73,7 +73,7 @@ def instances(draw) -> ProblemInstance:
     jobs = []
     for j in range(1, draw(st.integers(1, 4)) + 1):
         ops = []
-        for o in range(1, draw(st.integers(1, 3)) + 1):
+        for _ in range(draw(st.integers(1, 3))):
             keys = draw(
                 st.lists(
                     st.tuples(st.integers(1, n_machines), st.integers(1, s)),
@@ -83,7 +83,7 @@ def instances(draw) -> ProblemInstance:
                 )
             )
             options = tuple(ProcessingOption(m, g, draw(st.integers(1, 6))) for m, g in keys)
-            ops.append(OperationSpec(j, o, options))
+            ops.append(OperationSpec(options))
         jobs.append(JobSpec(j, draw(st.sampled_from((0, 0, 1, 2, 3))), tuple(ops)))
     gears = st.lists(_energies, min_size=s, max_size=s).map(tuple)
     machines = []

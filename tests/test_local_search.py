@@ -119,8 +119,8 @@ def _rigid_instance() -> ProblemInstance:
             id=1,
             setup_time=1,
             operations=(
-                OperationSpec(1, 1, (ProcessingOption(1, 1, 2),)),
-                OperationSpec(1, 2, (ProcessingOption(1, 1, 3),)),
+                OperationSpec((ProcessingOption(1, 1, 2),)),
+                OperationSpec((ProcessingOption(1, 1, 3),)),
             ),
         ),
     )

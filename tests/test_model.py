@@ -62,7 +62,7 @@ def test_validate_instance_flags_negative_switch(inst):
 def test_validate_instance_bounds_the_horizon(inst, duration, ok):
     # one operation: its longest option plus its job's setup of 1
     options = (ProcessingOption(1, 1, 1), ProcessingOption(1, 2, duration))
-    job = JobSpec(id=1, setup_time=1, operations=(OperationSpec(job=1, op_index=1, options=options),))
+    job = JobSpec(id=1, setup_time=1, operations=(OperationSpec(options),))
     report = validate_instance(dataclasses.replace(inst, jobs=(job,)))
     horizon = [v for v in report.violations if "horizon" in v]
     assert horizon == ([] if ok else [
@@ -204,7 +204,7 @@ def test_instance_contiguity_check():
         id=5,
         setup_time=1,
         operations=(
-            OperationSpec(job=5, op_index=1, options=(ProcessingOption(1, 1, 4),)),
+            OperationSpec((ProcessingOption(1, 1, 4),)),
         ),
     )
     inst = ProblemInstance(jobs=(job,), machines=(m,), speed_count=3)

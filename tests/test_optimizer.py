@@ -8,6 +8,9 @@ import pytest
 
 from efjsp.encoding import Chromosome, canonical_order
 from efjsp.optimizer import (
+    MAX_ITER,
+    MAX_POPULATION,
+    MAX_VNS_BUDGET,
     AlgorithmConfig,
     ParetoArchive,
     crowding_distances,
@@ -254,6 +257,16 @@ def test_config_validation():
         AlgorithmConfig(scale_factor=1.5)
     with pytest.raises(ValueError):
         AlgorithmConfig(crossover_rate=-0.1)
+
+
+@pytest.mark.parametrize(
+    "key, bound",
+    [("population", MAX_POPULATION), ("max_iter", MAX_ITER), ("vns_budget", MAX_VNS_BUDGET)],
+)
+def test_config_sizes_are_bounded(key, bound):
+    assert getattr(AlgorithmConfig(**{key: bound}), key) == bound
+    with pytest.raises(ValueError, match=f"{key} must lie in .*{bound}"):
+        AlgorithmConfig(**{key: bound + 1})
 
 
 def test_run_is_seed_deterministic(inst):
