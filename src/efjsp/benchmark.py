@@ -16,19 +16,26 @@ dormancy (the switch between a gear and speed 0) is a fifth of turn-on;
 switching between two gears costs their mean idle power times a drag
 factor; all three factors are drawn once per machine.
 
-Instances travel as YAML documents with all reals written at 17
-significant digits, so a write/read round trip is lossless.
+Instances travel as YAML documents (``efjsp.documents``) with all reals
+written at 17 significant digits, so a write/read round trip is lossless.
 """
 
 from __future__ import annotations
 
-import io
 import math
 import random
 from dataclasses import dataclass
 
-import yaml
-
+from .documents import (
+    DocumentError,
+    dump_document,
+    header,
+    integer,
+    items,
+    load_document,
+    number,
+    numbers,
+)
 from .model import (
     JobSpec,
     Machine,
@@ -60,10 +67,6 @@ DURATION_RANGE = (1, 10)  # base durations drawn by ``random_base``
 
 class ParseError(ValueError):
     """Raised on malformed base benchmark text, with a line number."""
-
-
-class InstanceFormatError(ValueError):
-    """Raised on malformed instance documents."""
 
 
 @dataclass(frozen=True)
@@ -265,276 +268,6 @@ def extend_instance(base: BaseFjspInstance, seed: int = 0) -> ProblemInstance:
     )
 
 
-class _PyDumper(yaml.SafeDumper):
-    """PyYAML's own emitter, made to write the bytes libyaml writes.
-
-    The emitters differ in two rules that documents reach: libyaml folds
-    a long double-quoted scalar only at a single space (PyYAML also after
-    an escape, with a trailing backslash), and it takes any one-line
-    scalar of at most 128 UTF-8 bytes as a simple key (PyYAML wants fewer
-    than 128 characters counting the implicit tag, and no empty key).
-    Both methods follow libyaml's ``emitter.c`` for what ``dump_document``
-    writes: text, not bytes, without ``allow_unicode``, and keys whose tag
-    stays implicit (every safe scalar type but ``bytes``).
-    """
-
-    def write_double_quoted(self, text, split=True):
-        self.write_indicator('"', True)
-        for i, ch in enumerate(text):
-            if ch == " ":
-                data = " "
-                fold = split and 0 < i < len(text) - 1 and text[i - 1] != " "
-                if fold and self.column > self.best_width:
-                    self.write_indent()  # the line break stands for the space
-                    data = "\\" if text[i + 1] == " " else ""
-            elif "\x20" <= ch <= "\x7e" and ch not in '"\\':
-                data = ch
-            elif ch in self.ESCAPE_REPLACEMENTS:
-                data = "\\" + self.ESCAPE_REPLACEMENTS[ch]
-            elif ch <= "\xff":
-                data = f"\\x{ord(ch):02X}"
-            elif ch <= "\uffff":
-                data = f"\\u{ord(ch):04X}"
-            else:
-                data = f"\\U{ord(ch):08X}"
-            self.column += len(data)
-            self.stream.write(data)
-        self.write_indicator('"', False)
-
-    def check_simple_key(self):
-        event = self.event
-        if not isinstance(event, yaml.ScalarEvent):
-            return super().check_simple_key()
-        if any(c in "\r\n\x85\u2028\u2029" for c in event.value):
-            return False
-        return len(event.value.encode("utf-8")) <= 128
-
-
-_Dumper = getattr(yaml, "CSafeDumper", _PyDumper)  # libyaml when present
-
-_STR, _INT, _FLOAT, _BOOL, _NULL = (
-    f"tag:yaml.org,2002:{name}" for name in ("str", "int", "float", "bool", "null")
-)
-
-
-def _float_text(value: float) -> str:
-    """A plain float scalar's text that YAML's implicit resolver reads back.
-
-    17 significant digits, with a ``.0`` put before any exponent when the
-    digits have no point (``1.0e+17``), and ``.inf``/``-.inf``/``.nan``
-    for the non-finite values, so no float needs a tag or quotes.
-    """
-    if math.isnan(value):
-        return ".nan"
-    if math.isinf(value):
-        return ".inf" if value > 0 else "-.inf"
-    text = format(value, ".17g")
-    if "." not in text:
-        digits, e, exponent = text.partition("e")
-        text = f"{digits}.0{e}{exponent}"
-    return text
-
-
-# The tag and text SafeRepresenter gives each scalar type it writes
-# plainly; documents hold no other scalar type.
-_SCALAR_TEXT = {
-    str: (_STR, str),
-    int: (_INT, str),
-    float: (_FLOAT, _float_text),
-    bool: (_BOOL, lambda value: "true" if value else "false"),
-    type(None): (_NULL, lambda value: "null"),
-}
-_COLLECTIONS = frozenset((list, dict))
-# Emitters only read events, so one event serves every collection.
-_SEQUENCE_START = {
-    flow: yaml.SequenceStartEvent(None, "tag:yaml.org,2002:seq", True, flow_style=flow)
-    for flow in (False, True)
-}
-_MAPPING_START = {
-    flow: yaml.MappingStartEvent(None, "tag:yaml.org,2002:map", True, flow_style=flow)
-    for flow in (False, True)
-}
-_SEQUENCE_END = yaml.SequenceEndEvent()
-_MAPPING_END = yaml.MappingEndEvent()
-
-
-def _emit_document(dumper, data) -> None:
-    """Emit ``data`` as one document through ``dumper``'s own emitter.
-
-    The events are those the safe representer and serializer would give:
-    a collection is flow style iff all its items are scalars (so an empty
-    one is too), and each distinct scalar's implicit flags come from the
-    dumper's resolver, once per document.  A collection met twice is
-    written twice.  Raises TypeError on any type but str, int, float,
-    bool, None, list and dict.
-    """
-    emit = dumper.emit
-    resolve = dumper.resolve
-    scalars = {cls: {} for cls in _SCALAR_TEXT}  # per type: value (float: text) -> event
-
-    def scalar(cls, value):
-        tag, to_text = _SCALAR_TEXT[cls]
-        text = to_text(value)
-        implicit = (
-            resolve(yaml.ScalarNode, text, (True, False)) == tag,
-            resolve(yaml.ScalarNode, text, (False, True)) == tag,
-        )
-        return yaml.ScalarEvent(None, tag, implicit, text)
-
-    def walk(data):
-        cls = type(data)
-        events = scalars.get(cls)
-        if events is not None:
-            key = _float_text(data) if cls is float else data
-            event = events.get(key)
-            if event is None:
-                event = events[key] = scalar(cls, data)
-            emit(event)
-            return
-        if cls is list:
-            emit(_SEQUENCE_START[_COLLECTIONS.isdisjoint(map(type, data))])
-            for item in data:
-                walk(item)
-            emit(_SEQUENCE_END)
-        elif cls is dict:
-            emit(_MAPPING_START[_COLLECTIONS.isdisjoint(map(type, data.values()))])
-            for key, value in data.items():
-                walk(key)
-                walk(value)
-            emit(_MAPPING_END)
-        else:
-            raise TypeError(f"cannot write a {cls.__name__} to a YAML document")
-
-    emit(yaml.DocumentStartEvent(explicit=None, version=None, tags=None))
-    walk(data)
-    emit(yaml.DocumentEndEvent(explicit=None))
-
-
-def dump_document(data) -> str:
-    """YAML text with floats at 17 significant digits, keys in order.
-
-    ``data`` is dicts and lists of str, int, float, bool and None, and
-    raises TypeError on anything else.  It is walked into YAML events for
-    libyaml's emitter when present, with no node graph; the bytes are
-    those ``yaml.dump`` writes.  A lone surrogate (a file name that is not
-    UTF-8), which libyaml cannot encode, sends the walk to PyYAML's own
-    emitter, which escapes it.
-    """
-    try:
-        return _dump_through(_Dumper, data)
-    except UnicodeEncodeError:
-        return _dump_through(_PyDumper, data)
-
-
-def _dump_through(dumper_class, data) -> str:
-    """``data`` as YAML text through ``dumper_class``'s emitter."""
-    stream = io.StringIO()
-    dumper = dumper_class(stream)
-    try:
-        dumper.open()
-        _emit_document(dumper, data)
-        dumper.close()
-    finally:
-        dumper.dispose()
-    return stream.getvalue()
-
-
-class _Fallback(Exception):
-    """The event walk met what only ``yaml.safe_load`` reads."""
-
-
-_Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # libyaml when present
-_CORE_SCALARS = {
-    f"tag:yaml.org,2002:{name}": getattr(yaml.constructor.SafeConstructor, f"construct_yaml_{name}")
-    for name in ("str", "int", "float", "bool", "null")
-}
-_SEQUENCE_TAGS = frozenset((None, "!", "tag:yaml.org,2002:seq"))
-_MAPPING_TAGS = frozenset((None, "!", "tag:yaml.org,2002:map"))
-
-
-def _load_events(text: str):
-    """Build one document from the parser's events, with no node graph.
-
-    Lists, dicts and the five core scalars are built directly, the same
-    objects the safe loader builds: each distinct ``(tag, implicit,
-    value)`` is resolved once per document and built by SafeConstructor's
-    own constructor for its tag.  Raises ``_Fallback`` on an anchor or
-    alias, another tag (explicit, or implicit as for merge keys and
-    timestamps) and a second document.
-    """
-    loader = _Loader(text)
-    next_event = loader.get_event
-    built = {}
-
-    def scalar(event):
-        key = (event.tag, event.implicit, event.value)
-        value = built.get(key, built)
-        if value is not built:
-            return value
-        tag = event.tag
-        if tag is None or tag == "!":
-            tag = loader.resolve(yaml.ScalarNode, event.value, event.implicit)
-        construct = _CORE_SCALARS.get(tag)
-        if construct is None:
-            raise _Fallback
-        value = built[key] = construct(loader, yaml.ScalarNode(tag, event.value))
-        return value
-
-    def build(event):
-        if event.anchor is not None:  # an alias's anchor names its target
-            raise _Fallback
-        cls = type(event)
-        if cls is yaml.ScalarEvent:
-            return scalar(event)
-        if cls is yaml.SequenceStartEvent and event.tag in _SEQUENCE_TAGS:
-            items = []
-            event = next_event()
-            while type(event) is not yaml.SequenceEndEvent:
-                items.append(build(event))
-                event = next_event()
-            return items
-        if cls is yaml.MappingStartEvent and event.tag in _MAPPING_TAGS:
-            mapping = {}
-            event = next_event()
-            while type(event) is not yaml.MappingEndEvent:
-                key = build(event)
-                mapping[key] = build(next_event())  # TypeError on an unhashable key
-                event = next_event()
-            return mapping
-        raise _Fallback
-
-    try:
-        next_event()  # stream start
-        if type(next_event()) is yaml.StreamEndEvent:
-            return None  # no document
-        data = build(next_event())
-        next_event()  # document end
-        if type(next_event()) is not yaml.StreamEndEvent:
-            raise _Fallback  # a second document
-        return data
-    finally:
-        loader.dispose()
-
-
-def load_document(text: str):
-    """Parse one YAML document into the objects ``yaml.safe_load`` builds.
-
-    libyaml parses it when present, and the objects are built from its
-    events (``_load_events``).  An anchor or alias, a merge key, another
-    tag, an unhashable key, a second document and any error send the
-    text to ``yaml.safe_load`` itself, whose objects or error stand,
-    except that a document nested too deeply for it raises a one-line
-    ValueError.
-    """
-    try:
-        return _load_events(text)
-    except Exception:
-        try:
-            return yaml.load(text, Loader=yaml.SafeLoader)
-        except RecursionError:
-            raise ValueError("YAML document nested too deeply to read") from None
-
-
 def write_instance(inst: ProblemInstance) -> str:
     """Serialise an instance to its YAML document form."""
     doc = {
@@ -577,107 +310,50 @@ def write_instance(inst: ProblemInstance) -> str:
     return dump_document(doc)
 
 
-def _require(mapping, key, label):
-    if not isinstance(mapping, dict) or key not in mapping:
-        raise InstanceFormatError(f"{label}: missing key {key!r}")
-    return mapping[key]
-
-
-def _int_field(mapping, key, label) -> int:
-    value = _require(mapping, key, label)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise InstanceFormatError(f"{label}: {key} must be an integer")
-    return value
-
-
-def _list_field(mapping, key, label) -> list:
-    value = _require(mapping, key, label)
-    if not isinstance(value, list):
-        raise InstanceFormatError(f"{label}: {key} must be a list")
-    return value
-
-
-def _float_field(value, label) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InstanceFormatError(f"{label}: expected a number")
-    try:
-        return float(value)
-    except OverflowError:
-        raise InstanceFormatError(f"{label}: integer too large for a float") from None
-
-
-def _floats(value, label) -> tuple[float, ...]:
-    if not isinstance(value, list):
-        raise InstanceFormatError(f"{label}: expected a list of numbers")
-    return tuple(_float_field(v, label) for v in value)
-
-
-def read_instance(text: str) -> ProblemInstance:
-    """Parse and validate an instance document.
-
-    Raises InstanceFormatError on a malformed document and on an instance
-    that ``validate_instance`` rejects, listing every violation.
-    """
-    data = load_document(text)
-    if not isinstance(data, dict):
-        raise InstanceFormatError("document root must be a mapping")
-    version = data.get("schema_version")
-    if not isinstance(version, int) or isinstance(version, bool) or version != SCHEMA_VERSION:
-        raise InstanceFormatError(
-            f"unsupported schema_version {version!r}, expected {SCHEMA_VERSION}"
-        )
-    s = _int_field(data, "speed_count", "document")
-
+def read_instance(text: str, where: str = "document") -> ProblemInstance:
+    """Parse and validate an instance document; ``where`` (its file name)
+    starts every error.  Raises DocumentError on a malformed document and
+    on an instance that ``validate_instance`` rejects, listing every violation."""
+    data = header(load_document(text), where, "instance", SCHEMA_VERSION)
+    s = integer(data.get("speed_count"), where, "speed_count")
     jobs = []
-    for jdoc in _list_field(data, "jobs", "document"):
-        label = f"job {jdoc.get('id') if isinstance(jdoc, dict) else '?'}"
-        job_id = _int_field(jdoc, "id", label)
-        setup = _int_field(jdoc, "setup_time", label)
+    for jdoc in items(data.get("jobs"), where, "jobs", ("id", "setup_time")):
+        label = f"{where}: job {jdoc['id']}"
         ops = []
-        for o, odoc in enumerate(_list_field(jdoc, "operations", label), start=1):
+        for o, odoc in enumerate(items(jdoc.get("operations"), label, "operations", ()), start=1):
             olabel = f"{label} operation {o}"
-            options = []
-            for optdoc in _list_field(odoc, "options", olabel):
-                machine = _int_field(optdoc, "machine", olabel)
-                gear = _int_field(optdoc, "gear", olabel)
-                duration = _int_field(optdoc, "duration", olabel)
-                options.append(ProcessingOption(machine, gear, duration))
+            optdocs = items(odoc.get("options"), olabel, "options", ("machine", "gear", "duration"))
+            options = [ProcessingOption(d["machine"], d["gear"], d["duration"]) for d in optdocs]
             ops.append(OperationSpec(tuple(options)))
-        jobs.append(JobSpec(id=job_id, setup_time=setup, operations=tuple(ops)))
+        jobs.append(JobSpec(jdoc["id"], jdoc["setup_time"], tuple(ops)))
 
     machines = []
-    for mdoc in _list_field(data, "machines", "document"):
-        label = f"machine {mdoc.get('id') if isinstance(mdoc, dict) else '?'}"
-        mach_id = _int_field(mdoc, "id", label)
-        process = _floats(_require(mdoc, "process_power", label), f"{label} process_power")
-        idle = _floats(_require(mdoc, "idle_power", label), f"{label} idle_power")
-        switch = tuple(_floats(r, f"{label} switch") for r in _list_field(mdoc, "switch", label))
-        setup = _float_field(_require(mdoc, "setup_power", label), f"{label} setup_power")
-        standby = _float_field(_require(mdoc, "standby_power", label), f"{label} standby_power")
-        turn_on = _floats(mdoc["turn_on"], f"{label} turn_on") if "turn_on" in mdoc else None
+    for mdoc in items(data.get("machines"), where, "machines", ("id",)):
+        label = f"{where}: machine {mdoc['id']}"
+        switch = items(mdoc.get("switch"), label, "switch")
         machines.append(
             Machine(
-                id=mach_id,
-                setup_power=setup,
-                process_power=process,
-                idle_power=idle,
-                standby_power=standby,
-                switch=switch,
-                turn_on=turn_on,
+                id=mdoc["id"],
+                process_power=numbers(mdoc.get("process_power"), label, "process_power"),
+                idle_power=numbers(mdoc.get("idle_power"), label, "idle_power"),
+                switch=tuple(numbers(row, label, "switch") for row in switch),
+                setup_power=number(mdoc.get("setup_power"), label, "setup_power"),
+                standby_power=number(mdoc.get("standby_power"), label, "standby_power"),
+                turn_on=numbers(mdoc["turn_on"], label, "turn_on") if "turn_on" in mdoc else None,
             )
         )
     inst = ProblemInstance(
         jobs=tuple(jobs), machines=tuple(machines), speed_count=s
     )
-    return require_valid(inst)
+    return require_valid(inst, where)
 
 
-def require_valid(inst: ProblemInstance) -> ProblemInstance:
-    """``inst`` itself, or InstanceFormatError listing every violation
-    ``validate_instance`` finds."""
+def require_valid(inst: ProblemInstance, where: str) -> ProblemInstance:
+    """``inst`` itself, or DocumentError listing every violation
+    ``validate_instance`` finds, after ``where``."""
     report = validate_instance(inst)
     if not report.ok:
-        raise InstanceFormatError(
-            "invalid instance: " + "; ".join(report.errors + report.violations)
+        raise DocumentError(
+            f"{where}: invalid instance: " + "; ".join(report.errors + report.violations)
         )
     return inst

@@ -4,19 +4,18 @@ Subcommands:
 
 * ``generate`` turns base benchmark files into extended instances,
 * ``solve`` runs the solver on an instance and writes a result document,
-* ``metrics`` scores result documents against their pooled reference,
+* ``metrics`` scores results of one instance against their pooled reference,
 * ``gantt`` renders one archived solution as a data document plus SVG.
 
-Result and report files use the same YAML conventions as instances, so
-two runs with the same seed and flags produce byte-identical output
-apart from the wall-time field.
+Every file is read and written through ``efjsp.documents``: two runs with
+the same seed and flags write byte-identical output apart from the
+wall-time field, and a bad field ends a command with one ``error:`` line.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import math
 import os
 import sys
 import time
@@ -27,23 +26,31 @@ import yaml
 
 from . import __version__
 from .benchmark import (
-    dump_document,
     extend_instance,
-    load_document,
     parse_base,
     read_instance,
     require_valid,
     write_instance,
 )
+from .documents import (
+    boolean,
+    dump_document,
+    header,
+    integer,
+    items,
+    load_document,
+    mapping,
+    number,
+)
 from .encoding import decode
 from .energy import MODE_IDLE, MODE_STANDBY, total_energy
 from .metrics import c_metric, hv, igd, normalize
-from .model import MAX_HORIZON
 from .optimizer import AlgorithmConfig, IterationStats, run
 from .pareto import nondominated
 
 RESULT_SCHEMA = 1
 HV_REFERENCE = (1.1, 1.1)
+_SETTING_READERS = {int: integer, float: number, bool: boolean}  # by a setting's default type
 
 _PALETTE = (
     "#4e79a7", "#f28e2b", "#e15759", "#76b7b2", "#59a14f",
@@ -112,7 +119,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         base = parse_base(text)
         stem = Path(base_path).stem
         for k in range(1, args.replicas + 1):
-            inst = require_valid(extend_instance(base, seed=args.seed + k - 1))
+            inst = require_valid(extend_instance(base, seed=args.seed + k - 1), base_path)
             out_dir.mkdir(parents=True, exist_ok=True)  # only once there is an instance to write
             name = f"{stem}-{k:02d}.yaml" if args.replicas > 1 else f"{stem}.yaml"
             target = out_dir / name
@@ -125,22 +132,17 @@ def _config_from_args(args: argparse.Namespace) -> AlgorithmConfig:
     cfg = AlgorithmConfig()
     if args.config:
         doc = load_document(Path(args.config).read_text())
-        if doc is None:  # an empty document: the defaults
-            doc = {}
-        if not isinstance(doc, dict):
-            raise ValueError(f"{args.config}: config must be a mapping of solver settings")
+        doc = mapping({} if doc is None else doc, args.config, "config")  # empty: the defaults
         defaults = {f.name: f.default for f in fields(AlgorithmConfig)}
         unknown = set(doc) - set(defaults)
         if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown, key=str)}")
+            raise ValueError(f"{args.config}: unknown config keys: {sorted(unknown, key=str)}")
         for key, value in doc.items():
-            expected = type(defaults[key])
-            allowed = (int, float) if expected is float else expected
-            if isinstance(value, bool) != (expected is bool) or not isinstance(value, allowed):
-                raise ValueError(
-                    f"{args.config}: {key} must be of type {expected.__name__}, got {value!r}"
-                )
-        cfg = replace(cfg, **doc)
+            _SETTING_READERS[type(defaults[key])](value, args.config, key)
+        try:
+            cfg = replace(cfg, **doc)
+        except ValueError as exc:  # a setting out of its range
+            raise ValueError(f"{args.config}: {exc}") from None
     if args.pop is not None:
         cfg = replace(cfg, population=args.pop)
     if args.iters is not None:
@@ -178,7 +180,7 @@ def _print_progress(stat: IterationStats) -> None:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     text = Path(args.instance).read_text()
-    inst = read_instance(text)
+    inst = read_instance(text, args.instance)
     cfg = _config_from_args(args)
     _check_writable(args.out)  # before the solve, not after it
     started = time.perf_counter()
@@ -255,44 +257,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_finite(value) -> bool:
-    """Whether ``value`` is a number that converts to a finite float."""
-    try:
-        return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
-    except OverflowError:
-        return False
-
-
-def _int_rows(rows, keys: tuple[str, ...], what: str) -> list[dict]:
-    """``rows`` when it is a list of mappings with integer ``keys`` in
-    -``MAX_HORIZON``..``MAX_HORIZON``."""
-    if not isinstance(rows, list) or not all(
-        isinstance(r, dict) and all(_is_int(r.get(k)) and abs(r[k]) <= MAX_HORIZON for k in keys)
-        for r in rows
-    ):
-        raise ValueError(
-            f"{what} must be a list of mappings with integer {', '.join(keys)} "
-            "of at most 2**53 in magnitude"
-        )
-    return rows
-
-
 def _load_result(path: str) -> dict:
-    doc = load_document(Path(path).read_text())
-    if not isinstance(doc, dict) or doc.get("kind") != "result":
-        raise ValueError(f"{path}: not a result file")
-    version = doc.get("schema_version")
-    if not _is_int(version) or version != RESULT_SCHEMA:
-        raise ValueError(f"{path}: unsupported result schema")
-    archive = _int_rows(doc.get("archive"), ("cmax",), f"{path}: archive")
-    if not all(_is_finite(e.get("tec")) for e in archive):
-        raise ValueError(f"{path}: archive: every entry needs a finite numeric tec")
-    if any(e["cmax"] < 0 for e in archive):
-        raise ValueError(f"{path}: archive: cmax must not be negative")
+    doc = header(load_document(Path(path).read_text()), path, "result", RESULT_SCHEMA)
+    archive = items(doc.get("archive"), path, "archive", ("cmax",), bound=True)
+    for i, entry in enumerate(archive):
+        number(entry.get("tec"), f"{path}: solution {i}", "tec", finite=True)
+        if entry["cmax"] < 0:
+            raise ValueError(f"{path}: solution {i} cmax must not be negative")
     return doc
 
 
@@ -303,6 +274,10 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         points = [(e["cmax"], e["tec"]) for e in doc["archive"]]
         if not points:
             raise ValueError(f"{path}: empty archive")
+        if not fronts:
+            instance = doc.get("instance_sha256")
+        elif doc.get("instance_sha256") != instance:
+            raise ValueError(f"{path}: instance_sha256 differs from that of {args.results[0]}")
         fronts.append(points)
 
     reference = nondominated(p for front in fronts for p in front)
@@ -342,17 +317,11 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _gantt_rows(entry: dict, where: str) -> list[dict]:
-    schedule = _int_rows(
-        entry.get("schedule"),
-        ("job", "op", "machine", "speed", "start", "end"),
-        f"{where} schedule",
-    )
-    energy = entry.get("energy")
-    intervals = _int_rows(
-        energy.get("intervals") if isinstance(energy, dict) else None,
-        ("machine", "start", "end", "speed"),
-        f"{where} energy.intervals",
-    )
+    keys = ("job", "op", "machine", "speed", "start", "end")
+    schedule = items(entry.get("schedule"), where, "schedule", keys, bound=True)
+    energy = mapping(entry.get("energy", {}), where, "energy")
+    keys = ("machine", "start", "end", "speed")
+    intervals = items(energy.get("intervals"), where, "energy.intervals", keys, bound=True)
     if any(d.get("mode") not in (MODE_IDLE, MODE_STANDBY) for d in intervals):
         raise ValueError(f"{where} energy.intervals: mode must be idle or standby")
     for what, spans in (("schedule", schedule), ("energy.intervals", intervals)):

@@ -8,7 +8,6 @@ import pytest
 import yaml
 
 from efjsp.benchmark import (
-    InstanceFormatError,
     ParseError,
     dump_document,
     extend_instance,
@@ -19,6 +18,7 @@ from efjsp.benchmark import (
     write_base,
     write_instance,
 )
+from efjsp.documents import DocumentError
 from efjsp.model import validate_instance
 
 
@@ -199,7 +199,7 @@ def test_instance_yaml_round_trip():
 def test_read_instance_rejects_unknown_schema():
     inst = extend_instance(random_base(2, 2, seed=0), seed=0)
     text = write_instance(inst).replace("schema_version: 1", "schema_version: 99")
-    with pytest.raises(InstanceFormatError):
+    with pytest.raises(DocumentError):
         read_instance(text)
 
 
@@ -207,7 +207,7 @@ def test_read_instance_rejects_unknown_schema():
 def test_read_instance_rejects_a_schema_version_that_is_not_the_integer_1(version):
     inst = extend_instance(random_base(2, 2, seed=0), seed=0)
     text = write_instance(inst).replace("schema_version: 1", f"schema_version: {version}")
-    with pytest.raises(InstanceFormatError, match="schema_version"):
+    with pytest.raises(DocumentError, match="schema_version"):
         read_instance(text)
 
 
@@ -232,7 +232,7 @@ def test_read_instance_rejects_bad_gear():
         "  - [0.0, 0.0]\n"
         "  - [0.0, 0.0]\n"
     )
-    with pytest.raises(InstanceFormatError):
+    with pytest.raises(DocumentError):
         read_instance(text)
 
 
@@ -250,7 +250,7 @@ def test_read_instance_rejects_bad_gear():
 def test_read_instance_rejects_non_list_fields(edit, message):
     doc = load_document(write_instance(extend_instance(random_base(2, 2, seed=0), seed=0)))
     edit(doc)
-    with pytest.raises(InstanceFormatError, match=message):
+    with pytest.raises(DocumentError, match=message):
         read_instance(dump_document(doc))
 
 
@@ -259,7 +259,7 @@ def test_read_instance_lists_every_violation():
     doc = load_document(write_instance(inst))
     doc["jobs"][0]["operations"][0]["options"][0]["duration"] = 0
     doc["machines"][1]["standby_power"] = -1.0
-    with pytest.raises(InstanceFormatError) as exc:
+    with pytest.raises(DocumentError) as exc:
         read_instance(dump_document(doc))
     assert "non-positive duration" in str(exc.value)
     assert "machine 2: negative standby power" in str(exc.value)

@@ -572,6 +572,90 @@ def test_result_schema_version_must_be_the_integer_1(tmp_path, instance_file, ca
     assert not list(tmp_path.glob("chart.*"))
 
 
+def _document_of(kind, tmp_path, instance_file) -> dict:
+    if kind == "instance":
+        return load_document(instance_file.read_text())
+    if kind == "config":
+        return {"population": 6, "max_iter": 1}
+    result = tmp_path / "solved.yaml"
+    assert _solve(instance_file, result) == 0
+    return load_document(result.read_text())
+
+
+@pytest.mark.parametrize(
+    "kind, edit, field",
+    [
+        ("instance", lambda d: d.pop("speed_count"), "speed_count"),
+        ("instance", lambda d: d["jobs"][0].update(setup_time=True), "setup_time"),
+        ("instance", lambda d: d["machines"][0].update(setup_power="high"), "setup_power"),
+        ("instance", lambda d: d["machines"][0].update(standby_power=10**400), "standby_power"),
+        ("instance", lambda d: d["jobs"][0].update(operations=5), "operations"),
+        # a config has no required key and no list-valued setting
+        ("config", lambda d: d.update(population=True), "population"),
+        ("config", lambda d: d.update(scale_factor="half"), "scale_factor"),
+        ("config", lambda d: d.update(population=10**400), "population"),
+        ("result", lambda d: d["archive"][0].pop("tec"), "tec"),
+        ("result", lambda d: d["archive"][0].update(cmax=True), "cmax"),
+        ("result", lambda d: d["archive"][0].update(tec="low"), "tec"),
+        ("result", lambda d: d["archive"][0].update(tec=10**400), "tec"),
+        ("result", lambda d: d.update(archive=5), "archive"),
+    ],
+    ids=[
+        "instance-missing-key", "instance-true-int", "instance-text-number", "instance-10-400",
+        "instance-non-list", "config-true-int", "config-text-number", "config-10-400",
+        "result-missing-key", "result-true-int", "result-text-number", "result-10-400",
+        "result-non-list",
+    ],
+)
+def test_every_document_kind_names_file_and_field_of_a_defect(
+    tmp_path, instance_file, capsys, kind, edit, field
+):
+    doc = _document_of(kind, tmp_path, instance_file)
+    edit(doc)
+    broken = tmp_path / f"broken-{kind}.yaml"
+    broken.write_text(dump_document(doc))
+    out = tmp_path / "result.yaml"
+    argv = {
+        "instance": ["solve", str(broken), "--out", str(out)],
+        "config": ["solve", str(instance_file), "--config", str(broken), "--out", str(out)],
+        "result": ["metrics", str(broken)],
+    }[kind]
+    capsys.readouterr()
+    assert main(argv) == 1
+    _assert_one_line_error(capsys, str(broken), field)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["result", "metrics"])
+def test_solve_refuses_a_document_of_another_kind(tmp_path, instance_file, capsys, kind):
+    result = tmp_path / "result.yaml"
+    assert _solve(instance_file, result) == 0
+    wrong = result
+    if kind == "metrics":
+        wrong = tmp_path / "report.yaml"
+        assert main(["metrics", str(result), "--out", str(wrong)]) == 0
+    relabelled = tmp_path / "relabelled.yaml"
+    relabelled.write_text(instance_file.read_text().replace("kind: instance", f"kind: {kind}", 1))
+    for path in (wrong, relabelled):
+        capsys.readouterr()
+        assert _solve(path, tmp_path / "out.yaml") == 1
+        _assert_one_line_error(capsys, str(path), "not a document of kind 'instance'")
+
+
+def test_metrics_refuses_results_of_different_instances(tmp_path, instance_file, capsys):
+    other = tmp_path / "other"
+    base = tmp_path / "other.txt"
+    base.write_text(write_base(random_base(n_jobs=3, n_machines=2, seed=5)))
+    assert main(["generate", str(base), "--out-dir", str(other)]) == 0
+    a, b = tmp_path / "a.yaml", tmp_path / "b.yaml"
+    assert _solve(instance_file, a) == 0 and _solve(other / "other.yaml", b) == 0
+    report = tmp_path / "report.yaml"
+    capsys.readouterr()
+    assert main(["metrics", str(a), str(b), "--out", str(report)]) == 1
+    _assert_one_line_error(capsys, str(b), "instance_sha256", str(a))
+    assert not report.exists()
+
+
 def test_gantt_outputs(tmp_path, instance_file):
     result = tmp_path / "result.yaml"
     _solve(instance_file, result)
@@ -670,7 +754,7 @@ def test_solve_progress_streams_one_line_per_iteration(tmp_path, instance_file, 
 def test_pipeline_documents_take_the_event_path(tmp_path, base_file, monkeypatch):
     # yaml.safe_load, the read side's fallback, builds the same objects,
     # so only a spy tells that the event walk was left.
-    from efjsp import benchmark
+    from efjsp import documents
 
     calls = []
 
@@ -679,9 +763,9 @@ def test_pipeline_documents_take_the_event_path(tmp_path, base_file, monkeypatch
         monkeypatch.setattr(owner, name, lambda *args, **kw: calls.append(name) or real(*args, **kw))
 
     for name in ("_emit_document", "_load_events"):
-        spy(benchmark, name)
+        spy(documents, name)
     for name in ("dump", "load"):
-        spy(benchmark.yaml, name)
+        spy(documents.yaml, name)
     config = tmp_path / "solver.yaml"
     config.write_text("population: 6\nmax_iter: 1\narchive_capacity: 3\n")
     instance, runs = tmp_path / "tiny.yaml", [tmp_path / "r1.yaml", tmp_path / "r2.yaml"]

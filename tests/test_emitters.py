@@ -19,8 +19,8 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from efjsp import benchmark
-from efjsp.benchmark import (
+from efjsp import documents as efjsp_documents
+from efjsp.documents import (
     _Dumper,
     _dump_through,
     _float_text,
@@ -200,9 +200,9 @@ def test_lone_surrogates_take_one_retry_each_way(monkeypatch):
         monkeypatch.setattr(owner, name, lambda *args, **kw: calls.append(name) or real(*args, **kw))
 
     for name in ("_emit_document", "_load_events"):
-        spy(benchmark, name)
+        spy(efjsp_documents, name)
     for name in ("dump", "load"):
-        spy(benchmark.yaml, name)
+        spy(efjsp_documents.yaml, name)
     doc = {"file": "r\udcff.yaml", "hv": 1.0}
     text = dump_document(doc)
     assert calls == ["_emit_document", "_emit_document"]
