@@ -260,6 +260,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def _load_result(path: str) -> dict:
     doc = header(load_document(Path(path).read_text()), path, "result", RESULT_SCHEMA)
     archive = items(doc.get("archive"), path, "archive", ("cmax",), bound=True)
+    if not archive:
+        raise ValueError(f"{path}: empty archive")
     for i, entry in enumerate(archive):
         number(entry.get("tec"), f"{path}: solution {i}", "tec", finite=True)
         if entry["cmax"] < 0:
@@ -272,8 +274,6 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     for path in args.results:
         doc = _load_result(path)
         points = [(e["cmax"], e["tec"]) for e in doc["archive"]]
-        if not points:
-            raise ValueError(f"{path}: empty archive")
         if not fronts:
             instance = doc.get("instance_sha256")
         elif doc.get("instance_sha256") != instance:
@@ -414,11 +414,9 @@ def _render_svg(rows: list[dict], cmax: int) -> str:
 def cmd_gantt(args: argparse.Namespace) -> int:
     doc = _load_result(args.result)
     archive = doc["archive"]
-    if not archive:
-        raise ValueError("result has an empty archive")
     if not 0 <= args.solution < len(archive):
         raise ValueError(
-            f"solution index {args.solution} out of range 0..{len(archive) - 1}"
+            f"{args.result}: solution index {args.solution} out of range 0..{len(archive) - 1}"
         )
     entry = archive[args.solution]
     rows = _gantt_rows(entry, f"{args.result}: solution {args.solution}")

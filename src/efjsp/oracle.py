@@ -7,20 +7,35 @@ shares no code with the accounting module.  The surviving non-dominated
 objective points form the exact reference front of everything the
 decoder can reach.
 
-Within one permutation the column combinations change only a suffix of
-mv, so each chromosome is decoded from the placement checkpoints the one
-before it left (``encoding.decode(..., base=, first=)``), from the
-earliest os position of the operations whose columns changed.  The
-schedule rows are those of a fresh decode; only the placement ahead of
-that position is not redone.  The summation is always done in full.
+The loop visits, for each column vector ``head`` of every canonical
+operation but the last, every os permutation in lexicographic order and,
+within it, every column of the last operation.  Copies of one schedule
+(the same rows from different operation orders under one column vector)
+thus meet within one ``head``, and each distinct schedule is priced only
+at its first visit: a set of the schedules already met, cleared at every
+new ``head``, holds at most (permutations) x (last operation's width)
+row sets, 45 on the sample instance.  ``independent_objectives`` reads
+the rows in time order, so a schedule's objectives do not depend on the
+order a copy lists its rows in.
 
-Enumeration refuses search spaces above ``MAX_POINTS`` chromosomes.
+Each chromosome is still decoded, from the placement checkpoints the
+one before it left (``encoding.decode(..., base=, first=)``), resuming
+at an os position worked out once per permutation: the last canonical
+operation's when only its column changes, the smaller of that and the
+first position where the permutation differs from the one before when
+the permutation advances, and 0 at a new ``head``.  The schedule rows
+are those of a fresh decode; only the placement ahead of that position
+is not redone.
+
+Each front point keeps as its witness the lexicographically smallest
+``(os, mv)`` that reaches it.  Enumeration refuses search spaces above
+``MAX_POINTS`` chromosomes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count, product
+from itertools import product
 from math import factorial
 from typing import Iterator
 
@@ -92,18 +107,24 @@ def independent_objectives(
 
     Deliberately re-derives everything from first principles instead of
     calling the accounting module, so the two implementations check each
-    other.
+    other.  Each machine's rows are summed in time order (start first,
+    then the whole row), so the result depends on the set of rows alone,
+    not on the order they are given in.
     """
+    by_machine: dict[int, list[ScheduledRow]] = {mach.id: [] for mach in inst.machines}
+    for r in sorted(rows, key=lambda r: (r.start, r)):
+        by_machine[r.machine].append(r)
     cmax = 0
     tec = 0.0
     for mach in inst.machines:
-        procs = sorted(
-            (r for r in rows if r.machine == mach.id and r.op_index > 0),
-            key=lambda r: r.start,
-        )
-        setups = [r for r in rows if r.machine == mach.id and r.op_index == 0]
-        for r in setups:
-            tec += mach.setup_power * (r.end - r.start)
+        procs = []
+        setup_starts = {}
+        for r in by_machine[mach.id]:
+            if r.op_index > 0:
+                procs.append(r)
+            else:
+                tec += mach.setup_power * (r.end - r.start)
+                setup_starts[(r.job, r.end)] = r.start
         if not procs:
             continue
         tec += mach.turn_on[procs[0].speed - 1]
@@ -111,7 +132,6 @@ def independent_objectives(
             tec += mach.process_power[r.speed - 1] * (r.end - r.start)
             if r.end > cmax:
                 cmax = r.end
-        setup_starts = {(r.job, r.end): r.start for r in setups}
         for a, b in zip(procs, procs[1:]):
             covered = b.start == a.end
             if not covered:
@@ -133,11 +153,32 @@ def independent_objectives(
     return cmax, tec
 
 
+def _offer(
+    front: list[tuple[int, float, Chromosome]], c: int, t: float, chrom: Chromosome
+) -> None:
+    """Add a chromosome's point to a mutually non-dominated front.
+
+    A dominated point is dropped; an equal point keeps the smaller
+    ``(os, mv)`` of the two witnesses.
+    """
+    for i, (fc, ft, w) in enumerate(front):
+        if fc <= c and ft <= t:
+            if fc == c and ft == t and (chrom.os, chrom.mv) < (w.os, w.mv):
+                front[i] = (c, t, chrom)
+            return
+    front[:] = [e for e in front if not (c <= e[0] and t <= e[1])]
+    front.append((c, t, chrom))
+
+
 def enumerate_front(inst: ProblemInstance) -> FrontResult:
     """Exact non-dominated front over the whole chromosome space.
 
-    Deterministic: chromosomes are visited in lexicographic order and the
-    first witness of every surviving objective point is kept.  Raises
+    Visits the chromosomes ``head`` by ``head`` as set out in the module
+    docstring, decoding every one.  A schedule already met under the same
+    ``head`` is not priced or offered again: its first visit came earlier
+    in ``(os, mv)`` order and reached the same point.  Deterministic:
+    every surviving objective point keeps the lexicographically smallest
+    ``(os, mv)`` that reaches it as its witness.  Raises
     SearchSpaceError, before any enumeration, when the space exceeds
     ``MAX_POINTS``.
     """
@@ -147,40 +188,33 @@ def enumerate_front(inst: ProblemInstance) -> FrontResult:
     widths = [range(1, len(mm) + 1) for mm in inst.matrices.values()]
     jobs = [job.id for job in inst.jobs for _ in job.operations]
     base = Checkpoints(inst, Chromosome(tuple(jobs), tuple(1 for _ in jobs)))
+    tails = list(product(*widths[-1:]))  # (c,) per column of the last operation
 
     front: list[tuple[int, float, Chromosome]] = []
-    for os_perm in _distinct_permutations(jobs):
-        # resume[k]: the earliest os position of canonical operations k on
-        nth = {job.id: count(1) for job in inst.jobs}
-        at = {(job, next(nth[job])): i for i, job in enumerate(os_perm)}
-        resume = [at[key] for key in inst.matrices]
-        for k in range(len(resume) - 2, -1, -1):
-            resume[k] = min(resume[k], resume[k + 1])
+    for head in product(*widths[:-1]):
+        seen: set[frozenset[ScheduledRow]] = set()
         prev = None
-        for mv in product(*widths):
-            chrom = Chromosome(os_perm, mv)
+        for os_perm in _distinct_permutations(jobs):
+            # os position of the last canonical operation: its job's last entry
+            last = len(os_perm) - 1 - os_perm[::-1].index(jobs[-1]) if jobs else 0
             if prev is None:
                 first = 0
             else:
                 k = 0
-                while mv[k] == prev[k]:
+                while os_perm[k] == prev[k]:
                     k += 1
-                first = resume[k]
-            prev = mv
-            c, t = independent_objectives(inst, decode(inst, chrom, base=base, first=first))
-            keep = True
-            for fc, ft, _ in front:
-                if (fc <= c and ft <= t and (fc < c or ft < t)) or (fc == c and ft == t):
-                    keep = False
-                    break
-            if not keep:
-                continue
-            front = [
-                (fc, ft, w)
-                for fc, ft, w in front
-                if not (c <= fc and t <= ft and (c < fc or t < ft))
-            ]
-            front.append((c, t, chrom))
+                first = min(k, last)
+            prev = os_perm
+            for tail in tails:
+                chrom = Chromosome(os_perm, head + tail)
+                sched = decode(inst, chrom, base=base, first=first)
+                first = last
+                rows = frozenset(sched)
+                if rows in seen:
+                    continue
+                seen.add(rows)
+                c, t = independent_objectives(inst, sched)
+                _offer(front, c, t, chrom)
     front.sort(key=lambda e: (e[0], e[1]))
     return FrontResult(
         points=tuple((c, t) for c, t, _ in front),

@@ -488,6 +488,8 @@ _ROW = "job: 1, op: 1, machine: 1, speed: 1, start: 0, end: 3"
         ("gantt", "", "archive must be a list"),
         ("metrics", "archive: 5\n", "archive must be a list"),
         ("gantt", "archive: 5\n", "archive must be a list"),
+        ("metrics", "archive: []\n", "empty archive"),
+        ("gantt", "archive: []\n", "empty archive"),
         ("metrics", "archive:\n- {cmax: 3}\n", "numeric tec"),
         ("gantt", "archive:\n- {cmax: 3}\n", "numeric tec"),
         ("metrics", "archive:\n- 7\n", "list of mappings"),
@@ -537,6 +539,7 @@ _ROW = "job: 1, op: 1, machine: 1, speed: 1, start: 0, end: 3"
     ],
     ids=[
         "metrics-no-archive", "gantt-no-archive", "metrics-archive-5", "gantt-archive-5",
+        "metrics-empty-archive", "gantt-empty-archive",
         "metrics-no-tec", "gantt-no-tec", "metrics-entry-7", "metrics-bool-cmax",
         "metrics-text-tec", "metrics-nan-tec", "gantt-nan-tec", "metrics-inf-tec",
         "gantt-inf-tec", "metrics-neg-inf-tec", "gantt-neg-inf-tec", "gantt-no-schedule",
@@ -679,9 +682,10 @@ def test_gantt_outputs(tmp_path, instance_file):
 def test_gantt_rejects_bad_index(tmp_path, instance_file, capsys):
     result = tmp_path / "result.yaml"
     _solve(instance_file, result)
+    capsys.readouterr()
     code = main(["gantt", str(result), "--solution", "99", "--out", str(tmp_path / "x")])
     assert code == 1
-    assert "out of range" in capsys.readouterr().err
+    _assert_one_line_error(capsys, str(result), "out of range")
 
 
 def test_missing_file_exit_code(tmp_path, capsys):

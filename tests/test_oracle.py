@@ -19,8 +19,9 @@ from pathlib import Path
 import pytest
 
 from conftest import fastest_gears
+from efjsp import oracle
 from efjsp.benchmark import extend_instance, random_base
-from efjsp.encoding import decode, evaluate, random_chromosome
+from efjsp.encoding import Chromosome, decode, evaluate, random_chromosome
 from efjsp.oracle import (
     MAX_POINTS,
     SearchSpaceError,
@@ -146,6 +147,58 @@ def test_cross_check_random_chromosomes(inst):
     rng = random.Random(17)
     for _ in range(100):
         assert cross_check(inst, random_chromosome(inst, rng))
+
+
+@pytest.mark.parametrize("name", list(PINNED))
+def test_independent_objectives_ignores_row_order(name):
+    # enumerate_front prices a set of rows once, whatever order a copy lists
+    # them in.  Few schedules here have a float sum that an order changes
+    # (one machine with setups of unequal length), hence 200 of them.
+    inst = PINNED[name]()
+    rng = random.Random(23)
+    for _ in range(200):
+        rows = list(decode(inst, random_chromosome(inst, rng)))
+        expected = repr(independent_objectives(inst, tuple(rows)))
+        for _ in range(3):
+            rng.shuffle(rows)
+            assert repr(independent_objectives(inst, tuple(rows))) == expected
+
+
+@pytest.mark.parametrize("name", ["3x3-s7-one-gear-no-turn-on", "3x2-s10-one-gear-zero-setup"])
+def test_enumerate_front_keeps_the_smallest_witness(name):
+    # every chromosome decoded and priced afresh; a point's witness is the
+    # lexicographically smallest (os, mv) reaching it
+    from efjsp.optimizer import dominates
+
+    inst = PINNED[name]()
+    jobs = [job.id for job in inst.jobs for _ in job.operations]
+    widths = [range(1, len(mm) + 1) for mm in inst.matrices.values()]
+    best: dict[tuple[int, float], tuple] = {}
+    for os in sorted(set(itertools.permutations(jobs))):
+        for mv in itertools.product(*widths):
+            point = independent_objectives(inst, decode(inst, Chromosome(os, mv)))
+            best.setdefault(point, (os, mv))
+    points = sorted(p for p in best if not any(dominates(q, p) for q in best))
+    result = enumerate_front(inst)
+    assert list(result.points) == points
+    assert [(w.os, w.mv) for w in result.witnesses] == [best[p] for p in points]
+
+
+def test_enumerate_front_prices_each_distinct_schedule_once(inst, monkeypatch):
+    calls = {"decode": 0, "independent_objectives": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(f"efjsp.oracle.{name}", counted(name, getattr(oracle, name)))
+    enumerate_front(inst)
+    # one decode per chromosome (what the benchmark's oracle.chromosomes
+    # counts); one pricing per distinct schedule
+    assert calls == {"decode": 43_740, "independent_objectives": 14_823}
 
 
 def test_front_is_mutually_nondominated(inst):
