@@ -7,6 +7,12 @@ Subcommands:
 * ``metrics`` scores results of one instance against their pooled reference,
 * ``gantt`` renders one archived solution as a data document plus SVG.
 
+A result keeps only what cannot be derived: each archived solution's
+chromosome, objectives and energy parts, and the path of its instance
+relative to the result's directory.  ``gantt`` reads that instance back,
+checks it against the stored hash, and draws the rows that decoding the
+chromosome gives.
+
 Every file is read and written through ``efjsp.documents``: two runs with
 the same seed and flags write byte-identical output apart from the
 wall-time field, and a bad field ends a command with one ``error:`` line.
@@ -21,6 +27,7 @@ import sys
 import time
 from dataclasses import asdict, fields, replace
 from pathlib import Path
+from stat import S_ISREG
 
 import yaml
 
@@ -37,18 +44,23 @@ from .documents import (
     dump_document,
     header,
     integer,
+    integers,
     items,
     load_document,
     mapping,
     number,
+    string,
 )
-from .encoding import decode
-from .energy import MODE_IDLE, MODE_STANDBY, total_energy
+from .encoding import Chromosome, ChromosomeError, decode
+from .energy import MODE_IDLE, total_energy
 from .metrics import c_metric, hv, igd, normalize
+from .model import ProblemInstance, makespan
 from .optimizer import AlgorithmConfig, IterationStats, run
 from .pareto import nondominated
 
-RESULT_SCHEMA = 1
+RESULT_SCHEMA = 2
+REPORT_SCHEMA = 1  # metrics and gantt documents
+MAX_REPLICAS = 1_000
 HV_REFERENCE = (1.1, 1.1)
 _SETTING_READERS = {int: integer, float: number, bool: boolean}  # by a setting's default type
 
@@ -101,7 +113,9 @@ def build_parser() -> argparse.ArgumentParser:
     met.add_argument("--out", help="report file (default: stdout)")
     met.set_defaults(func=cmd_metrics)
 
-    gantt = sub.add_parser("gantt", help="render one archived solution")
+    gantt = sub.add_parser(
+        "gantt", help="render one archived solution, decoded on the instance the result names"
+    )
     gantt.add_argument("result", help="result file")
     gantt.add_argument("--solution", type=int, default=0, help="archive index")
     gantt.add_argument("--out", required=True, help="output prefix")
@@ -112,6 +126,9 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_generate(args: argparse.Namespace) -> int:
     if args.replicas < 1:
         print("error: --replicas must be at least 1", file=sys.stderr)
+        return 1
+    if args.replicas > MAX_REPLICAS:
+        print(f"error: --replicas must be at most {MAX_REPLICAS:,}", file=sys.stderr)
         return 1
     out_dir = Path(args.out_dir)
     for base_path in args.bases:
@@ -178,6 +195,10 @@ def _print_progress(stat: IterationStats) -> None:
     )
 
 
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     text = Path(args.instance).read_text()
     inst = read_instance(text, args.instance)
@@ -190,8 +211,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     entries = sorted(result.archive.entries, key=lambda e: (e.cmax, e.tec))
     archive_docs = []
     for entry in entries:
-        sched = decode(inst, entry.chromosome)
-        breakdown = total_energy(inst, sched)
+        breakdown = total_energy(inst, decode(inst, entry.chromosome))
         archive_docs.append(
             {
                 "cmax": entry.cmax,
@@ -205,35 +225,17 @@ def cmd_solve(args: argparse.Namespace) -> int:
                     "process": breakdown.process,
                     "interval": breakdown.interval,
                     "tec": breakdown.tec,
-                    "intervals": [
-                        {
-                            "machine": d.interval.machine,
-                            "start": d.interval.start,
-                            "end": d.interval.end,
-                            "mode": d.mode,
-                            "speed": d.idle_speed if d.mode == "idle" else 0,
-                            "energy": d.energy,
-                        }
-                        for d in breakdown.interval_decisions
-                    ],
                 },
-                "schedule": [
-                    {
-                        "job": r.job,
-                        "op": r.op_index,
-                        "machine": r.machine,
-                        "speed": r.speed,
-                        "start": r.start,
-                        "end": r.end,
-                    }
-                    for r in sched
-                ],
             }
         )
     doc = {
         "schema_version": RESULT_SCHEMA,
         "kind": "result",
-        "instance_sha256": hashlib.sha256(text.encode()).hexdigest(),
+        # through symbolic links, since the system resolves `..` after them
+        "instance": os.path.relpath(
+            os.path.realpath(args.instance), os.path.realpath(os.path.dirname(args.out) or os.curdir)
+        ),
+        "instance_sha256": _sha256(text),
         "config": asdict(cfg),
         "wall_time_s": wall,
         "iterations": [
@@ -297,7 +299,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         for i, a in enumerate(fronts)
     ]
     report = {
-        "schema_version": RESULT_SCHEMA,
+        "schema_version": REPORT_SCHEMA,
         "kind": "metrics",
         "reference_size": len(reference),
         "normalization": {
@@ -316,40 +318,61 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def _gantt_rows(entry: dict, where: str) -> list[dict]:
-    keys = ("job", "op", "machine", "speed", "start", "end")
-    schedule = items(entry.get("schedule"), where, "schedule", keys, bound=True)
-    energy = mapping(entry.get("energy", {}), where, "energy")
-    keys = ("machine", "start", "end", "speed")
-    intervals = items(energy.get("intervals"), where, "energy.intervals", keys, bound=True)
-    if any(d.get("mode") not in (MODE_IDLE, MODE_STANDBY) for d in intervals):
-        raise ValueError(f"{where} energy.intervals: mode must be idle or standby")
-    for what, spans in (("schedule", schedule), ("energy.intervals", intervals)):
-        if any(r["start"] < 0 or r["end"] < r["start"] for r in spans):
-            raise ValueError(f"{where} {what}: every row needs 0 <= start <= end")
-    rows = []
-    for r in schedule:
-        rows.append(
-            {
-                "machine": r["machine"],
-                "kind": "setup" if r["op"] == 0 else "process",
-                "job": r["job"],
-                "op": r["op"],
-                "start": r["start"],
-                "end": r["end"],
-                "gear": r["speed"],
-            }
+def _result_instance(doc: dict, path: str) -> ProblemInstance:
+    """The instance ``doc`` (read from ``path``) was solved on: the file
+    its ``instance`` names, relative to ``path``'s directory, when that
+    is a regular file whose text hashes to ``instance_sha256``."""
+    file = Path(path).parent / string(doc.get("instance"), path, "instance")
+    try:
+        if not S_ISREG(file.stat().st_mode):
+            raise OSError(f"not a regular file: {str(file)!r}")
+        text = file.read_text()
+    except OSError as exc:
+        raise OSError(f"{path}: cannot read its instance: {exc}") from None
+    except ValueError as exc:  # a NUL in the name, or text that is not UTF-8
+        raise ValueError(f"{path}: cannot read its instance: {exc}") from None
+    if _sha256(text) != doc.get("instance_sha256"):
+        raise ValueError(f"{path}: instance {str(file)!r} is not the file solved: its sha256 differs")
+    return read_instance(text, str(file))
+
+
+def _gantt_rows(inst: ProblemInstance, chrom: Chromosome, entry: dict, where: str) -> list[dict]:
+    """Timeline rows of ``chrom``'s schedule: its setup and process rows,
+    then the idle and standby stretches between them, machine by machine
+    in time order.  The stored objectives must be the chromosome's."""
+    try:
+        sched = decode(inst, chrom)
+    except ChromosomeError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+    breakdown = total_energy(inst, sched)
+    objectives = (makespan(sched), breakdown.tec)  # evaluate(inst, chrom), to the last bit
+    if objectives != (entry["cmax"], entry["tec"]):
+        raise ValueError(
+            f"{where}: stored cmax, tec {entry['cmax']}, {entry['tec']!r} differ from "
+            f"the chromosome's {objectives[0]}, {objectives[1]!r}"
         )
-    for d in intervals:
+    rows = [
+        {
+            "machine": r.machine,
+            "kind": "setup" if r.op_index == 0 else "process",
+            "job": r.job,
+            "op": r.op_index,
+            "start": r.start,
+            "end": r.end,
+            "gear": r.speed,
+        }
+        for r in sched
+    ]
+    for d in breakdown.interval_decisions:
         rows.append(
             {
-                "machine": d["machine"],
-                "kind": d["mode"],
+                "machine": d.interval.machine,
+                "kind": d.mode,
                 "job": None,
                 "op": None,
-                "start": d["start"],
-                "end": d["end"],
-                "gear": d["speed"],
+                "start": d.interval.start,
+                "end": d.interval.end,
+                "gear": d.idle_speed if d.mode == MODE_IDLE else 0,
             }
         )
     rows.sort(key=lambda r: (r["machine"], r["start"], r["kind"]))
@@ -419,9 +442,11 @@ def cmd_gantt(args: argparse.Namespace) -> int:
             f"{args.result}: solution index {args.solution} out of range 0..{len(archive) - 1}"
         )
     entry = archive[args.solution]
-    rows = _gantt_rows(entry, f"{args.result}: solution {args.solution}")
+    where = f"{args.result}: solution {args.solution}"
+    chrom = Chromosome(integers(entry.get("os"), where, "os"), integers(entry.get("mv"), where, "mv"))
+    rows = _gantt_rows(_result_instance(doc, args.result), chrom, entry, where)
     data_doc = {
-        "schema_version": RESULT_SCHEMA,
+        "schema_version": REPORT_SCHEMA,
         "kind": "gantt",
         "solution": args.solution,
         "cmax": entry["cmax"],

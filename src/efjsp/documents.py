@@ -317,6 +317,12 @@ def integer(value, where: str, name: str) -> int:
     return value
 
 
+def string(value, where: str, name: str) -> str:
+    if type(value) is not str:
+        raise DocumentError(f"{where} needs a string {name}")
+    return value
+
+
 def number(value, where: str, name: str, finite: bool = False) -> float:
     """``value``, an int or a float, as a float; with ``finite``, an
     integer too large for a float is refused like an infinity or a NaN."""
@@ -336,6 +342,12 @@ def numbers(value, where: str, name: str) -> tuple[float, ...]:
     if type(value) is not list:
         raise DocumentError(f"{where} {name}: expected a list of numbers")
     return tuple(number(v, where, name) for v in value)
+
+
+def integers(value, where: str, name: str) -> tuple[int, ...]:
+    if type(value) is not list or any(type(v) is not int for v in value):
+        raise DocumentError(f"{where} {name}: expected a list of integers")
+    return tuple(value)
 
 
 def items(value, where: str, name: str, ints=None, bound: bool = False) -> list:

@@ -88,17 +88,29 @@ def test_generate_refuses_zero_replicas_before_creating_out_dir(tmp_path, base_f
     assert not out_dir.exists()
 
 
+def test_generate_refuses_replicas_beyond_the_bound_before_writing(tmp_path, base_file, capsys):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    code = main(["generate", str(base_file), "--replicas", str(10**30), "--out-dir", str(out_dir)])
+    assert code == 1
+    _assert_one_line_error(capsys, "--replicas must be at most 1,000")
+    assert not list(out_dir.iterdir())
+
+
 def test_solve_writes_result_document(tmp_path, instance_file):
     out = tmp_path / "result.yaml"
     assert _solve(instance_file, out) == 0
     doc = load_document(out.read_text())
     assert doc["kind"] == "result"
+    assert doc["schema_version"] == 2
+    assert doc["instance"] == "tiny.yaml"  # relative to the result's directory
     assert doc["config"]["population"] == 8
     assert len(doc["iterations"]) == 4
     assert doc["archive"]
     entry = doc["archive"][0]
-    assert set(entry) == {"cmax", "tec", "os", "mv", "energy", "schedule"}
+    assert set(entry) == {"cmax", "tec", "os", "mv", "energy"}
     parts = entry["energy"]
+    assert set(parts) == {"turn_on", "transition", "setup", "process", "interval", "tec"}
     total = (
         parts["turn_on"] + parts["transition"] + parts["setup"]
         + parts["process"] + parts["interval"]
@@ -286,13 +298,8 @@ def test_solve_refuses_a_power_too_large_for_a_float(tmp_path, instance_file, ca
         ("metrics", lambda e: e.update(cmax=_BIG), "integer cmax of at most 2**53"),
         ("metrics", lambda e: e.update(cmax=-_BIG), "integer cmax of at most 2**53"),
         ("gantt", lambda e: e.update(cmax=_BIG), "integer cmax of at most 2**53"),
-        ("gantt", lambda e: e["schedule"][0].update(start=_BIG), "schedule must be"),
-        ("gantt", lambda e: e["schedule"][0].update(end=2**53 + 1), "schedule must be"),
     ],
-    ids=[
-        "metrics-tec", "gantt-neg-tec", "metrics-cmax", "metrics-neg-cmax", "gantt-cmax",
-        "gantt-start", "gantt-end-past-2-53",
-    ],
+    ids=["metrics-tec", "gantt-neg-tec", "metrics-cmax", "metrics-neg-cmax", "gantt-cmax"],
 )
 def test_result_integers_too_large_for_a_float_are_one_line_errors(
     tmp_path, instance_file, capsys, command, edit, message
@@ -476,9 +483,7 @@ def test_a_deeply_nested_document_is_a_one_line_error(tmp_path, instance_file):
         assert "nested too deeply" in lines[0]
 
 
-_RESULT_HEAD = "schema_version: 1\nkind: result\n"
-_ENTRY = "cmax: 3, tec: 1.5"
-_ROW = "job: 1, op: 1, machine: 1, speed: 1, start: 0, end: 3"
+_RESULT_HEAD = "schema_version: 2\nkind: result\n"
 
 
 @pytest.mark.parametrize(
@@ -501,52 +506,16 @@ _ROW = "job: 1, op: 1, machine: 1, speed: 1, start: 0, end: 3"
         ("gantt", "archive:\n- {cmax: 3, tec: .inf}\n", "finite numeric tec"),
         ("metrics", "archive:\n- {cmax: 3, tec: -.inf}\n", "finite numeric tec"),
         ("gantt", "archive:\n- {cmax: 3, tec: -.inf}\n", "finite numeric tec"),
-        ("gantt", f"archive:\n- {{{_ENTRY}}}\n", "schedule"),
-        ("gantt", f"archive:\n- {{{_ENTRY}, schedule: 4}}\n", "schedule"),
-        ("gantt", f"archive:\n- {{{_ENTRY}, schedule: [{{job: 1}}]}}\n", "schedule"),
-        ("gantt", f"archive:\n- {{{_ENTRY}, schedule: [{{{_ROW}}}]}}\n", "energy.intervals"),
-        (
-            "gantt",
-            f"archive:\n- {{{_ENTRY}, schedule: [], energy: {{intervals: [{{machine: 1}}]}}}}\n",
-            "energy.intervals",
-        ),
-        (
-            "gantt",
-            f"archive:\n- {{{_ENTRY}, schedule: [], energy: {{intervals: "
-            "[{machine: 1, start: 3, end: 4, speed: 1, mode: off}]}}\n",
-            "mode must be idle or standby",
-        ),
         ("metrics", "archive:\n- {cmax: -5, tec: 1.5}\n", "cmax must not be negative"),
         ("gantt", "archive:\n- {cmax: -5, tec: 1.5}\n", "cmax must not be negative"),
-        (
-            "gantt",
-            f"archive:\n- {{{_ENTRY}, schedule: [{{{_ROW.replace('start: 0, end: 3', 'start: 7, end: 2')}}}], "
-            "energy: {intervals: []}}\n",
-            "schedule: every row needs 0 <= start <= end",
-        ),
-        (
-            "gantt",
-            f"archive:\n- {{{_ENTRY}, schedule: [{{{_ROW.replace('start: 0', 'start: -1')}}}], "
-            "energy: {intervals: []}}\n",
-            "schedule: every row needs 0 <= start <= end",
-        ),
-        (
-            "gantt",
-            f"archive:\n- {{{_ENTRY}, schedule: [], energy: {{intervals: "
-            "[{machine: 1, start: 3, end: 2, speed: 1, mode: idle}]}}\n",
-            "energy.intervals: every row needs 0 <= start <= end",
-        ),
     ],
     ids=[
         "metrics-no-archive", "gantt-no-archive", "metrics-archive-5", "gantt-archive-5",
         "metrics-empty-archive", "gantt-empty-archive",
         "metrics-no-tec", "gantt-no-tec", "metrics-entry-7", "metrics-bool-cmax",
         "metrics-text-tec", "metrics-nan-tec", "gantt-nan-tec", "metrics-inf-tec",
-        "gantt-inf-tec", "metrics-neg-inf-tec", "gantt-neg-inf-tec", "gantt-no-schedule",
-        "gantt-schedule-4", "gantt-short-row",
-        "gantt-no-energy", "gantt-short-interval", "gantt-interval-mode",
-        "metrics-neg-cmax", "gantt-neg-cmax", "gantt-reversed-row", "gantt-neg-start",
-        "gantt-reversed-interval",
+        "gantt-inf-tec", "metrics-neg-inf-tec", "gantt-neg-inf-tec",
+        "metrics-neg-cmax", "gantt-neg-cmax",
     ],
 )
 def test_result_documents_of_the_wrong_shape_fail_closed(tmp_path, capsys, command, body, message):
@@ -559,20 +528,33 @@ def test_result_documents_of_the_wrong_shape_fail_closed(tmp_path, capsys, comma
     assert not list(tmp_path.glob("chart.*"))
 
 
-@pytest.mark.parametrize("command", ["metrics", "gantt"])
-@pytest.mark.parametrize("version", ["true", "1.0"])
-def test_result_schema_version_must_be_the_integer_1(tmp_path, instance_file, capsys, command, version):
+def _assert_result_version_refused(tmp_path, instance_file, capsys, command, version):
     result = tmp_path / "result.yaml"
     assert _solve(instance_file, result) == 0
     text = result.read_text()
-    assert text.startswith("schema_version: 1\n")
-    result.write_text(text.replace("schema_version: 1", f"schema_version: {version}", 1))
+    assert text.startswith("schema_version: 2\n")
+    result.write_text(text.replace("schema_version: 2", f"schema_version: {version}", 1))
     capsys.readouterr()
     prefix = tmp_path / "chart"
     extra = ["--out", str(prefix)] if command == "gantt" else []
     assert main([command, str(result), *extra]) == 1
-    _assert_one_line_error(capsys, str(result), "unsupported result schema")
+    _assert_one_line_error(capsys, str(result), "unsupported result schema_version, expected 2")
     assert not list(tmp_path.glob("chart.*"))
+
+
+@pytest.mark.parametrize("command", ["metrics", "gantt"])
+@pytest.mark.parametrize("version", ["2.0", "1"])
+def test_result_schema_version_must_be_the_integer_2(tmp_path, instance_file, capsys, command, version):
+    # version 1 results also stored every schedule row and priced interval
+    _assert_result_version_refused(tmp_path, instance_file, capsys, command, version)
+
+
+@pytest.mark.parametrize("command", ["metrics", "gantt"])
+@pytest.mark.parametrize("version", ["true", "1.0"])
+def test_result_schema_version_must_be_the_integer_1(tmp_path, instance_file, capsys, command, version):
+    # `true` and `1.0` compare equal to the integer 1 of the old format; neither
+    # may pass for a version, old or current
+    _assert_result_version_refused(tmp_path, instance_file, capsys, command, version)
 
 
 def _document_of(kind, tmp_path, instance_file) -> dict:
@@ -670,13 +652,71 @@ def test_gantt_outputs(tmp_path, instance_file):
     assert kinds <= {"setup", "process", "idle", "standby"}
     assert "process" in kinds
     solution = load_document(result.read_text())["archive"][0]
+    assert (data["cmax"], data["tec"]) == (solution["cmax"], solution["tec"])
     process_rows = [r for r in data["rows"] if r["kind"] == "process"]
-    assert len(process_rows) == len(
-        [r for r in solution["schedule"] if r["op"] != 0]
-    )
+    assert len(process_rows) == len(solution["os"])
+    assert max(r["end"] for r in process_rows) == solution["cmax"]
     svg = (tmp_path / "chart.svg").read_text()
     assert svg.startswith("<svg")
     assert svg.rstrip().endswith("</svg>")
+
+
+def test_gantt_reads_the_instance_named_beside_the_result(tmp_path, instance_file, monkeypatch):
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    assert _solve(instance_file, runs / "r.yaml") == 0
+    assert load_document((runs / "r.yaml").read_text())["instance"] == os.path.join("..", "tiny.yaml")
+    moved = tmp_path / "moved"
+    (moved / "runs").mkdir(parents=True)
+    (moved / "runs" / "r.yaml").write_text((runs / "r.yaml").read_text())
+    (moved / "tiny.yaml").write_text(instance_file.read_text())
+    assert main(["gantt", str(runs / "r.yaml"), "--out", str(tmp_path / "chart")]) == 0
+    monkeypatch.chdir(moved / "runs")
+    assert main(["gantt", "r.yaml", "--out", "chart"]) == 0
+    assert (moved / "runs" / "chart.svg").read_text() == (tmp_path / "chart.svg").read_text()
+
+
+def test_gantt_reads_the_instance_through_a_linked_result_directory(tmp_path, instance_file):
+    (tmp_path / "real" / "runs").mkdir(parents=True)
+    (tmp_path / "link").symlink_to(tmp_path / "real" / "runs")
+    assert _solve(instance_file, tmp_path / "link" / "r.yaml") == 0
+    assert main(["gantt", str(tmp_path / "link" / "r.yaml"), "--out", str(tmp_path / "chart")]) == 0
+
+
+@pytest.mark.parametrize(
+    "edit, code, message",
+    [
+        (lambda d, i: d.update(instance="gone.yaml"), 2, "No such file"),
+        (lambda d, i: d.update(instance="/dev/zero"), 2, "not a regular file: '/dev/zero'"),
+        (lambda d, i: d.update(instance="."), 2, "not a regular file"),
+        (lambda d, i: d.pop("instance"), 1, "needs a string instance"),
+        (lambda d, i: i.write_text(i.read_text() + "# edited\n"), 1, "is not the file solved: its sha256 differs"),
+        (lambda d, i: i.write_bytes(b"\xff\xfe"), 1, "cannot read its instance"),
+        (lambda d, i: d["archive"][0].update(os=["1"] * len(d["archive"][0]["os"])), 1, "os: expected a list of integers"),
+        (lambda d, i: d["archive"][0].update(mv=[1.0] * len(d["archive"][0]["mv"])), 1, "mv: expected a list of integers"),
+        (lambda d, i: d["archive"][0].update(mv=5), 1, "mv: expected a list of integers"),
+        (lambda d, i: d["archive"][0]["os"].pop(), 1, "os has"),
+        (lambda d, i: d["archive"][0]["mv"].append(1), 1, "mv has"),
+        (lambda d, i: d["archive"][0]["mv"].__setitem__(0, 99), 1, "column 99 out of range"),
+        (lambda d, i: d["archive"][0].update(cmax=d["archive"][0]["cmax"] + 1), 1, "differ from the chromosome's"),
+        (lambda d, i: d["archive"][0].update(tec=d["archive"][0]["tec"] * 2), 1, "differ from the chromosome's"),
+    ],
+    ids=[
+        "missing-instance", "instance-dev-zero", "instance-directory", "no-instance", "edited-instance",
+        "instance-not-utf8", "text-os", "float-mv", "mv-5", "short-os", "long-mv", "mv-column-99",
+        "other-cmax", "other-tec",
+    ],
+)
+def test_gantt_refuses_a_result_that_does_not_derive(tmp_path, instance_file, capsys, edit, code, message):
+    result = tmp_path / "result.yaml"
+    assert _solve(instance_file, result) == 0
+    doc = load_document(result.read_text())
+    edit(doc, instance_file)
+    result.write_text(dump_document(doc))
+    capsys.readouterr()
+    assert main(["gantt", str(result), "--out", str(tmp_path / "chart")]) == code
+    _assert_one_line_error(capsys, str(result), message)
+    assert not list(tmp_path.glob("chart.*"))
 
 
 def test_gantt_rejects_bad_index(tmp_path, instance_file, capsys):
@@ -780,7 +820,8 @@ def test_pipeline_documents_take_the_event_path(tmp_path, base_file, monkeypatch
     assert main(["metrics", *map(str, runs), "--out", str(tmp_path / "report.yaml")]) == 0
     assert main(["gantt", str(runs[0]), "--out", str(tmp_path / "chart")]) == 0
     # written: instance, 2 results, report, chart data; read: 2 x (config, instance), 3 results
-    assert sorted(calls) == ["_emit_document"] * 5 + ["_load_events"] * 7
+    # and the charted result's instance
+    assert sorted(calls) == ["_emit_document"] * 5 + ["_load_events"] * 8
 
 
 def test_version_flag():
