@@ -32,9 +32,10 @@ from .documents import (
     header,
     integer,
     items,
-    load_document,
+    load_document,  # re-exported: tests and the bench tracer name it here
     number,
     numbers,
+    read_document,
 )
 from .model import (
     JobSpec,
@@ -63,6 +64,7 @@ TURN_ON_FACTOR_RANGE = (6.0, 8.0)
 SWITCH_FACTOR_RANGE = (0.2, 0.3)
 DORMANCY_SHARE = 0.2  # dormancy energy as a share of turn-on energy
 DURATION_RANGE = (1, 10)  # base durations drawn by ``random_base``
+MAX_MACHINES = 10_000  # a base header's machine count: the extension builds every machine
 
 
 class ParseError(ValueError):
@@ -126,6 +128,8 @@ def parse_base(text: str) -> BaseFjspInstance:
     n_jobs, n_machines = head[0], head[1]
     if n_jobs < 1 or n_machines < 1:
         raise ParseError(f"line {header_no}: job and machine counts must be positive")
+    if n_machines > MAX_MACHINES:
+        raise ParseError(f"line {header_no}: machine count must be at most {MAX_MACHINES:,}")
     if len(lines) - 1 != n_jobs:
         raise ParseError(
             f"line {header_no}: header announces {n_jobs} jobs, "
@@ -314,7 +318,7 @@ def read_instance(text: str, where: str = "document") -> ProblemInstance:
     """Parse and validate an instance document; ``where`` (its file name)
     starts every error.  Raises DocumentError on a malformed document and
     on an instance that ``validate_instance`` rejects, listing every violation."""
-    data = header(load_document(text), where, "instance", SCHEMA_VERSION)
+    data = header(read_document(text, where), where, "instance", SCHEMA_VERSION)
     s = integer(data.get("speed_count"), where, "speed_count")
     jobs = []
     for jdoc in items(data.get("jobs"), where, "jobs", ("id", "setup_time")):

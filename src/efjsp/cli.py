@@ -29,10 +29,9 @@ from dataclasses import asdict, fields, replace
 from pathlib import Path
 from stat import S_ISREG
 
-import yaml
-
 from . import __version__
 from .benchmark import (
+    ParseError,
     extend_instance,
     parse_base,
     read_instance,
@@ -46,9 +45,9 @@ from .documents import (
     integer,
     integers,
     items,
-    load_document,
     mapping,
     number,
+    read_document,
     string,
 )
 from .encoding import Chromosome, ChromosomeError, decode
@@ -62,7 +61,7 @@ RESULT_SCHEMA = 2
 REPORT_SCHEMA = 1  # metrics and gantt documents
 MAX_REPLICAS = 1_000
 HV_REFERENCE = (1.1, 1.1)
-_SETTING_READERS = {int: integer, float: number, bool: boolean}  # by a setting's default type
+_SETTING_READERS = {int: integer, bool: boolean}  # by a setting's default type
 
 _PALETTE = (
     "#4e79a7", "#f28e2b", "#e15759", "#76b7b2", "#59a14f",
@@ -130,17 +129,25 @@ def cmd_generate(args: argparse.Namespace) -> int:
     if args.replicas > MAX_REPLICAS:
         print(f"error: --replicas must be at most {MAX_REPLICAS:,}", file=sys.stderr)
         return 1
-    out_dir = Path(args.out_dir)
+    bases = []
     for base_path in args.bases:
-        text = Path(base_path).read_text()
-        base = parse_base(text)
+        try:
+            bases.append((base_path, parse_base(_read_text(base_path))))
+        except ParseError as exc:
+            raise ParseError(f"{base_path}: {exc}") from None
+    seeds = range(args.seed, args.seed + args.replicas)  # replica k takes seed + k - 1
+    # every instance is checked before anything is written; the second pass
+    # builds each again, so only one is held at a time
+    for base_path, base in bases:
+        for seed in seeds:
+            require_valid(extend_instance(base, seed), base_path)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for base_path, base in bases:
         stem = Path(base_path).stem
-        for k in range(1, args.replicas + 1):
-            inst = require_valid(extend_instance(base, seed=args.seed + k - 1), base_path)
-            out_dir.mkdir(parents=True, exist_ok=True)  # only once there is an instance to write
-            name = f"{stem}-{k:02d}.yaml" if args.replicas > 1 else f"{stem}.yaml"
-            target = out_dir / name
-            target.write_text(write_instance(inst))
+        for k, seed in enumerate(seeds, start=1):
+            target = out_dir / (f"{stem}-{k:02d}.yaml" if args.replicas > 1 else f"{stem}.yaml")
+            target.write_text(write_instance(extend_instance(base, seed)))
             print(target)
     return 0
 
@@ -148,7 +155,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def _config_from_args(args: argparse.Namespace) -> AlgorithmConfig:
     cfg = AlgorithmConfig()
     if args.config:
-        doc = load_document(Path(args.config).read_text())
+        doc = read_document(_read_text(args.config), args.config)
         doc = mapping({} if doc is None else doc, args.config, "config")  # empty: the defaults
         defaults = {f.name: f.default for f in fields(AlgorithmConfig)}
         unknown = set(doc) - set(defaults)
@@ -172,7 +179,7 @@ def _config_from_args(args: argparse.Namespace) -> AlgorithmConfig:
             **{
                 "nhi": {"disable_hybrid_init": True},
                 "nde": {"disable_de": True},
-                "ncp": {"disable_vns": True},
+                "ncp": {"vns_budget": 0},
             }[flag],
         )
     return cfg
@@ -199,8 +206,17 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _read_text(path: str) -> str:
+    """The text of the file at ``path``; text that is not UTF-8 is one
+    ValueError line naming the file."""
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
-    text = Path(args.instance).read_text()
+    text = _read_text(args.instance)
     inst = read_instance(text, args.instance)
     cfg = _config_from_args(args)
     _check_writable(args.out)  # before the solve, not after it
@@ -260,7 +276,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _load_result(path: str) -> dict:
-    doc = header(load_document(Path(path).read_text()), path, "result", RESULT_SCHEMA)
+    doc = header(read_document(_read_text(path), path), path, "result", RESULT_SCHEMA)
     archive = items(doc.get("archive"), path, "archive", ("cmax",), bound=True)
     if not archive:
         raise ValueError(f"{path}: empty archive")
@@ -473,17 +489,6 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except yaml.YAMLError as exc:
-        print(f"error: {_yaml_problem(exc)}", file=sys.stderr)
-        return 1
-
-
-def _yaml_problem(exc: yaml.YAMLError) -> str:
-    """One line naming what the YAML parser choked on, and where."""
-    problem = getattr(exc, "problem", None) or str(exc).splitlines()[0]
-    mark = getattr(exc, "problem_mark", None)
-    where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
-    return f"malformed YAML: {problem}{where}"
 
 
 if __name__ == "__main__":

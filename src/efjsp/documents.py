@@ -290,6 +290,21 @@ class DocumentError(ValueError):
     """A document lacks a field or holds one of the wrong type."""
 
 
+def read_document(text: str, where: str):
+    """``load_document(text)``, where a document that does not parse is
+    one DocumentError line naming ``where``, what the parser choked on
+    and at which line and column."""
+    try:
+        return load_document(text)
+    except yaml.YAMLError as exc:
+        problem = getattr(exc, "problem", None) or str(exc).splitlines()[0]
+        mark = getattr(exc, "problem_mark", None)
+        at = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        raise DocumentError(f"{where}: malformed YAML: {problem}{at}") from None
+    except ValueError as exc:  # nested too deeply
+        raise DocumentError(f"{where}: {exc}") from None
+
+
 def header(doc, where: str, kind: str, version: int) -> dict:
     """``doc`` when it is a mapping of ``kind`` at schema_version ``version``."""
     if type(doc) is not dict or doc.get("kind") != kind:

@@ -110,11 +110,6 @@ def build_message_matrix(
     return out
 
 
-def canonical_order(inst: ProblemInstance) -> tuple[tuple[int, int], ...]:
-    """Operation keys in mv order: jobs ascending, op index ascending."""
-    return tuple(inst.matrices)
-
-
 def random_chromosome(inst: ProblemInstance, rng: random.Random) -> Chromosome:
     """Uniform random chromosome: shuffled os, uniform mv columns."""
     os = [job.id for job in inst.jobs for _ in job.operations]

@@ -173,7 +173,7 @@ def vns(
     objectives: tuple[int, float],
     inst: ProblemInstance,
     rng: random.Random,
-    budget: int = 20,
+    budget: int,
 ) -> tuple[Chromosome, tuple[int, float], list[tuple[Chromosome, tuple[int, float]]]]:
     """Variable neighbourhood descent from one solution.
 

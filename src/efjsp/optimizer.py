@@ -3,13 +3,14 @@
 Each particle carries a chromosome position, its objectives, and a
 personal best.  One iteration builds a learning exemplar for every
 particle from the personal bests of its ring neighbours via differential
-mutation and crossover, rotates a random segment of the particle's own
-operation sequence (inertia), and fuses rotated position, exemplar and an
-archive member into a candidate by a three-parent job-subset merge.  The
-candidate replaces the rotated position only when it dominates it.  A
-variable neighbourhood search then refines the five best particles, and
-all points evaluated during the iteration feed an elitist bounded
-archive.
+mutation and crossover, at the paper's fixed rates ``SCALE_FACTOR`` and
+``CROSSOVER_RATE``.  It rotates a random segment of the particle's own
+operation sequence (inertia), and fuses rotated position, exemplar and
+an archive member into a candidate by a three-parent job-subset merge
+weighted (inertia, cognitive * r1, social * r2).  The candidate replaces
+the rotated position only when it dominates it.  A variable
+neighbourhood search then refines the five best particles, and all
+points evaluated during the iteration feed an elitist bounded archive.
 
 Randomness is drawn in a fixed order, and personal bests and the archive
 change only in a barrier phase after every particle has moved, so runs
@@ -30,7 +31,6 @@ from .encoding import (
     RULE_MIN_ENERGY,
     RULE_MIN_TIME,
     Chromosome,
-    canonical_order,
     evaluate,
     heuristic_chromosome,
     random_chromosome,
@@ -60,21 +60,23 @@ MAX_POPULATION = 10_000
 MAX_ITER = 1_000_000
 MAX_VNS_BUDGET = 10_000
 
+# The paper's DE rates: the scale factor F and the crossover rate CR.
+SCALE_FACTOR = 0.5
+CROSSOVER_RATE = 0.3
+
 
 @dataclass
 class AlgorithmConfig:
-    """Tunables of the solver loop; sizes are bounded by the ``MAX_*``
-    constants above."""
+    """Settings of the solver loop; sizes are bounded by the ``MAX_*``
+    constants above.  The paper's three ablations are
+    ``disable_hybrid_init``, ``disable_de`` and a ``vns_budget`` of 0."""
 
     population: int = 30
     max_iter: int = 300
-    scale_factor: float = 0.5
-    crossover_rate: float = 0.3
     archive_capacity: int = 100
     vns_budget: int = 20
     disable_hybrid_init: bool = False
     disable_de: bool = False
-    disable_vns: bool = False
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -82,10 +84,6 @@ class AlgorithmConfig:
             raise ValueError(f"population must lie in 3..{MAX_POPULATION}")
         if not 0 <= self.max_iter <= MAX_ITER:
             raise ValueError(f"max_iter must lie in 0..{MAX_ITER}")
-        if not 0.0 <= self.scale_factor <= 1.0:
-            raise ValueError("scale_factor must lie in [0, 1]")
-        if not 0.0 <= self.crossover_rate <= 1.0:
-            raise ValueError("crossover_rate must lie in [0, 1]")
         if self.archive_capacity < 1:
             raise ValueError("archive_capacity must be positive")
         if not 0 <= self.vns_budget <= MAX_VNS_BUDGET:
@@ -252,7 +250,7 @@ def weighted_fusion(
     s1 = set(shuffled[:n1])
     s2 = set(shuffled[n1 : n1 + n2])
     s3 = set(shuffled[n1 + n2 :])
-    return fuse_parents(canonical_order(inst), p1, p2, p3, s1, s2, s3)
+    return fuse_parents(tuple(inst.matrices), p1, p2, p3, s1, s2, s3)
 
 
 def inertia_weight(iteration: int, max_iter: int) -> float:
@@ -274,32 +272,6 @@ def learning_factors(
     c2 = 1.5 + iteration * 0.5 / (max_iter * u2)
     clamp = lambda c: min(2.0, max(1.5, c))
     return clamp(c1), clamp(c2)
-
-
-def update_position(
-    position: Chromosome,
-    exemplar: Chromosome,
-    gbest: Chromosome,
-    iteration: int,
-    cfg: AlgorithmConfig,
-    rng: random.Random,
-    inst: ProblemInstance,
-) -> tuple[Chromosome, Chromosome]:
-    """One particle move: returns (rotated position, fused candidate).
-
-    The rotated position is the inertia baseline; the candidate fuses it
-    with the exemplar and the archive draw under weights (inertia,
-    cognitive * r1, social * r2).
-    """
-    w = inertia_weight(iteration, cfg.max_iter)
-    c1, c2 = learning_factors(iteration, cfg.max_iter, rng)
-    rotated = self_rotate(position, rng)
-    r1 = rng.random()
-    r2 = rng.random()
-    candidate = weighted_fusion(
-        inst, rotated, exemplar, gbest, (w, c1 * r1, c2 * r2), rng
-    )
-    return rotated, candidate
 
 
 def select(
@@ -338,24 +310,27 @@ def run(
     trace: list[IterationStats] = []
     n = len(particles)
     for it in range(1, cfg.max_iter + 1):
+        w = inertia_weight(it, cfg.max_iter)
         evaluated: list[tuple[Chromosome, Objectives]] = []
         for i, part in enumerate(particles):
             exemplar = part.pbest
             if not cfg.disable_de:
                 mutant = de_mutate(
                     particles[i - 1].pbest, part.pbest, particles[(i + 1) % n].pbest,
-                    cfg.scale_factor, rng,
+                    SCALE_FACTOR, rng,
                 )
-                exemplar = de_crossover(mutant, part.pbest, cfg.crossover_rate, rng)
+                exemplar = de_crossover(mutant, part.pbest, CROSSOVER_RATE, rng)
             gbest = archive.sample(rng).chromosome
-            moves = update_position(
-                part.position, exemplar, gbest, it, cfg, rng, inst
-            )
-            rotated, candidate = [(ch, evaluate(inst, ch)) for ch in moves]
-            evaluated += (rotated, candidate)
-            part.position, part.objectives = select(rotated, candidate)
+            c1, c2 = learning_factors(it, cfg.max_iter, rng)
+            rotated = self_rotate(part.position, rng)
+            r1 = rng.random()
+            r2 = rng.random()
+            candidate = weighted_fusion(inst, rotated, exemplar, gbest, (w, c1 * r1, c2 * r2), rng)
+            moves = [(ch, evaluate(inst, ch)) for ch in (rotated, candidate)]
+            evaluated += moves
+            part.position, part.objectives = select(*moves)
 
-        if not cfg.disable_vns and cfg.vns_budget > 0:
+        if cfg.vns_budget > 0:
             for i in _top_indices(particles, 5):
                 # each call gets its own stream seeded from rng
                 part = particles[i]

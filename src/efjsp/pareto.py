@@ -101,7 +101,7 @@ class ParetoArchive:
     distance is dropped; boundary members are never dropped.
     """
 
-    def __init__(self, capacity: int = 100):
+    def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("archive capacity must be positive")
         self.capacity = capacity

@@ -157,7 +157,7 @@ def test_component_ablation_medians(capsys):
             "full": {},
             "no-init": {"disable_hybrid_init": True},
             "no-de": {"disable_de": True},
-            "no-vns": {"disable_vns": True},
+            "no-vns": {"vns_budget": 0},
         }
         scores: dict[str, list[float]] = {name: [] for name in variants}
         for case_inst in instances:
@@ -165,7 +165,7 @@ def test_component_ablation_medians(capsys):
             for name, flags in variants.items():
                 for seed in range(1, 11):
                     cfg = AlgorithmConfig(
-                        population=20, max_iter=25, vns_budget=8, seed=seed, **flags
+                        **{"population": 20, "max_iter": 25, "vns_budget": 8, "seed": seed, **flags}
                     )
                     fronts[(name, seed)] = run(case_inst, cfg).archive.points()
             union = [p for front in fronts.values() for p in front]

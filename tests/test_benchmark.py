@@ -8,6 +8,7 @@ import pytest
 import yaml
 
 from efjsp.benchmark import (
+    MAX_MACHINES,
     ParseError,
     dump_document,
     extend_instance,
@@ -45,6 +46,14 @@ def test_parse_rejects_machine_out_of_range():
     with pytest.raises(ParseError) as err:
         parse_base("1 1\n1 1 2 5\n")
     assert "machine" in str(err.value)
+
+
+@pytest.mark.parametrize("count", [MAX_MACHINES + 1, 10**30])
+def test_parse_bounds_the_machine_count(count):
+    # the extension builds every machine the header announces, used or not
+    assert parse_base(f"1 {MAX_MACHINES}\n1 1 1 5\n").n_machines == MAX_MACHINES
+    with pytest.raises(ParseError, match="line 1: machine count must be at most 10,000"):
+        parse_base(f"1 {count}\n1 1 1 5\n")
 
 
 def test_parse_rejects_nonpositive_duration():

@@ -97,6 +97,32 @@ def test_generate_refuses_replicas_beyond_the_bound_before_writing(tmp_path, bas
     assert not list(out_dir.iterdir())
 
 
+def test_generate_writes_nothing_when_a_later_base_fails(tmp_path, base_file, capsys):
+    short = tmp_path / "short.txt"
+    short.write_text("2 1\n1 1 1 5\n")  # announces 2 jobs, has 1 job line
+    out_dir = tmp_path / "partial"
+    assert main(["generate", str(base_file), str(short), "--out-dir", str(out_dir)]) == 1
+    _assert_one_line_error(capsys, str(short), "line 1: header announces 2 jobs")
+    assert not out_dir.exists()
+
+
+def test_generate_checks_every_replica_before_writing(tmp_path, capsys):
+    # two operations of 3 * (2**53 - 2) / 3 slowest-gear time in all, each after
+    # a setup of 1 or 2: the horizon is 2**53 for replicas 1-4 (seeds 1-4 draw a
+    # setup of 1) and exceeds it for replica 5 (seed 5 draws 2)
+    base = tmp_path / "edge.txt"
+    base.write_text(f"1 1\n2 1 1 1 1 1 {(2**53 - 2) // 3 - 1}\n")
+    out_dir = tmp_path / "out"
+    argv = ["generate", str(base), "--seed", "1", "--out-dir", str(out_dir)]
+    assert main([*argv, "--replicas", "4"]) == 0
+    capsys.readouterr()
+    out_dir = tmp_path / "out5"
+    argv[-1] = str(out_dir)
+    assert main([*argv, "--replicas", "5"]) == 1
+    _assert_one_line_error(capsys, str(base), "exceeds 2**53")
+    assert not out_dir.exists()
+
+
 def test_solve_writes_result_document(tmp_path, instance_file):
     out = tmp_path / "result.yaml"
     assert _solve(instance_file, out) == 0
@@ -188,6 +214,49 @@ def test_solve_rejects_unknown_config_keys_of_mixed_types(tmp_path, instance_fil
     code = main(["solve", str(instance_file), "--config", str(cfg), "--out", str(out)])
     assert code == 1
     _assert_one_line_error(capsys, "unknown config keys: [1, 'foo']")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["disable_vns", "scale_factor", "crossover_rate"])
+def test_solve_refuses_the_removed_settings(tmp_path, instance_file, capsys, key):
+    # `disable_vns` is `vns_budget: 0`; F and CR are the constants of efjsp.optimizer
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text(f"{key}: {'true' if key == 'disable_vns' else 0.5}\n")
+    out = tmp_path / "result.yaml"
+    assert main(["solve", str(instance_file), "--config", str(cfg), "--out", str(out)]) == 1
+    _assert_one_line_error(capsys, str(cfg), f"unknown config keys: ['{key}']")
+    assert not out.exists()
+
+
+_MALFORMED = {
+    "instance": "kind: instance\njobs: [1, 2\n",
+    "config": "population: [1, 2\n",
+    "result": "a: [1, 2\n",
+    "base": "2 1\n1 1 1 5\n",
+}
+
+
+@pytest.mark.parametrize("text", ["malformed", "not-utf8"])
+@pytest.mark.parametrize("kind", list(_MALFORMED))
+def test_every_unreadable_input_names_its_file(tmp_path, instance_file, capsys, kind, text):
+    bad = tmp_path / f"bad-{kind}"
+    if text == "malformed":
+        bad.write_text(_MALFORMED[kind])
+    else:
+        bad.write_bytes(b"\xff\xfe" + _MALFORMED[kind].encode())
+    out = tmp_path / "out"
+    argv = {
+        "instance": ["solve", str(bad), "--out", str(out)],
+        "config": ["solve", str(instance_file), "--config", str(bad), "--out", str(out)],
+        "result": ["metrics", str(tmp_path / "result.yaml"), str(bad)],
+        "base": ["generate", str(bad), "--out-dir", str(out)],
+    }[kind]
+    if kind == "result":
+        assert _solve(instance_file, tmp_path / "result.yaml") == 0
+    capsys.readouterr()
+    assert main(argv) == 1
+    expected = {"malformed": "malformed YAML: " if kind != "base" else "line 1: ", "not-utf8": "utf-8"}
+    _assert_one_line_error(capsys, f"{bad}: ", expected[text])
     assert not out.exists()
 
 
@@ -398,7 +467,7 @@ def test_solve_ablation_flags_recorded(tmp_path, instance_file):
     assert _solve(instance_file, out, "--ablate", "nde", "--ablate", "ncp") == 0
     doc = load_document(out.read_text())
     assert doc["config"]["disable_de"] is True
-    assert doc["config"]["disable_vns"] is True
+    assert doc["config"]["vns_budget"] == 0
     assert doc["config"]["disable_hybrid_init"] is False
 
 
@@ -480,7 +549,7 @@ def test_a_deeply_nested_document_is_a_one_line_error(tmp_path, instance_file):
         assert ran.returncode == 1, (argv, ran.returncode)
         lines = ran.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), (argv, ran.stderr[-500:])
-        assert "nested too deeply" in lines[0]
+        assert "nested too deeply" in lines[0] and str(deep) in lines[0]
 
 
 _RESULT_HEAD = "schema_version: 2\nkind: result\n"
@@ -577,7 +646,6 @@ def _document_of(kind, tmp_path, instance_file) -> dict:
         ("instance", lambda d: d["jobs"][0].update(operations=5), "operations"),
         # a config has no required key and no list-valued setting
         ("config", lambda d: d.update(population=True), "population"),
-        ("config", lambda d: d.update(scale_factor="half"), "scale_factor"),
         ("config", lambda d: d.update(population=10**400), "population"),
         ("result", lambda d: d["archive"][0].pop("tec"), "tec"),
         ("result", lambda d: d["archive"][0].update(cmax=True), "cmax"),
@@ -587,7 +655,7 @@ def _document_of(kind, tmp_path, instance_file) -> dict:
     ],
     ids=[
         "instance-missing-key", "instance-true-int", "instance-text-number", "instance-10-400",
-        "instance-non-list", "config-true-int", "config-text-number", "config-10-400",
+        "instance-non-list", "config-true-int", "config-10-400",
         "result-missing-key", "result-true-int", "result-text-number", "result-10-400",
         "result-non-list",
     ],

@@ -16,7 +16,6 @@ from efjsp.encoding import (
     Chromosome,
     ChromosomeError,
     build_message_matrix,
-    canonical_order,
     decode,
     evaluate,
     heuristic_chromosome,
@@ -34,7 +33,8 @@ from efjsp.model import (
 
 
 def test_canonical_order(inst):
-    assert canonical_order(inst) == (
+    # the message matrices are keyed in mv order: jobs, then operations, ascending
+    assert tuple(inst.matrices) == (
         (1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (2, 4),
     )
 

@@ -1,8 +1,8 @@
 """``run`` reproduces recorded archives and traces draw for draw.
 
 Three generated instances (6x4, 10x6, 20x10), each solved with its own
-seed under five configurations: the default loop, each of the three
-ablations, and a zero VNS budget.  Every configuration uses population
+seed under four configurations: the default loop and each of the three
+ablations (the third is a zero VNS budget).  Every configuration uses population
 12, 4 iterations and archive capacity 10.  The pin file stores the final
 archive entries in order (os, mv, cmax, tec) and the archive points of
 every trace entry.
@@ -26,7 +26,6 @@ INSTANCES = ((6, 4, 21), (10, 6, 22), (20, 10, 23))
 VARIANTS = {
     "default": {},
     "disable_de": {"disable_de": True},
-    "disable_vns": {"disable_vns": True},
     "disable_hybrid_init": {"disable_hybrid_init": True},
     "vns_budget_0": {"vns_budget": 0},
 }
