@@ -77,3 +77,17 @@ expect_refusal 1 '^error:.*bad\.yaml' efjsp metrics result.yaml bad.yaml
 printf '2 1\n1 1 1 5\n' > short.txt
 expect_refusal 1 '^error:.*short\.txt' efjsp generate base.txt short.txt --out-dir partial
 test ! -e partial
+
+# two base files of one stem would write one instance path twice: refused before --out-dir exists
+mkdir again
+cp base.txt again/base.txt
+expect_refusal 1 '^error:.*again/base\.txt' efjsp generate base.txt again/base.txt --out-dir twice
+test ! -e twice
+
+# no command writes over one of its own inputs
+cp result.yaml result.copy
+expect_refusal 1 '^error:.*result\.yaml' efjsp gantt result.yaml --out result
+cmp result.yaml result.copy
+cp base.yaml base.copy
+expect_refusal 1 '^error:.*base\.yaml' efjsp solve base.yaml --out base.yaml
+cmp base.yaml base.copy

@@ -37,8 +37,6 @@ from .model import (
     Machine,
     ProblemInstance,
     ScheduledRow,
-    idle_intervals,
-    makespan,
     validate_instance,
     validate_schedule,
 )
@@ -67,10 +65,8 @@ __all__ = [
     "extend_instance",
     "heuristic_chromosome",
     "hv",
-    "idle_intervals",
     "igd",
     "independent_objectives",
-    "makespan",
     "normalize",
     "parse_base",
     "random_base",

@@ -53,7 +53,7 @@ from .documents import (
 from .encoding import Chromosome, ChromosomeError, decode
 from .energy import MODE_IDLE, total_energy
 from .metrics import c_metric, hv, igd, normalize
-from .model import ProblemInstance, makespan
+from .model import ProblemInstance
 from .optimizer import AlgorithmConfig, IterationStats, run
 from .pareto import nondominated
 
@@ -136,19 +136,25 @@ def cmd_generate(args: argparse.Namespace) -> int:
         except ParseError as exc:
             raise ParseError(f"{base_path}: {exc}") from None
     seeds = range(args.seed, args.seed + args.replicas)  # replica k takes seed + k - 1
-    # every instance is checked before anything is written; the second pass
-    # builds each again, so only one is held at a time
-    for base_path, base in bases:
-        for seed in seeds:
-            require_valid(extend_instance(base, seed), base_path)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    # every target is named and checked and every instance validated before anything
+    # is written; the last pass builds each instance again, so one is held at a time
+    targets = {}  # target path -> (base file, base, seed)
     for base_path, base in bases:
         stem = Path(base_path).stem
         for k, seed in enumerate(seeds, start=1):
             target = out_dir / (f"{stem}-{k:02d}.yaml" if args.replicas > 1 else f"{stem}.yaml")
-            target.write_text(write_instance(extend_instance(base, seed)))
-            print(target)
+            if target in targets:
+                raise ValueError(f"{targets[target][0]} and {base_path} both generate {target}")
+            require_valid(extend_instance(base, seed), base_path)
+            targets[target] = (base_path, base, seed)
+    _refuse_overwriting(targets, args.bases)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for target in targets:
+        _check_writable(target)
+    for target, (_, base, seed) in targets.items():
+        target.write_text(write_instance(extend_instance(base, seed)))
+        print(target)
     return 0
 
 
@@ -185,6 +191,15 @@ def _config_from_args(args: argparse.Namespace) -> AlgorithmConfig:
     return cfg
 
 
+def _refuse_overwriting(outputs, inputs) -> None:
+    """Refuse the first of ``outputs`` that resolves to one of ``inputs``
+    (None, in either, names no file)."""
+    read = {os.path.realpath(path) for path in inputs if path is not None}
+    for path in outputs:
+        if path is not None and os.path.realpath(path) in read:
+            raise ValueError(f"{path}: is an input of this command; refusing to write over it")
+
+
 def _check_writable(path: str) -> None:
     """Raise the OSError that writing ``path`` would raise, leaving no file behind."""
     existed = os.path.lexists(path)
@@ -216,6 +231,7 @@ def _read_text(path: str) -> str:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    _refuse_overwriting([args.out], [args.instance, args.config])
     text = _read_text(args.instance)
     inst = read_instance(text, args.instance)
     cfg = _config_from_args(args)
@@ -288,6 +304,7 @@ def _load_result(path: str) -> dict:
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
+    _refuse_overwriting([args.out], args.results)
     fronts = []
     for path in args.results:
         doc = _load_result(path)
@@ -334,11 +351,10 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def _result_instance(doc: dict, path: str) -> ProblemInstance:
-    """The instance ``doc`` (read from ``path``) was solved on: the file
-    its ``instance`` names, relative to ``path``'s directory, when that
-    is a regular file whose text hashes to ``instance_sha256``."""
-    file = Path(path).parent / string(doc.get("instance"), path, "instance")
+def _result_instance(file: Path, doc: dict, path: str) -> ProblemInstance:
+    """The instance ``doc`` (read from ``path``) was solved on: ``file``,
+    the one its ``instance`` names, when that is a regular file whose text
+    hashes to ``instance_sha256``."""
     try:
         if not S_ISREG(file.stat().st_mode):
             raise OSError(f"not a regular file: {str(file)!r}")
@@ -361,7 +377,7 @@ def _gantt_rows(inst: ProblemInstance, chrom: Chromosome, entry: dict, where: st
     except ChromosomeError as exc:
         raise ValueError(f"{where}: {exc}") from None
     breakdown = total_energy(inst, sched)
-    objectives = (makespan(sched), breakdown.tec)  # evaluate(inst, chrom), to the last bit
+    objectives = (breakdown.cmax, breakdown.tec)  # evaluate(inst, chrom), to the last bit
     if objectives != (entry["cmax"], entry["tec"]):
         raise ValueError(
             f"{where}: stored cmax, tec {entry['cmax']}, {entry['tec']!r} differ from "
@@ -452,6 +468,10 @@ def _render_svg(rows: list[dict], cmax: int) -> str:
 
 def cmd_gantt(args: argparse.Namespace) -> int:
     doc = _load_result(args.result)
+    instance_file = Path(args.result).parent / string(doc.get("instance"), args.result, "instance")
+    data_path = Path(f"{args.out}.yaml")
+    svg_path = Path(f"{args.out}.svg")
+    _refuse_overwriting([data_path, svg_path], [args.result, instance_file])
     archive = doc["archive"]
     if not 0 <= args.solution < len(archive):
         raise ValueError(
@@ -460,7 +480,7 @@ def cmd_gantt(args: argparse.Namespace) -> int:
     entry = archive[args.solution]
     where = f"{args.result}: solution {args.solution}"
     chrom = Chromosome(integers(entry.get("os"), where, "os"), integers(entry.get("mv"), where, "mv"))
-    rows = _gantt_rows(_result_instance(doc, args.result), chrom, entry, where)
+    rows = _gantt_rows(_result_instance(instance_file, doc, args.result), chrom, entry, where)
     data_doc = {
         "schema_version": REPORT_SCHEMA,
         "kind": "gantt",
@@ -469,8 +489,6 @@ def cmd_gantt(args: argparse.Namespace) -> int:
         "tec": entry["tec"],
         "rows": rows,
     }
-    data_path = Path(f"{args.out}.yaml")
-    svg_path = Path(f"{args.out}.svg")
     data_path.write_text(dump_document(data_doc))
     svg_path.write_text(_render_svg(rows, entry["cmax"]))
     print(data_path)

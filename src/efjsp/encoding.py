@@ -82,13 +82,6 @@ class MessageMatrix:
     def __len__(self) -> int:
         return len(self.machines)
 
-    def column_for(self, machine: int, speed: int) -> int:
-        """1-based column index of the given (machine, gear) option."""
-        for i, (m, v) in enumerate(zip(self.machines, self.speeds)):
-            if m == machine and v == speed:
-                return i + 1
-        raise KeyError((machine, speed))
-
 
 def build_message_matrix(
     inst: ProblemInstance,
@@ -340,8 +333,8 @@ def evaluate(
 ) -> tuple[int, float]:
     """The two objectives (makespan, total energy) of a chromosome.
 
-    Equal, to the last bit, to ``makespan`` and ``total_energy(...).tec``
-    of ``decode``'s schedule, but priced off the placement timelines in
+    Equal, to the last bit, to ``(cmax, tec)`` of ``total_energy`` on
+    ``decode``'s schedule, but priced off the placement timelines in
     one walk.  Raises ChromosomeError on malformed input, ValueError
     when nothing is processed.
 

@@ -16,8 +16,9 @@ The cheaper choice is taken, ties going to waiting idle.
 All five parts come from one walk over per-machine timelines
 (``account``).  ``encoding.evaluate`` runs it on the decoder's own
 timelines to price a chromosome; ``total_energy`` runs it on a
-schedule's rows, sorted per machine, and also keeps every interval
-decision, so the breakdown and the objective are the same sums.
+schedule's rows, sorted per machine, and also keeps the makespan and
+every interval decision, so the breakdown and the objectives are the
+same sums.
 """
 
 from __future__ import annotations
@@ -44,22 +45,20 @@ class IntervalDecision:
     """Resolved treatment of one interior non-processing stretch.
 
     ``idle_speed`` is the gear the machine would hold while idling (the
-    lower of the two neighbouring gears).  ``switch_on_entry`` tells on
-    which side of the stretch the single speed switch of the idle option
-    falls: at entry when slowing down, at exit when speeding up.
+    lower of the two neighbouring gears).
     """
 
     interval: IdleIntervalRecord
     mode: str
     idle_speed: int
-    switch_on_entry: bool
     energy: float
 
 
 @dataclass(frozen=True)
 class EnergyBreakdown:
-    """Per-component energy totals for one schedule."""
+    """Makespan (0 without a process row) and energy totals of one schedule."""
 
+    cmax: int
     turn_on: float
     transition: float
     setup: float
@@ -88,7 +87,6 @@ def _decision(interval: IdleIntervalRecord, cost: float, idle: bool) -> Interval
         interval=interval,
         mode=MODE_IDLE if idle else MODE_STANDBY,
         idle_speed=min(interval.prev_speed, interval.next_speed),
-        switch_on_entry=interval.prev_speed > interval.next_speed,
         energy=cost,
     )
 
@@ -171,15 +169,16 @@ def account(
 
 
 def total_energy(inst: ProblemInstance, sched: tuple[ScheduledRow, ...]) -> EnergyBreakdown:
-    """Full energy breakdown of a schedule.
+    """Full energy breakdown of a schedule, with its makespan.
 
-    ``tec`` is the exact sum of the five components, added in the same
-    order as by ``encoding.evaluate``.  An empty schedule yields an
-    all-zero breakdown.
+    ``(cmax, tec)`` are ``encoding.evaluate``'s objectives: ``tec`` is the
+    exact sum of the five components, added in the same order.  An empty
+    schedule yields an all-zero breakdown.
     """
     decisions: list[IntervalDecision] = []
-    _, ie1, ie2, se1, se2, ise = account(inst, machine_timelines(inst, sched), decisions)
+    cmax, ie1, ie2, se1, se2, ise = account(inst, machine_timelines(inst, sched), decisions)
     return EnergyBreakdown(
+        cmax=max(cmax, 0),
         turn_on=ie1,
         transition=ie2,
         setup=se1,

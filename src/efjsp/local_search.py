@@ -1,14 +1,13 @@
 """Variable neighbourhood search around the critical path.
 
-The search reads each solution off its machine timelines: in ``vns`` the
-decoder's own, time-ordered as placed (``encoding.Checkpoints``), so no
-schedule rows are collected or sorted; ``neighbor`` sorts a given
-schedule's rows into them (``model.machine_timelines``).  The critical path
-folds every setup into the process segment it serves and walks
-backwards from the latest completion, always stepping to the
-later-completing of the job predecessor and the machine predecessor (the
-previous process segment on the timeline; ties prefer the machine
-predecessor), until an operation that starts at time zero.
+The search reads each solution off the decoder's own machine timelines,
+time-ordered as placed (``encoding.Checkpoints``), so no schedule rows
+are collected or sorted.  The critical path folds every setup into the
+process segment it serves and walks backwards from the latest
+completion, always stepping to the later-completing of the job
+predecessor and the machine predecessor (the previous process segment
+on the timeline; ties prefer the machine predecessor), until an
+operation that starts at time zero.
 
 Three neighbourhood structures perturb a chromosome:
 
@@ -44,7 +43,7 @@ import random
 from functools import cached_property
 
 from .encoding import Checkpoints, Chromosome, evaluate
-from .model import PROCESS, SETUP, ProblemInstance, ScheduledRow, Segment, machine_timelines
+from .model import PROCESS, SETUP, ProblemInstance, Segment
 from .pareto import dominates
 
 STRUCTURES = ("n1", "n2", "n3")
@@ -147,25 +146,6 @@ class _View:
             os[ia], os[ib] = os[ib], os[ia]
             return Chromosome(tuple(os), self.chrom.mv), min(ia, ib)
         return None
-
-
-def neighbor(
-    chrom: Chromosome,
-    structure: str,
-    inst: ProblemInstance,
-    sched: tuple[ScheduledRow, ...],
-    rng: random.Random,
-) -> Chromosome | None:
-    """One random neighbour under the given structure, or None.
-
-    None signals that the structure cannot produce a meaningful move for
-    this schedule (for example every critical operation runs on its only
-    machine), after a bounded number of resampling attempts.
-    """
-    if structure not in STRUCTURES:
-        raise ValueError(f"unknown neighbourhood structure {structure!r}")
-    drawn = _View(inst, chrom, machine_timelines(inst, sched)).draw(structure, rng)
-    return None if drawn is None else drawn[0]
 
 
 def vns(

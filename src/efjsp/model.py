@@ -389,17 +389,6 @@ def continuous_pairs(
     ]
 
 
-def makespan(sched: tuple[ScheduledRow, ...]) -> int:
-    """Completion time of the last process row.
-
-    Raises ValueError on a schedule without process rows.
-    """
-    ends = [r.end for r in sched if not r.is_setup]
-    if not ends:
-        raise ValueError("schedule has no process rows")
-    return max(ends)
-
-
 def validate_schedule(inst: ProblemInstance, sched: tuple[ScheduledRow, ...]) -> ValidationReport:
     """Check a schedule against its instance.
 

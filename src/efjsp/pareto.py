@@ -73,12 +73,10 @@ def nondominated_ranks(points: list[tuple[float, float]]) -> list[int]:
 
 
 def nondominated(points) -> list[tuple[float, float]]:
-    """The distinct two-objective points no other point dominates, sorted."""
-    out = []
-    for p in sorted(set(points)):
-        if not out or p[1] < out[-1][1]:
-            out.append(p)
-    return out
+    """The distinct two-objective points no other point dominates, sorted:
+    front 0 of ``nondominated_ranks``."""
+    points = list(points)
+    return sorted({p for p, rank in zip(points, nondominated_ranks(points)) if rank == 0})
 
 
 @dataclass

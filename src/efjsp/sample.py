@@ -70,25 +70,11 @@ def sample_instance() -> ProblemInstance:
     return ProblemInstance(jobs=jobs, machines=machines, speed_count=3)
 
 
-def sample_chromosome(inst: ProblemInstance | None = None) -> Chromosome:
+def sample_chromosome() -> Chromosome:
     """The hand-traced solution of the sample instance.
 
     Operation order J1, J2, J2, J2, J2, J1 with machine/gear picks
     (M1,3), (M1,3), (M2,3), (M2,2), (M1,2), (M2,3) in canonical
-    operation order.
+    operation order: the message-matrix columns 1, 1, 1, 5, 2, 1.
     """
-    if inst is None:
-        inst = sample_instance()
-    picks = {
-        (1, 1): (1, 3),
-        (1, 2): (1, 3),
-        (2, 1): (2, 3),
-        (2, 2): (2, 2),
-        (2, 3): (1, 2),
-        (2, 4): (2, 3),
-    }
-    mv = tuple(
-        inst.matrices[key].column_for(*picks[key])
-        for key in sorted(picks)
-    )
-    return Chromosome(os=(1, 2, 2, 2, 2, 1), mv=mv)
+    return Chromosome(os=(1, 2, 2, 2, 2, 1), mv=(1, 1, 1, 5, 2, 1))

@@ -123,6 +123,55 @@ def test_generate_checks_every_replica_before_writing(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_generate_refuses_two_bases_of_one_stem(tmp_path, base_file, capsys):
+    first, second = tmp_path / "a" / "x.txt", tmp_path / "b" / "x.txt"
+    for path in (first, second):
+        path.parent.mkdir()
+        path.write_text(base_file.read_text())
+    out_dir = tmp_path / "out"
+    assert main(["generate", str(first), str(second), "--out-dir", str(out_dir)]) == 1
+    _assert_one_line_error(capsys, str(first), str(second), str(out_dir / "x.yaml"))
+    assert not out_dir.exists()
+
+
+def test_generate_checks_every_target_before_writing(tmp_path, base_file, capsys):
+    other = tmp_path / "y.txt"
+    other.write_text(base_file.read_text())
+    out_dir = tmp_path / "out"
+    (out_dir / "y.yaml").mkdir(parents=True)
+    assert main(["generate", str(base_file), str(other), "--out-dir", str(out_dir)]) == 2
+    _assert_one_line_error(capsys, str(out_dir / "y.yaml"))
+    assert sorted(out_dir.iterdir()) == [out_dir / "y.yaml"]
+
+
+@pytest.mark.parametrize(
+    "command, written",
+    [
+        (lambda d: ["solve", d / "tiny.yaml", "--out", d / "tiny.yaml"], "tiny.yaml"),
+        (lambda d: ["solve", d / "tiny.yaml", "--config", d / "c.yaml", "--out", d / "c.yaml"], "c.yaml"),
+        (lambda d: ["gantt", d / "r.yaml", "--out", d / "r"], "r.yaml"),
+        (lambda d: ["gantt", d / "r.yaml", "--out", d / "tiny"], "tiny.yaml"),
+        (lambda d: ["gantt", d / "link.yaml", "--out", d / "r"], "r.yaml"),
+        (lambda d: ["metrics", d / "s.yaml", d / "r.yaml", "--out", d / "r.yaml"], "r.yaml"),
+        (lambda d: ["generate", d / "b.yaml", "--out-dir", d], "b.yaml"),
+    ],
+    ids=[
+        "solve-instance", "solve-config", "gantt-result", "gantt-instance", "gantt-linked-result",
+        "metrics-result", "generate-base",
+    ],
+)
+def test_no_command_writes_over_one_of_its_inputs(tmp_path, base_file, instance_file, capsys, command, written):
+    assert _solve(instance_file, tmp_path / "r.yaml") == 0 and _solve(instance_file, tmp_path / "s.yaml") == 0
+    (tmp_path / "c.yaml").write_text("population: 4\n")
+    (tmp_path / "b.yaml").write_text(base_file.read_text())  # a base file named like an instance
+    (tmp_path / "link.yaml").symlink_to(tmp_path / "r.yaml")
+    before = {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+    capsys.readouterr()
+    assert main([str(arg) for arg in command(tmp_path)]) == 1
+    _assert_one_line_error(capsys, str(tmp_path / written), "input")
+    assert {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+
+
 def test_solve_writes_result_document(tmp_path, instance_file):
     out = tmp_path / "result.yaml"
     assert _solve(instance_file, out) == 0

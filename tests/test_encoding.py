@@ -55,7 +55,6 @@ def test_message_matrix_of_flexible_operation(matrices):
     assert mm.machines == (1, 1, 2, 1, 2, 2)
     assert mm.speeds == (3, 2, 3, 1, 2, 1)
     assert mm.durations == (1, 2, 2, 4, 4, 6)
-    assert mm.column_for(2, 3) == 3
 
 
 def test_message_matrix_single_machine_operation(matrices):

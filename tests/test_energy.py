@@ -46,12 +46,19 @@ def test_process_energy(inst, sched):
     assert total_energy(inst, sched).process == 740.0
 
 
+def test_setup_only_schedule_breakdown(inst):
+    # no process row: no makespan, and the setup is all the energy spent
+    only_setup = (ScheduledRow(1, 0, 1, 0, 0, 1),)
+    breakdown = total_energy(inst, only_setup)
+    assert breakdown.cmax == 0
+    assert breakdown.tec == breakdown.setup == 10.0
+
+
 def test_interval_energy_standby_choice(inst):
     rec = IdleIntervalRecord(machine=1, start=9, end=15, prev_speed=3, next_speed=2)
     decision = interval_energy(inst, rec)
     assert decision.mode == MODE_STANDBY
     assert decision.energy == 30.0
-    assert decision.switch_on_entry is True
     # the losing idle option costs idle_power[2] * 6 + switch 3->2
     m = inst.machine(1)
     assert m.idle_power[1] * rec.length + m.switch[3][2] == 41.0
@@ -63,7 +70,6 @@ def test_interval_energy_idle_choice(inst):
     assert decision.mode == MODE_IDLE
     assert decision.energy == 23.0
     assert decision.idle_speed == 2
-    assert decision.switch_on_entry is False
     # the losing standby option costs standby * 3 + switch 2->0 + switch 0->3
     m = inst.machine(2)
     assert m.standby_power * rec.length + m.switch[2][0] + m.switch[0][3] == 24.0

@@ -7,8 +7,8 @@ starts from valid inputs and breaks one of them: nodes of a document are
 deleted, duplicated or retyped, numbers become huge, negative,
 fractional or non-finite, a config gains a setting that no longer
 exists, text is cut short or made not UTF-8, and base tokens and lines
-are dropped, repeated or replaced.  Or, with every file valid, the flags
-take such values.
+are dropped, repeated or replaced.  Or a second base file of the same
+stem is given, or, with every file valid, the flags take such values.
 
 Every call must return 0, 1 or 2 and raise nothing, and print at most
 one stderr line, which starts with ``error:`` and, when a file was
@@ -198,7 +198,7 @@ def _check_solved(instance_path: Path, result_path: Path) -> None:
 def test_every_input_fails_closed(valid, data):
     command = data.draw(st.sampled_from(("generate", "solve", "metrics", "gantt")))
     inputs = {
-        "generate": ("base", "flags"),
+        "generate": ("base", "flags", "stem"),
         "solve": ("instance", "config", "flags"),
         "metrics": ("result", "second-result"),
         "gantt": ("result", "flags"),
@@ -223,7 +223,13 @@ def test_every_input_fails_closed(valid, data):
             return str(path)
 
         if command == "generate":
-            argv = ["generate", write("base.txt", "base", valid["base"]),
+            bases = [write("base.txt", "base", valid["base"])]
+            if broken == "stem":  # a second base of the same stem, from another directory
+                (d / "again").mkdir()
+                files["broken"] = d / "again" / "base.txt"
+                files["broken"].write_text(valid["base"])
+                bases.append(str(files["broken"]))
+            argv = ["generate", *bases,
                     "--out-dir", str(d / "out"), "--seed", str(flag(0)), "--replicas", str(flag(1))]
         elif command == "solve":
             argv = ["solve", write("inst.yaml", "instance", valid["instance"]),
@@ -248,6 +254,7 @@ def test_every_input_fails_closed(valid, data):
         lines = err.splitlines()
         assert len(lines) <= 1, (argv, err)
         assert (code == 0) == (not lines), (argv, code, err)
+        assert code == 1 or broken != "stem", (argv, code, err)
         if lines:
             assert lines[0].startswith("error: "), (argv, err)
             if "broken" in files:

@@ -11,6 +11,7 @@ import pytest
 
 from efjsp.benchmark import extend_instance, random_base
 from efjsp.encoding import decode, random_chromosome
+from efjsp.energy import total_energy
 from efjsp.model import (
     IdleIntervalRecord,
     JobSpec,
@@ -21,7 +22,6 @@ from efjsp.model import (
     ScheduledRow,
     continuous_pairs,
     idle_intervals,
-    makespan,
     validate_instance,
     validate_schedule,
 )
@@ -92,8 +92,8 @@ def test_validate_instance_flags_each_non_finite_value(inst):
     ]
 
 
-def test_makespan_and_rows(sched):
-    assert makespan(sched) == 21
+def test_makespan_and_rows(inst, sched):
+    assert total_energy(inst, sched).cmax == 21
     process = [r for r in sched if not r.is_setup]
     setups = [r for r in sched if r.is_setup]
     assert len(process) == 6
@@ -181,12 +181,6 @@ def test_setup_covered_gap_is_continuous():
         ScheduledRow(job=2, op_index=1, machine=1, speed=3, start=9, end=19),
     )
     assert idle_intervals(rows, 1) == []
-
-
-def test_makespan_requires_process_rows():
-    only_setup = (ScheduledRow(1, 0, 1, 0, 0, 1),)
-    with pytest.raises(ValueError):
-        makespan(only_setup)
 
 
 def test_instance_contiguity_check():
