@@ -91,3 +91,9 @@ cmp result.yaml result.copy
 cp base.yaml base.copy
 expect_refusal 1 '^error:.*base\.yaml' efjsp solve base.yaml --out base.yaml
 cmp base.yaml base.copy
+
+# a target name too long to create fails after --out-dir was made: the directories generate made go again
+long=$(printf 'b%.0s' $(seq 251))
+cp base.txt "$long.txt"
+expect_refusal 2 '^error:.*File name too long' efjsp generate "$long.txt" --out-dir made/deeper
+test ! -e made

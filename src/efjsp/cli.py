@@ -149,9 +149,18 @@ def cmd_generate(args: argparse.Namespace) -> int:
             require_valid(extend_instance(base, seed), base_path)
             targets[target] = (base_path, base, seed)
     _refuse_overwriting(targets, args.bases)
+    made = [d for d in (out_dir, *out_dir.parents) if not os.path.lexists(d)]  # deepest first
     out_dir.mkdir(parents=True, exist_ok=True)
-    for target in targets:
-        _check_writable(target)
+    try:
+        for target in targets:
+            _check_writable(target)
+    except OSError:
+        for d in made:  # take back the directories made above, while they are empty
+            try:
+                d.rmdir()
+            except OSError:
+                break
+        raise
     for target, (_, base, seed) in targets.items():
         target.write_text(write_instance(extend_instance(base, seed)))
         print(target)

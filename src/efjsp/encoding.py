@@ -13,6 +13,12 @@ The message matrix of an operation lists its (machine, gear, duration)
 options as columns sorted by duration, ties broken by lower machine id
 and then lower gear, so column 1 is always a fastest option.  They are
 derived once per instance and kept on it (``ProblemInstance.matrices``).
+Two readings of them are derived from them once per instance as well:
+the decoder's table (``ProblemInstance.columns``, see ``column_table``),
+one row per operation holding its mv position, its job's setup time and
+its columns as (machine, gear, duration) triples, and the columns ranked
+by processing energy (``ProblemInstance.energy_ranks``), which the
+energy-greedy chromosomes take their columns from.
 
 Decoding walks the os vector and inserts every operation into the first
 gap on its chosen machine that admits it, adding a setup row whenever the
@@ -47,7 +53,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .energy import account
-from .model import PROCESS, SETUP, ProblemInstance, ScheduledRow, Segment
+from .model import PROCESS, SETUP, OperationColumns, ProblemInstance, ScheduledRow, Segment
 
 RULE_MIN_TIME = "min_time"
 RULE_MIN_ENERGY = "min_energy"
@@ -69,15 +75,14 @@ class Chromosome:
 
 @dataclass(frozen=True)
 class MessageMatrix:
-    """Option columns of one operation: three aligned rows.  The decoder
-    also reads the operation's 0-based position in mv and its job's
-    setup time off it."""
+    """Option columns of one operation: three aligned rows, and the
+    operation's 0-based position in mv.  The decoder reads them through
+    ``column_table``."""
 
     machines: tuple[int, ...]
     speeds: tuple[int, ...]
     durations: tuple[int, ...]
     position: int
-    setup: int
 
     def __len__(self) -> int:
         return len(self.machines)
@@ -98,7 +103,6 @@ def build_message_matrix(
                 speeds=tuple(c.speed for c in cols),
                 durations=tuple(c.duration for c in cols),
                 position=len(out),
-                setup=job.setup_time,
             )
     return out
 
@@ -115,16 +119,42 @@ def random_chromosome(inst: ProblemInstance, rng: random.Random) -> Chromosome:
     return Chromosome(tuple(os), tuple(mv))
 
 
+def column_table(inst: ProblemInstance) -> tuple[tuple[OperationColumns, ...], ...]:
+    """The message matrices as the decoder reads them, built once per
+    instance as ``inst.columns``: per job (index job id - 1), per
+    operation (index op_index - 1), its mv position, its job's setup time
+    and its (machine, speed, duration) columns."""
+    table: list[list[OperationColumns]] = [[] for _ in inst.jobs]
+    for (job_id, _), mm in inst.matrices.items():
+        columns = tuple(zip(mm.machines, mm.speeds, mm.durations))
+        table[job_id - 1].append((mm.position, inst.job(job_id).setup_time, columns))
+    return tuple(tuple(ops) for ops in table)
+
+
+def energy_ranking(inst: ProblemInstance) -> tuple[tuple[int, ...], ...]:
+    """Every operation's columns, in mv order, ranked by processing energy
+    (process power times duration), ties to the lower column; built once
+    per instance as ``inst.energy_ranks``."""
+    ranks = []
+    for mm in inst.matrices.values():
+        cost = [
+            inst.machine(m).process_power[v - 1] * d
+            for m, v, d in zip(mm.machines, mm.speeds, mm.durations)
+        ]
+        ranks.append(tuple(sorted(range(1, len(mm) + 1), key=lambda c: (cost[c - 1], c))))
+    return tuple(ranks)
+
+
 def heuristic_chromosome(
     inst: ProblemInstance, rule: str, mode: str, rng: random.Random
 ) -> Chromosome:
     """Rule-guided chromosome: random os, greedy mv.
 
-    ``rule`` ranks each operation's columns by duration (``min_time``) or
-    by processing energy, i.e. process power times duration
-    (``min_energy``).  ``mode`` ``total`` always takes the best column;
-    ``partial`` picks uniformly between the best and the second best
-    (the best when only one option exists).
+    ``rule`` ranks each operation's columns by duration (``min_time``),
+    which is column order, or by processing energy (``min_energy``,
+    ``inst.energy_ranks``).  ``mode`` ``total`` always takes the best
+    column; ``partial`` picks uniformly between the best and the second
+    best (the best when only one option exists).
     """
     if rule not in (RULE_MIN_TIME, RULE_MIN_ENERGY):
         raise ValueError(f"unknown rule {rule!r}")
@@ -132,16 +162,12 @@ def heuristic_chromosome(
         raise ValueError(f"unknown mode {mode!r}")
     os = [job.id for job in inst.jobs for _ in job.operations]
     rng.shuffle(os)
+    if rule == RULE_MIN_TIME:
+        rankings = [range(1, len(mm) + 1) for mm in inst.matrices.values()]
+    else:
+        rankings = inst.energy_ranks
     mv = []
-    for mm in inst.matrices.values():
-        if rule == RULE_MIN_TIME:
-            ranked = list(range(1, len(mm) + 1))
-        else:
-            cost = [
-                inst.machine(m).process_power[v - 1] * d
-                for m, v, d in zip(mm.machines, mm.speeds, mm.durations)
-            ]
-            ranked = sorted(range(1, len(mm) + 1), key=lambda c: (cost[c - 1], c))
+    for ranked in rankings:
         if mode == MODE_TOTAL or len(ranked) == 1:
             mv.append(ranked[0])
         else:
@@ -217,18 +243,14 @@ def _place(
     segs, next_op, job_ready = state
     os = chrom.os[lo:hi]
     mv = chrom.mv
-    matrices = inst.matrices
+    table = inst.columns
 
     for job_id in os:
         j = job_id - 1
         op_idx = next_op[j]
         next_op[j] = op_idx + 1
-        mm = matrices[(job_id, op_idx)]
-        c = mv[mm.position] - 1
-        machine = mm.machines[c]
-        speed = mm.speeds[c]
-        dur = mm.durations[c]
-        su = mm.setup
+        position, su, columns = table[j][op_idx - 1]
+        machine, speed, dur = columns[mv[position] - 1]
         ready = job_ready[j]
         seq = segs[machine - 1]
 
@@ -346,7 +368,8 @@ def evaluate(
     same.
 
     ``_matrices`` is a no-op kept so that existing calls passing the
-    message matrices still run; they are read off ``inst.matrices``.
+    message matrices still run; placement reads them off the instance
+    (``inst.columns``).
     """
     if base is None:
         _check_chromosome(inst, chrom)
@@ -376,7 +399,7 @@ class Checkpoints:
     count; ``counts`` holds the number of schedule rows placed ahead of
     each copy.  ``timelines`` are the chromosome's own, time-ordered per
     machine, and ``rows`` its schedule rows in os order.  Placement reads
-    the instance's own message matrices (``inst.matrices``).  Raises
+    the instance's own column table (``inst.columns``).  Raises
     ChromosomeError on a malformed chromosome.
     """
 

@@ -18,7 +18,9 @@ All five parts come from one walk over per-machine timelines
 timelines to price a chromosome; ``total_energy`` runs it on a
 schedule's rows, sorted per machine, and also keeps the makespan and
 every interval decision, so the breakdown and the objectives are the
-same sums.
+same sums.  The walk tests continuity and prices a stretch in line, with
+each machine's tables read once; ``interval_energy`` prices a single
+stretch by the same walk, so the stretch formula exists once.
 """
 
 from __future__ import annotations
@@ -26,13 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .model import (
+    PROCESS,
     SETUP,
     IdleIntervalRecord,
-    Machine,
     ProblemInstance,
     ScheduledRow,
     Segment,
-    is_continuous,
     machine_timelines,
 )
 
@@ -68,20 +69,6 @@ class EnergyBreakdown:
     interval_decisions: tuple[IntervalDecision, ...]
 
 
-def _stretch_cost(mach: Machine, length: int, prev_speed: int, next_speed: int) -> tuple[float, bool]:
-    """Cost of the cheaper way to wait out a stretch, and whether it is idling."""
-    idle_cost = mach.idle_power[min(prev_speed, next_speed) - 1] * length
-    idle_cost += mach.switch[prev_speed][next_speed]
-    standby_cost = (
-        mach.standby_power * length
-        + mach.switch[prev_speed][0]
-        + mach.switch[0][next_speed]
-    )
-    if idle_cost <= standby_cost:
-        return idle_cost, True
-    return standby_cost, False
-
-
 def _decision(interval: IdleIntervalRecord, cost: float, idle: bool) -> IntervalDecision:
     return IntervalDecision(
         interval=interval,
@@ -98,20 +85,29 @@ def interval_energy(inst: ProblemInstance, interval: IdleIntervalRecord) -> Inte
     stretch and pays one switch between the neighbouring gears.  Standby
     pays standby power for the stretch plus the switch down to speed 0
     and the switch back up.  Ties resolve to idling.  The stretch must be
-    interior: both neighbouring gears are required.
+    interior, with both neighbouring gears, and of positive length (two
+    process rows with no time between them are a continuous pair).  The
+    decision is ``account``'s, on two zero-length process segments, one at
+    each end of the stretch.
     """
     if interval.prev_speed < 1 or interval.next_speed < 1:
         raise ValueError(
             "interval energy is only defined between two process rows; "
             "boundary stretches carry no idle/standby energy"
         )
-    cost, idle = _stretch_cost(
-        inst.machine(interval.machine),
-        interval.length,
-        interval.prev_speed,
-        interval.next_speed,
-    )
-    return _decision(interval, cost, idle)
+    if interval.end <= interval.start:
+        raise ValueError(
+            "interval energy is only defined for a stretch of positive length; "
+            "two process rows with no time between them are a continuous pair"
+        )
+    timelines: list[list[Segment]] = [[] for _ in inst.machines]
+    timelines[interval.machine - 1] = [
+        (interval.start, interval.start, PROCESS, 0, 0, interval.prev_speed),
+        (interval.end, interval.end, PROCESS, 0, 0, interval.next_speed),
+    ]
+    decisions: list[IntervalDecision] = []
+    account(inst, timelines, decisions)
+    return decisions[0]
 
 
 def account(
@@ -127,10 +123,13 @@ def account(
     ``decisions`` is a list, every interval decision is appended to it.
 
     A pair of consecutive process segments pays a gear switch when it is
-    continuous (``model.is_continuous``) and encloses a priced
-    idle/standby stretch otherwise.  The first process segment of a
-    machine pays its turn-on, ``mach.turn_on[gear - 1]``.  Turning off is
-    free.
+    continuous and encloses a priced idle/standby stretch otherwise
+    (the rule of ``model.is_continuous``, tested here in line: the
+    follower starts no later than the previous process segment ends, or
+    only its own setup lies between them).  The stretch costs the cheaper
+    of idling and standby (see ``interval_energy``).  The first process
+    segment of a machine pays its turn-on, ``mach.turn_on[gear - 1]``.
+    Turning off is free.
     """
     cmax = -1
     ie1 = ie2 = se1 = se2 = 0.0
@@ -141,30 +140,39 @@ def account(
         switch = mach.switch
         process_power = mach.process_power
         setup_power = mach.setup_power
+        idle_power = mach.idle_power
+        standby_power = mach.standby_power
         prev_end = prev_speed = 0
-        last: Segment | None = None
-        for seg in seq:
-            start, end, kind, job, _, speed = seg
+        su_end = None  # the end of a setup directly ahead, None after a process segment
+        for start, end, kind, job, _, speed in seq:
             if kind == SETUP:
                 se1 += setup_power * (end - start)
-                last = seg
+                su_start, su_end, su_job = start, end, job
                 continue
             se2 += process_power[speed - 1] * (end - start)
             if end > cmax:
                 cmax = end
             if not prev_speed:
                 ie1 += mach.turn_on[speed - 1]
-            elif is_continuous(last, prev_end, start, job):
+            elif start <= prev_end or (
+                su_end == start and su_job == job and su_start <= prev_end
+            ):
                 if prev_speed != speed:
                     ie2 += switch[prev_speed][speed]
             else:
-                cost, idle = _stretch_cost(mach, start - prev_end, prev_speed, speed)
+                length = start - prev_end
+                idle_cost = idle_power[min(prev_speed, speed) - 1] * length
+                idle_cost += switch[prev_speed][speed]
+                cost = standby_power * length + switch[prev_speed][0] + switch[0][speed]
+                idle = idle_cost <= cost
+                if idle:
+                    cost = idle_cost
                 ise += cost
                 if decisions is not None:
                     interval = IdleIntervalRecord(mach.id, prev_end, start, prev_speed, speed)
                     decisions.append(_decision(interval, cost, idle))
             prev_end, prev_speed = end, speed
-            last = seg
+            su_end = None
     return cmax, ie1, ie2, se1, se2, ise
 
 

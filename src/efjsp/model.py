@@ -108,6 +108,27 @@ class ProblemInstance:
         from .encoding import build_message_matrix  # encoding imports this module
         return build_message_matrix(self)
 
+    @cached_property
+    def columns(self) -> tuple[tuple[OperationColumns, ...], ...]:
+        """``encoding.column_table(self)``: the decoder's reading of
+        ``matrices``, indexed by job id - 1 and then op_index - 1; derived
+        on first use and kept, like ``matrices``."""
+        from .encoding import column_table
+        return column_table(self)
+
+    @cached_property
+    def energy_ranks(self) -> tuple[tuple[int, ...], ...]:
+        """``encoding.energy_ranking(self)``: every operation's columns by
+        processing energy, in mv order; derived on first use and kept."""
+        from .encoding import energy_ranking
+        return energy_ranking(self)
+
+
+# One operation as the decoder reads it: its 0-based position in mv, its
+# job's setup time and its columns as (machine, speed, duration) triples,
+# column c at index c - 1.
+OperationColumns = tuple[int, int, tuple[tuple[int, int, int], ...]]
+
 
 class ScheduledRow(NamedTuple):
     """One occupied span on a machine.
@@ -174,6 +195,7 @@ def is_continuous(last: Segment, prev_end: int, start: int, job: int) -> bool:
     follower starts no later than ``prev_end``, or when only the
     follower's own setup separates them.  A continuous pair pays a gear
     switch; any other pair encloses an idle/standby stretch.
+    ``energy.account`` tests the same rule in line.
     """
     return start <= prev_end or (
         last[2] == SETUP and last[3] == job and last[1] == start and last[0] <= prev_end

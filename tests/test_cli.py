@@ -144,6 +144,27 @@ def test_generate_checks_every_target_before_writing(tmp_path, base_file, capsys
     assert sorted(out_dir.iterdir()) == [out_dir / "y.yaml"]
 
 
+@pytest.mark.parametrize("out", ["new", "a/b"], ids=["one-level", "nested"])
+def test_generate_takes_back_the_out_dir_it_made_when_a_target_fails(tmp_path, base_file, capsys, out):
+    # a 251-character stem makes a 256-byte target name, one past the usual limit
+    long_base = tmp_path / ("b" * 251 + ".txt")
+    long_base.write_text(base_file.read_text())
+    before = sorted(tmp_path.iterdir())
+    assert main(["generate", str(long_base), "--out-dir", str(tmp_path / out)]) == 2
+    _assert_one_line_error(capsys, "File name too long")
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_generate_keeps_an_out_dir_that_was_there_when_a_target_fails(tmp_path, base_file, capsys):
+    long_base = tmp_path / ("b" * 251 + ".txt")
+    long_base.write_text(base_file.read_text())
+    out_dir = tmp_path / "kept"
+    out_dir.mkdir()
+    assert main(["generate", str(long_base), "--out-dir", str(out_dir / "new")]) == 2
+    _assert_one_line_error(capsys, "File name too long")
+    assert out_dir.is_dir() and not list(out_dir.iterdir())
+
+
 @pytest.mark.parametrize(
     "command, written",
     [

@@ -6,6 +6,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from efjsp.benchmark import extend_instance, random_base, read_instance, write_instance
 from efjsp.encoding import (
@@ -30,6 +32,7 @@ from efjsp.model import (
     ScheduledRow,
     validate_schedule,
 )
+from test_evaluate import generated_problems
 
 
 def test_canonical_order(inst):
@@ -153,6 +156,70 @@ def test_partial_min_energy_offers_slow_gear(inst):
         ch = heuristic_chromosome(inst, RULE_MIN_ENERGY, MODE_PARTIAL, rng)
         cols.add(ch.mv[5])
     assert cols == {1, 3}
+
+
+def _energy_ranked(inst, mm):
+    """One operation's columns by processing energy, ties to the lower
+    column, worked out afresh: the reference ``inst.energy_ranks`` is held
+    to."""
+    cost = [
+        inst.machine(m).process_power[v - 1] * d
+        for m, v, d in zip(mm.machines, mm.speeds, mm.durations)
+    ]
+    return sorted(range(1, len(mm) + 1), key=lambda c: (cost[c - 1], c))
+
+
+def _greedy_per_call(inst, rule, mode, rng):
+    """``heuristic_chromosome`` with every ranking made on the call, from
+    the same draws."""
+    os = [job.id for job in inst.jobs for _ in job.operations]
+    rng.shuffle(os)
+    mv = []
+    for mm in inst.matrices.values():
+        ranked = list(range(1, len(mm) + 1)) if rule == RULE_MIN_TIME else _energy_ranked(inst, mm)
+        mv.append(ranked[0] if mode == MODE_TOTAL or len(ranked) == 1 else rng.choice(ranked[:2]))
+    return Chromosome(tuple(os), tuple(mv))
+
+
+def _check_cached_ranking(inst, seed):
+    assert inst.energy_ranks == tuple(tuple(_energy_ranked(inst, mm)) for mm in inst.matrices.values())
+    for rule in (RULE_MIN_TIME, RULE_MIN_ENERGY):
+        for mode in (MODE_TOTAL, MODE_PARTIAL):
+            cached = heuristic_chromosome(inst, rule, mode, random.Random(seed))
+            assert cached == _greedy_per_call(inst, rule, mode, random.Random(seed))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(generated_problems(), st.integers(0, 2**32))
+def test_cached_energy_ranks_draw_what_a_per_call_ranking_draws(problem, seed):
+    inst, _ = problem
+    _check_cached_ranking(inst, seed)
+    assert inst.energy_ranks is inst.energy_ranks
+
+
+def test_equal_processing_energy_ranks_the_lower_column_first():
+    # columns by duration: gear 3 for 2 units (energy 12), gear 2 for 4 and
+    # gear 1 for 8 (energy 8 each): the tie puts column 2 ahead of column 3
+    machine = Machine(
+        id=1,
+        setup_power=1.0,
+        process_power=(1.0, 2.0, 6.0),
+        idle_power=(1.0, 1.0, 1.0),
+        standby_power=0.5,
+        switch=tuple(tuple(0.0 for _ in range(4)) for _ in range(4)),
+    )
+    op = OperationSpec((ProcessingOption(1, 1, 8), ProcessingOption(1, 2, 4), ProcessingOption(1, 3, 2)))
+    inst = ProblemInstance(
+        jobs=(JobSpec(id=1, setup_time=1, operations=(op,)),), machines=(machine,), speed_count=3
+    )
+    assert inst.energy_ranks == ((2, 3, 1),)
+    drawn = {
+        heuristic_chromosome(inst, RULE_MIN_ENERGY, MODE_PARTIAL, random.Random(s)).mv
+        for s in range(40)
+    }
+    assert drawn == {(2,), (3,)}
+    for seed in range(40):
+        _check_cached_ranking(inst, seed)
 
 
 def test_encoding_closure_under_swaps_and_column_moves(inst):

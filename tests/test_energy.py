@@ -6,6 +6,8 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from efjsp.benchmark import (
     dump_document,
@@ -22,7 +24,7 @@ from efjsp.energy import (
     interval_energy,
     total_energy,
 )
-from efjsp.model import IdleIntervalRecord, ScheduledRow
+from efjsp.model import IdleIntervalRecord, ScheduledRow, idle_intervals
 from efjsp.oracle import cross_check
 from efjsp.sample import sample_instance
 
@@ -94,6 +96,78 @@ def test_interval_energy_rejects_boundary(inst):
     rec = IdleIntervalRecord(machine=1, start=0, end=4, prev_speed=0, next_speed=1)
     with pytest.raises(ValueError):
         interval_energy(inst, rec)
+
+
+def test_interval_energy_rejects_a_stretch_of_no_length(inst):
+    # two process rows with no time between them are a continuous pair
+    rec = IdleIntervalRecord(machine=1, start=9, end=9, prev_speed=3, next_speed=2)
+    with pytest.raises(ValueError, match="positive length"):
+        interval_energy(inst, rec)
+
+
+def _setup_covered_gap(next_speed: int, setup_start: int = 7) -> tuple[ScheduledRow, ...]:
+    # the rows of test_model.py::test_setup_covered_gap_is_continuous: job 2's
+    # setup fills the gap 7..9 after job 1's process, so the follower starts
+    # later than its predecessor ends and yet the pair is continuous
+    return (
+        ScheduledRow(job=1, op_index=0, machine=1, speed=0, start=0, end=1),
+        ScheduledRow(job=1, op_index=1, machine=1, speed=3, start=1, end=7),
+        ScheduledRow(job=2, op_index=0, machine=1, speed=0, start=setup_start, end=9),
+        ScheduledRow(job=2, op_index=1, machine=1, speed=next_speed, start=9, end=19),
+    )
+
+
+@pytest.mark.parametrize("next_speed", [3, 2])
+def test_a_gap_covered_by_the_followers_setup_pays_the_switch(inst, next_speed):
+    switch = inst.machine(1).switch
+    bd = total_energy(inst, _setup_covered_gap(next_speed))
+    assert bd.interval_decisions == ()
+    assert bd.interval == 0
+    assert bd.transition == switch[3][next_speed]
+    assert bd.turn_on == inst.machine(1).turn_on[2]
+
+
+def test_a_gap_the_followers_setup_leaves_open_is_priced(inst):
+    # the same rows with the setup a unit later: 7..8 is idle, so the pair
+    # encloses a stretch 7..9 and pays no switch of its own
+    bd = total_energy(inst, _setup_covered_gap(2, setup_start=8))
+    assert [d.interval for d in bd.interval_decisions] == [
+        IdleIntervalRecord(machine=1, start=7, end=9, prev_speed=3, next_speed=2)
+    ]
+    assert bd.transition == 0.0
+    assert bd.interval == interval_energy(inst, bd.interval_decisions[0].interval).energy
+
+
+_rows = st.lists(
+    st.tuples(
+        st.integers(1, 2), st.integers(1, 2), st.booleans(), st.integers(1, 3),
+        st.integers(0, 12), st.integers(0, 4),
+    ).map(
+        lambda t: ScheduledRow(
+            job=t[0], op_index=0 if t[2] else 1, machine=t[1], speed=0 if t[2] else t[3],
+            start=t[4], end=t[4] + t[5],
+        )
+    ),
+    max_size=10,
+)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(_rows)
+@example([
+    ScheduledRow(job=2, op_index=0, machine=1, speed=0, start=7, end=9),
+    ScheduledRow(job=1, op_index=1, machine=1, speed=3, start=8, end=8),
+    ScheduledRow(job=2, op_index=1, machine=1, speed=2, start=9, end=12),
+])
+def test_accounting_prices_the_stretches_is_continuous_leaves(inst, rows):
+    # any rows, overlapping and zero-length ones included: the walk's own
+    # continuity test and model.is_continuous (through idle_intervals) agree.
+    # The example: a setup counts only for the process directly behind it,
+    # not for one behind a zero-length process that sits inside it
+    decisions = total_energy(inst, tuple(rows)).interval_decisions
+    assert [d.interval for d in decisions] == [
+        rec for mach in inst.machines for rec in idle_intervals(tuple(rows), mach.id)
+    ]
 
 
 def test_total_energy_breakdown(inst, sched):
