@@ -52,8 +52,8 @@ expect_refusal 1 '^error:.*neg\.yaml' efjsp gantt neg.yaml --out neg-chart
 # a solution index past a four-solution archive is refused, naming the file
 expect_refusal 1 '^error:.*result\.yaml' efjsp gantt result.yaml --solution 9 --out bad-chart
 
-# a population of 10**30 is refused
-expect_refusal 1 '^error:' efjsp solve base.yaml --pop 1000000000000000000000000000000 --out big-pop.yaml
+# a population of 10**30 is refused, naming the flag
+expect_refusal 1 '^error: --pop' efjsp solve base.yaml --pop 1000000000000000000000000000000 --out big-pop.yaml
 
 # results of two different instances are refused
 python -c "from efjsp.benchmark import random_base, write_base; print(write_base(random_base(3, 2, seed=2)), end='')" > second.txt

@@ -21,7 +21,6 @@ wall-time field, and a bad field ends a command with one ``error:`` line.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import os
 import sys
 import time
@@ -182,10 +181,12 @@ def _config_from_args(args: argparse.Namespace) -> AlgorithmConfig:
             cfg = replace(cfg, **doc)
         except ValueError as exc:  # a setting out of its range
             raise ValueError(f"{args.config}: {exc}") from None
-    if args.pop is not None:
-        cfg = replace(cfg, population=args.pop)
-    if args.iters is not None:
-        cfg = replace(cfg, max_iter=args.iters)
+    for flag, key, value in (("--pop", "population", args.pop), ("--iters", "max_iter", args.iters)):
+        if value is not None:
+            try:
+                cfg = replace(cfg, **{key: value})
+            except ValueError as exc:  # a size out of its range
+                raise ValueError(f"{flag}: {exc}") from None
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     for flag in args.ablate:
@@ -227,6 +228,8 @@ def _print_progress(stat: IterationStats) -> None:
 
 
 def _sha256(text: str) -> str:
+    import hashlib  # here, so that only the commands that hash load OpenSSL
+
     return hashlib.sha256(text.encode()).hexdigest()
 
 

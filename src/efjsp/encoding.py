@@ -35,13 +35,14 @@ Segments on a timeline never overlap, so their start times never
 decrease and the gap scan can start by bisection: an operation that
 cannot start before its job is ready at ``ready`` fits in no gap ahead of
 a segment starting before ``ready + duration``.  Placement also resumes:
-``Checkpoints`` copies the placement state every ceil(sqrt(d)) os
-positions of one chromosome, and ``evaluate(..., base=, first=)``
-prices another that differs from it only from some position on by
-placing the rest from the last copy ahead of that position, which gives
-the timelines a fresh placement gives.  ``decode(..., base=, first=)``
-decodes such a chromosome the same way and moves the checkpoints on to
-it (``Checkpoints.advance``), so that a run of chromosomes, each close to
+``Checkpoints`` copies the placement state every max(1, isqrt(d) // 2)
+os positions of one chromosome (every position up to d = 15, every fifth
+at d = 100), and ``evaluate(..., base=, first=)`` prices another that
+differs from it only from some position on by placing the rest from the
+last copy ahead of that position, which gives the timelines a fresh
+placement gives.  ``decode(..., base=, first=)`` decodes such a
+chromosome the same way and moves the checkpoints on to it
+(``Checkpoints.advance``), so that a run of chromosomes, each close to
 the one before, is decoded one short placement at a time.
 """
 
@@ -244,6 +245,7 @@ def _place(
     os = chrom.os[lo:hi]
     mv = chrom.mv
     table = inst.columns
+    new_row = tuple.__new__  # builds a row without the generated __new__'s frame
 
     for job_id in os:
         j = job_id - 1
@@ -296,11 +298,11 @@ def _place(
                 (start, end, PROCESS, job_id, op_idx, speed),
             )
             if rows is not None:
-                rows.append(ScheduledRow(job_id, 0, machine, 0, start - su, start))
+                rows.append(new_row(ScheduledRow, (job_id, 0, machine, 0, start - su, start)))
         else:
             seq.insert(i, (start, end, PROCESS, job_id, op_idx, speed))
         if rows is not None:
-            rows.append(ScheduledRow(job_id, op_idx, machine, speed, start, end))
+            rows.append(new_row(ScheduledRow, (job_id, op_idx, machine, speed, start, end)))
         job_ready[j] = end
     return segs
 
@@ -395,9 +397,11 @@ class Checkpoints:
     ahead of that position.
 
     The placement state is copied before every ``every``-th os position,
-    ``every`` being the ceiling of the square root of the operation
-    count; ``counts`` holds the number of schedule rows placed ahead of
-    each copy.  ``timelines`` are the chromosome's own, time-ordered per
+    ``every`` being half the integer square root of the operation count
+    d, and at least 1: short chromosomes such as the oracle's resume at
+    the very position where they change, and long ones such as the
+    search's keep few copies (5 positions apart at d = 100).  ``counts``
+    holds the number of schedule rows placed ahead of each copy.  ``timelines`` are the chromosome's own, time-ordered per
     machine, and ``rows`` its schedule rows in os order.  Placement reads
     the instance's own column table (``inst.columns``).  Raises
     ChromosomeError on a malformed chromosome.
@@ -406,7 +410,7 @@ class Checkpoints:
     def __init__(self, inst: ProblemInstance, chrom: Chromosome):
         _check_chromosome(inst, chrom)
         self.inst = inst
-        self.every = math.isqrt(max(len(chrom.os), 1) - 1) + 1
+        self.every = max(1, math.isqrt(len(chrom.os)) // 2)
         self.saved: list[PlacementState] = [_empty_state(inst)]
         self.counts = [0]
         self.rows: list[ScheduledRow] = []

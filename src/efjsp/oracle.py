@@ -25,7 +25,9 @@ operation's when only its column changes, the smaller of that and the
 first position where the permutation differs from the one before when
 the permutation advances, and 0 at a new ``head``.  The schedule rows
 are those of a fresh decode; only the placement ahead of that position
-is not redone.
+is not redone.  On chromosomes of up to 15 operations the checkpoints
+lie at every position, so a decode places exactly the positions from
+that one on: 93,318 for the sample's 43,740 decodes.
 
 Each front point keeps as its witness the lexicographically smallest
 ``(os, mv)`` that reaches it.  Enumeration refuses search spaces above

@@ -1,10 +1,13 @@
 """Shared fixtures: the two-job walkthrough instance and derived objects;
-and ``fastest_gears``, which cuts an instance down to fewer gears."""
+``fastest_gears``, which cuts an instance down to fewer gears; and
+``counted_placements``, which counts the os positions the decoder places."""
 
 from __future__ import annotations
 
 import dataclasses
 import sys
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 
@@ -43,6 +46,21 @@ def fastest_gears(inst: ProblemInstance, k: int) -> ProblemInstance:
         for m in inst.machines
     )
     return ProblemInstance(jobs=jobs, machines=machines, speed_count=k)
+
+
+@contextmanager
+def counted_placements():
+    """A one-item list counting the os positions ``encoding._place``
+    places while the context is active."""
+    placed = [0]
+    place = encoding._place
+
+    def counted(inst, chrom, rows, state, lo=0, hi=None):
+        placed[0] += len(chrom.os[lo:hi])
+        return place(inst, chrom, rows, state, lo, hi)
+
+    with mock.patch.object(encoding, "_place", counted):
+        yield placed
 
 
 @pytest.fixture(scope="session")

@@ -508,6 +508,30 @@ def test_solve_refuses_sizes_beyond_their_bounds(tmp_path, instance_file, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--pop", "2", "population must lie in 3..10000"),
+        ("--pop", _HUGE, "population must lie in 3..10000"),
+        ("--iters", "-1", "max_iter must lie in 0..1000000"),
+        ("--iters", _HUGE, "max_iter must lie in 0..1000000"),
+    ],
+)
+def test_solve_refusal_of_a_size_flag_names_the_flag(tmp_path, instance_file, capsys, flag, value, message):
+    out = tmp_path / "result.yaml"
+    assert main(["solve", str(instance_file), flag, value, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {flag}: {message}\n"
+    assert not out.exists()
+
+
+def test_cli_import_leaves_openssl_unloaded():
+    # only the commands that hash (solve, gantt) load hashlib's libcrypto
+    code = "import sys, efjsp.cli; sys.exit('_hashlib' in sys.modules)"
+    src = str(Path(efjsp.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
 @pytest.mark.parametrize("document", ["[]", "0", "false", "''", "[1]"])
 def test_solve_refuses_a_config_that_is_not_a_mapping(tmp_path, instance_file, capsys, document):
     cfg = tmp_path / "config.yaml"

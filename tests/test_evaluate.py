@@ -3,7 +3,8 @@ oracle summation and objectives recorded before the evaluator was fused;
 the bisected gap scan against the linear one it replaced; and VNS's
 incremental pricing of neighbours against ``evaluate``; and
 ``decode(..., base=, first=)`` walking its checkpoints through a chain of
-chromosomes against a fresh ``decode``."""
+chromosomes against a fresh ``decode``, placing only the positions from
+the resume position on."""
 
 from __future__ import annotations
 
@@ -12,10 +13,11 @@ import json
 import random
 from pathlib import Path
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import fastest_gears
+from conftest import counted_placements, fastest_gears
 from efjsp.benchmark import extend_instance, random_base
 from efjsp.encoding import (
     Checkpoints,
@@ -131,13 +133,14 @@ def test_three_routes_agree_on_generated_instances(problem):
 
 
 @st.composite
-def generated_problems(draw) -> tuple[ProblemInstance, Chromosome]:
-    """Generator instances big enough for long timelines, with one, two or
-    three gears, with zero setup times or without turn-on vectors on some
-    draws, and a random chromosome."""
+def generated_problems(draw, max_jobs: int = 10) -> tuple[ProblemInstance, Chromosome]:
+    """Generator instances big enough for long timelines (4 to 6 operations
+    a job, 2 to ``max_jobs`` jobs), with one, two or three gears, with zero
+    setup times or without turn-on vectors on some draws, and a random
+    chromosome."""
     seed = draw(st.integers(0, 10_000))
     inst = extend_instance(
-        random_base(draw(st.integers(2, 10)), draw(st.integers(1, 6)), seed=seed), seed=seed
+        random_base(draw(st.integers(2, max_jobs)), draw(st.integers(1, 6)), seed=seed), seed=seed
     )
     inst = fastest_gears(inst, draw(st.integers(1, 3)))
     if draw(st.booleans()):
@@ -152,6 +155,8 @@ def generated_problems(draw) -> tuple[ProblemInstance, Chromosome]:
 
 
 shapes = st.one_of(problems(), generated_problems())
+# d = 1 to 120: checkpoint strides 1 to 5
+long_shapes = st.one_of(problems(), generated_problems(max_jobs=20))
 
 
 def _linear_place(inst, chrom, matrices, rows):
@@ -280,8 +285,15 @@ def _vary_from(matrices, chrom, first, rng):
     return Chromosome(os, tuple(mv))
 
 
+def _bench_shaped() -> tuple[ProblemInstance, Chromosome]:
+    """The benchmark's solve instance: 20 jobs of 5 operations, d = 100."""
+    inst = extend_instance(random_base(20, 10, seed=1, ops_per_job=(5, 5)), seed=1)
+    return inst, random_chromosome(inst, random.Random(1))
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(shapes, st.integers(0, 2**32 - 1))
+@given(long_shapes, st.integers(0, 2**32 - 1))
+@example(_bench_shaped(), 1)
 def test_decode_from_checkpoints_follows_a_chain_like_a_fresh_decode(problem, seed):
     inst, chrom = problem
     base = Checkpoints(inst, chrom)
@@ -291,4 +303,38 @@ def test_decode_from_checkpoints_follows_a_chain_like_a_fresh_decode(problem, se
         chrom = _vary_from(inst.matrices, chrom, first, rng)
         got = decode(inst, chrom, base=base, first=first)
         assert got == decode(inst, chrom)
+        assert all(type(r) is ScheduledRow for r in got)
         assert base.timelines == Checkpoints(inst, chrom).timelines
+
+
+@pytest.mark.parametrize(
+    "jobs, ops, every",
+    [(1, 1, 1), (6, 1, 1), (5, 3, 1), (4, 4, 2), (20, 5, 5), (50, 5, 7)],
+)
+def test_checkpoint_stride_is_half_the_integer_square_root(jobs, ops, every):
+    # every position up to d = 15, such as the oracle's chromosomes; every
+    # fifth on the benchmark's 100-operation ones
+    inst = extend_instance(random_base(jobs, 2, seed=1, ops_per_job=(ops, ops)), seed=1)
+    assert Checkpoints(inst, random_chromosome(inst, random.Random(1))).every == every
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(problems(), st.integers(0, 2**32 - 1))
+def test_a_resume_at_stride_one_places_only_the_positions_from_first_on(problem, seed):
+    inst, chrom = problem
+    d = len(chrom.os)
+    fresh = decode(inst, chrom)
+    assert all(type(r) is ScheduledRow for r in fresh)
+    base = Checkpoints(inst, chrom)
+    assert base.every == 1  # d <= 12 here
+    rng = random.Random(seed)
+    for _ in range(4):
+        first = rng.randrange(d)
+        chrom = _vary_from(inst.matrices, chrom, first, rng)
+        with counted_placements() as placed:
+            evaluate(inst, chrom, base=base, first=first)
+        assert placed == [d - first]
+        with counted_placements() as placed:
+            rows = decode(inst, chrom, base=base, first=first)
+        assert placed == [d - first]
+        assert all(type(r) is ScheduledRow for r in rows)

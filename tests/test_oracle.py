@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import fastest_gears
+from conftest import counted_placements, fastest_gears
 from efjsp import oracle
 from efjsp.benchmark import extend_instance, random_base
 from efjsp.encoding import Chromosome, decode, evaluate, random_chromosome
@@ -199,6 +199,15 @@ def test_enumerate_front_prices_each_distinct_schedule_once(inst, monkeypatch):
     # one decode per chromosome (what the benchmark's oracle.chromosomes
     # counts); one pricing per distinct schedule
     assert calls == {"decode": 43_740, "independent_objectives": 14_823}
+    assert calls["decode"] == search_space_size(inst)
+
+
+def test_enumerate_front_places_only_what_each_chromosome_changes(inst):
+    with counted_placements() as placed:
+        enumerate_front(inst)
+    # checkpoints at every one of the 6 positions: each decode places its
+    # chromosome from the position it resumes at on
+    assert placed == [93_318]
 
 
 def test_front_is_mutually_nondominated(inst):
