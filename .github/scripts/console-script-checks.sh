@@ -61,6 +61,11 @@ efjsp generate second.txt --seed 1
 efjsp solve second.yaml --pop 6 --iters 1 --seed 1 --out other.yaml
 expect_refusal 1 '^error:.*other\.yaml' efjsp metrics result.yaml other.yaml
 
+# results that carry no instance hash are refused, naming the file and the field
+grep -v '^instance_sha256:' result.yaml > unhashed.yaml
+grep -v '^instance_sha256:' other.yaml > unhashed-other.yaml
+expect_refusal 1 '^error:.*unhashed\.yaml.*instance_sha256' efjsp metrics unhashed.yaml unhashed-other.yaml
+
 # a setting that is gone (disable_vns is vns_budget: 0) is an unknown key, naming the config
 echo "disable_vns: true" > removed.yaml
 expect_refusal 1 '^error:.*removed\.yaml' efjsp solve base.yaml --config removed.yaml --out removed-result.yaml

@@ -228,9 +228,18 @@ def _print_progress(stat: IterationStats) -> None:
 
 
 def _sha256(text: str) -> str:
-    import hashlib  # here, so that only the commands that hash load OpenSSL
-
-    return hashlib.sha256(text.encode()).hexdigest()
+    """The SHA-256 of ``text`` as UTF-8, in hex.  It is computed by the
+    interpreter's built-in module, the one ``hashlib`` falls back to, so
+    that no command maps OpenSSL's libcrypto for one hash of an instance;
+    ``hashlib`` is imported only where the interpreter has neither."""
+    try:
+        from _sha2 import sha256  # Python 3.12 and later
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python 3.10 and 3.11
+        except ImportError:
+            from hashlib import sha256
+    return sha256(text.encode()).hexdigest()
 
 
 def _read_text(path: str) -> str:
@@ -312,6 +321,7 @@ def _load_result(path: str) -> dict:
         number(entry.get("tec"), f"{path}: solution {i}", "tec", finite=True)
         if entry["cmax"] < 0:
             raise ValueError(f"{path}: solution {i} cmax must not be negative")
+    string(doc.get("instance_sha256"), path, "instance_sha256")
     return doc
 
 
@@ -322,8 +332,8 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         doc = _load_result(path)
         points = [(e["cmax"], e["tec"]) for e in doc["archive"]]
         if not fronts:
-            instance = doc.get("instance_sha256")
-        elif doc.get("instance_sha256") != instance:
+            instance = doc["instance_sha256"]
+        elif doc["instance_sha256"] != instance:
             raise ValueError(f"{path}: instance_sha256 differs from that of {args.results[0]}")
         fronts.append(points)
 
@@ -375,7 +385,7 @@ def _result_instance(file: Path, doc: dict, path: str) -> ProblemInstance:
         raise OSError(f"{path}: cannot read its instance: {exc}") from None
     except ValueError as exc:  # a NUL in the name, or text that is not UTF-8
         raise ValueError(f"{path}: cannot read its instance: {exc}") from None
-    if _sha256(text) != doc.get("instance_sha256"):
+    if _sha256(text) != doc["instance_sha256"]:
         raise ValueError(f"{path}: instance {str(file)!r} is not the file solved: its sha256 differs")
     return read_instance(text, str(file))
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import subprocess
@@ -22,7 +23,7 @@ from efjsp.benchmark import (
     write_base,
     write_instance,
 )
-from efjsp.cli import main
+from efjsp.cli import _sha256, main
 from efjsp.model import validate_instance
 from efjsp.optimizer import AlgorithmConfig, run
 
@@ -524,12 +525,48 @@ def test_solve_refusal_of_a_size_flag_names_the_flag(tmp_path, instance_file, ca
     assert not out.exists()
 
 
-def test_cli_import_leaves_openssl_unloaded():
-    # only the commands that hash (solve, gantt) load hashlib's libcrypto
-    code = "import sys, efjsp.cli; sys.exit('_hashlib' in sys.modules)"
+def _run_python(code: str, cwd=None) -> int:
+    """The exit status of ``code`` run by a fresh interpreter that imports this ``efjsp``."""
     src = str(Path(efjsp.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    return subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd, timeout=120).returncode
+
+
+def test_cli_import_leaves_openssl_unloaded():
+    # no command loads hashlib's libcrypto: solve and gantt hash with the built-in SHA-256
+    assert _run_python("import sys, efjsp.cli; sys.exit('_hashlib' in sys.modules)") == 0
+
+
+def test_a_whole_pipeline_leaves_openssl_unloaded(tmp_path):
+    code = """if True:
+        import sys
+        from efjsp.benchmark import random_base, write_base
+        from efjsp.cli import main
+        open("base.txt", "w").write(write_base(random_base(4, 3, seed=1)))
+        for argv in (
+            ["generate", "base.txt", "--seed", "1"],
+            ["solve", "base.yaml", "--pop", "6", "--iters", "1", "--seed", "1", "--out", "result.yaml"],
+            ["metrics", "result.yaml", "--out", "report.yaml"],
+            ["gantt", "result.yaml", "--out", "chart"],
+        ):
+            assert main(argv) == 0, argv
+        sys.exit('_hashlib' in sys.modules)
+    """
+    assert _run_python(code, cwd=tmp_path) == 0
+    assert (tmp_path / "chart.svg").exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "instance: 1\n", "é € \U0001F600", "a: 1\r\nb: 2\r\n", None],
+    ids=["empty", "ascii", "non-ascii", "crlf", "golden-instance"],
+)
+def test_instance_hash_is_the_sha256_of_the_utf8_text(text):
+    golden = Path(__file__).parent / "data" / "golden"
+    if text is None:
+        text = (golden / "base6x4.yaml").read_text()
+        assert load_document((golden / "result-1.yaml").read_text())["instance_sha256"] == _sha256(text)
+    assert _sha256(text) == hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("document", ["[]", "0", "false", "''", "[1]"])
@@ -746,12 +783,14 @@ def _document_of(kind, tmp_path, instance_file) -> dict:
         ("result", lambda d: d["archive"][0].update(tec="low"), "tec"),
         ("result", lambda d: d["archive"][0].update(tec=10**400), "tec"),
         ("result", lambda d: d.update(archive=5), "archive"),
+        ("result", lambda d: d.pop("instance_sha256"), "instance_sha256"),
+        ("result", lambda d: d.update(instance_sha256=7), "instance_sha256"),
     ],
     ids=[
         "instance-missing-key", "instance-true-int", "instance-text-number", "instance-10-400",
         "instance-non-list", "config-true-int", "config-10-400",
         "result-missing-key", "result-true-int", "result-text-number", "result-10-400",
-        "result-non-list",
+        "result-non-list", "result-no-hash", "result-int-hash",
     ],
 )
 def test_every_document_kind_names_file_and_field_of_a_defect(
@@ -853,6 +892,7 @@ def test_gantt_reads_the_instance_through_a_linked_result_directory(tmp_path, in
         (lambda d, i: d.update(instance="."), 2, "not a regular file"),
         (lambda d, i: d.pop("instance"), 1, "needs a string instance"),
         (lambda d, i: i.write_text(i.read_text() + "# edited\n"), 1, "is not the file solved: its sha256 differs"),
+        (lambda d, i: d.pop("instance_sha256"), 1, "needs a string instance_sha256"),
         (lambda d, i: i.write_bytes(b"\xff\xfe"), 1, "cannot read its instance"),
         (lambda d, i: d["archive"][0].update(os=["1"] * len(d["archive"][0]["os"])), 1, "os: expected a list of integers"),
         (lambda d, i: d["archive"][0].update(mv=[1.0] * len(d["archive"][0]["mv"])), 1, "mv: expected a list of integers"),
@@ -865,7 +905,7 @@ def test_gantt_reads_the_instance_through_a_linked_result_directory(tmp_path, in
     ],
     ids=[
         "missing-instance", "instance-dev-zero", "instance-directory", "no-instance", "edited-instance",
-        "instance-not-utf8", "text-os", "float-mv", "mv-5", "short-os", "long-mv", "mv-column-99",
+        "no-hash", "instance-not-utf8", "text-os", "float-mv", "mv-5", "short-os", "long-mv", "mv-column-99",
         "other-cmax", "other-tec",
     ],
 )
