@@ -22,6 +22,14 @@ efjsp solve base.yaml --pop 6 --iters 1 --seed 1 --out result.yaml
 efjsp metrics result.yaml --out report.yaml
 efjsp gantt result.yaml --out chart
 
+# an instance writes each option as one [machine, gear, duration] row of integers
+python -c "import yaml; o = yaml.safe_load(open('base.yaml'))['jobs'][0]['operations'][0]['options'][0]; assert type(o) is list and len(o) == 3 and all(type(v) is int for v in o), o"
+
+# a version-1 instance (options as mappings) is refused, naming the file and schema_version
+python -c "import yaml; d = yaml.safe_load(open('base.yaml')); d['schema_version'] = 1; [op.update(options=[dict(zip(('machine', 'gear', 'duration'), r)) for r in op['options']]) for j in d['jobs'] for op in j['operations']]; yaml.safe_dump(d, open('v1.yaml', 'w'))"
+expect_refusal 1 '^error:.*v1\.yaml.*schema_version' efjsp solve v1.yaml --out v1-result.yaml
+test ! -e v1-result.yaml
+
 # a result whose instance was edited after the solve is refused, naming the result
 mkdir edited
 cp result.yaml base.yaml edited/

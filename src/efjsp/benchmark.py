@@ -16,8 +16,9 @@ dormancy (the switch between a gear and speed 0) is a fifth of turn-on;
 switching between two gears costs their mean idle power times a drag
 factor; all three factors are drawn once per machine.
 
-Instances travel as YAML documents (``efjsp.documents``) with all reals
-written at 17 significant digits, so a write/read round trip is lossless.
+Instances travel as YAML documents (``efjsp.documents``), each option a
+``[machine, gear, duration]`` row and every real written at 17
+significant digits, so a write/read round trip is lossless.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import starmap
 
 from .documents import (
     DocumentError,
@@ -36,6 +38,7 @@ from .documents import (
     number,
     numbers,
     read_document,
+    rows,
 )
 from .model import (
     JobSpec,
@@ -46,7 +49,8 @@ from .model import (
     validate_instance,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2  # 1 wrote each option as a {machine, gear, duration} mapping
+OPTION_COLUMNS = ("machine", "gear", "duration")  # an option row's entries, in order
 
 # A base job is a tuple of operations; each operation is a tuple of
 # (machine, duration) pairs.
@@ -273,7 +277,13 @@ def extend_instance(base: BaseFjspInstance, seed: int = 0) -> ProblemInstance:
 
 
 def write_instance(inst: ProblemInstance) -> str:
-    """Serialise an instance to its YAML document form."""
+    """Serialise an instance to its YAML document form.
+
+    Each operation's options are its message matrix, one flow row
+    ``[machine, gear, duration]`` per option in the operation's order;
+    machines are mappings of their power tables.  ``read_instance`` reads
+    the text back to an equal instance.
+    """
     doc = {
         "schema_version": SCHEMA_VERSION,
         "kind": "instance",
@@ -283,16 +293,7 @@ def write_instance(inst: ProblemInstance) -> str:
                 "id": job.id,
                 "setup_time": job.setup_time,
                 "operations": [
-                    {
-                        "options": [
-                            {
-                                "machine": opt.machine,
-                                "gear": opt.speed,
-                                "duration": opt.duration,
-                            }
-                            for opt in op.options
-                        ]
-                    }
+                    {"options": [[opt.machine, opt.speed, opt.duration] for opt in op.options]}
                     for op in job.operations
                 ],
             }
@@ -316,8 +317,14 @@ def write_instance(inst: ProblemInstance) -> str:
 
 def read_instance(text: str, where: str = "document") -> ProblemInstance:
     """Parse and validate an instance document; ``where`` (its file name)
-    starts every error.  Raises DocumentError on a malformed document and
-    on an instance that ``validate_instance`` rejects, listing every violation."""
+    starts every error.
+
+    The document must be of ``kind: instance`` at ``schema_version`` 2,
+    each option a row of three integers ``[machine, gear, duration]``
+    (version 1, which wrote options as mappings, is refused).  Raises
+    DocumentError on a malformed document, naming the job and operation
+    of a malformed option row, and on an instance that
+    ``validate_instance`` rejects, listing every violation."""
     data = header(read_document(text, where), where, "instance", SCHEMA_VERSION)
     s = integer(data.get("speed_count"), where, "speed_count")
     jobs = []
@@ -325,10 +332,8 @@ def read_instance(text: str, where: str = "document") -> ProblemInstance:
         label = f"{where}: job {jdoc['id']}"
         ops = []
         for o, odoc in enumerate(items(jdoc.get("operations"), label, "operations", ()), start=1):
-            olabel = f"{label} operation {o}"
-            optdocs = items(odoc.get("options"), olabel, "options", ("machine", "gear", "duration"))
-            options = [ProcessingOption(d["machine"], d["gear"], d["duration"]) for d in optdocs]
-            ops.append(OperationSpec(tuple(options)))
+            optrows = rows(odoc.get("options"), f"{label} operation {o}", "options", OPTION_COLUMNS)
+            ops.append(OperationSpec(tuple(starmap(ProcessingOption, optrows))))
         jobs.append(JobSpec(jdoc["id"], jdoc["setup_time"], tuple(ops)))
 
     machines = []

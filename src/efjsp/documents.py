@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import math
+from itertools import chain
 
 import yaml
 
@@ -363,6 +364,23 @@ def integers(value, where: str, name: str) -> tuple[int, ...]:
     if type(value) is not list or any(type(v) is not int for v in value):
         raise DocumentError(f"{where} {name}: expected a list of integers")
     return tuple(value)
+
+
+_LIST, _INT_ONLY = frozenset((list,)), frozenset((int,))
+
+
+def rows(value, where: str, name: str, columns: tuple[str, ...]) -> list:
+    """``value`` when it is a list of rows, each a list of one integer per
+    name in ``columns``.  The message spells the row out: ``options must be
+    a list of [machine, gear, duration] rows of integers``."""
+    if (
+        type(value) is list
+        and _LIST.issuperset(map(type, value))
+        and {len(columns)}.issuperset(map(len, value))
+        and _INT_ONLY.issuperset(map(type, chain.from_iterable(value)))
+    ):
+        return value
+    raise DocumentError(f"{where}: {name} must be a list of [{', '.join(columns)}] rows of integers")
 
 
 def items(value, where: str, name: str, ints=None, bound: bool = False) -> list:

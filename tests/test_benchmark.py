@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import re
 
 import pytest
 import yaml
 
+from conftest import fastest_gears
 from efjsp.benchmark import (
     MAX_MACHINES,
     ParseError,
@@ -21,6 +24,7 @@ from efjsp.benchmark import (
 )
 from efjsp.documents import DocumentError
 from efjsp.model import validate_instance
+from test_oracle import PINNED
 
 
 def test_parse_minimal_base():
@@ -207,22 +211,56 @@ def test_instance_yaml_round_trip():
 
 def test_read_instance_rejects_unknown_schema():
     inst = extend_instance(random_base(2, 2, seed=0), seed=0)
-    text = write_instance(inst).replace("schema_version: 1", "schema_version: 99")
+    text = write_instance(inst).replace("schema_version: 2", "schema_version: 99")
     with pytest.raises(DocumentError):
         read_instance(text)
 
 
 @pytest.mark.parametrize("version", ["true", "1.0"])
 def test_read_instance_rejects_a_schema_version_that_is_not_the_integer_1(version):
+    # `true` and `1.0` compare equal to the integer 1 of the old format; neither
+    # may pass for a version, old or current
     inst = extend_instance(random_base(2, 2, seed=0), seed=0)
-    text = write_instance(inst).replace("schema_version: 1", f"schema_version: {version}")
+    text = write_instance(inst).replace("schema_version: 2", f"schema_version: {version}")
     with pytest.raises(DocumentError, match="schema_version"):
         read_instance(text)
 
 
+@pytest.mark.parametrize(
+    "row",
+    [[1, 1], [1, 1, 3, 4], [1, 1, 3.0], [1, True, 3], [1, 1, "3"], [1, None, 3], 5,
+     {"machine": 1, "gear": 1, "duration": 3}],
+    ids=["two", "four", "float", "true", "string", "null", "scalar", "mapping"],
+)
+def test_read_instance_refuses_a_malformed_option_row(row):
+    doc = load_document(write_instance(extend_instance(random_base(2, 2, seed=0), seed=0)))
+    doc["jobs"][1]["operations"][2]["options"][-1] = row
+    message = "f.yaml: job 2 operation 3: options must be a list of [machine, gear, duration] rows of integers"
+    with pytest.raises(DocumentError, match=f"^{re.escape(message)}$"):
+        read_instance(dump_document(doc), "f.yaml")
+
+
+_ROUND_TRIPS = {
+    **PINNED,
+    "fastest-gears-2": lambda: fastest_gears(extend_instance(random_base(4, 3, seed=13), seed=13), 2),
+    "no-turn-on-4x3": lambda: dataclasses.replace(
+        inst := extend_instance(random_base(4, 3, seed=5), seed=5),
+        machines=tuple(dataclasses.replace(m, turn_on=None) for m in inst.machines),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_ROUND_TRIPS))
+def test_instance_round_trip_is_lossless(name):
+    inst = _ROUND_TRIPS[name]()
+    text = write_instance(inst)
+    assert read_instance(text) == inst
+    assert write_instance(read_instance(text)) == text
+
+
 def test_read_instance_rejects_bad_gear():
     text = (
-        "schema_version: 1\n"
+        "schema_version: 2\n"
         "kind: instance\n"
         "speed_count: 1\n"
         "jobs:\n"
@@ -230,7 +268,7 @@ def test_read_instance_rejects_bad_gear():
         "  setup_time: 1\n"
         "  operations:\n"
         "  - options:\n"
-        "    - {machine: 1, gear: 2, duration: 3}\n"
+        "    - [1, 2, 3]\n"
         "machines:\n"
         "- id: 1\n"
         "  setup_power: 1.0\n"
@@ -241,8 +279,10 @@ def test_read_instance_rejects_bad_gear():
         "  - [0.0, 0.0]\n"
         "  - [0.0, 0.0]\n"
     )
-    with pytest.raises(DocumentError):
+    with pytest.raises(DocumentError, match=r"operation \(1,1\): gear 2 out of range 1\.\.1"):
         read_instance(text)
+    # the same document with gear 1 is valid: the gear is its only fault
+    read_instance(text.replace("[1, 2, 3]", "[1, 1, 3]"))
 
 
 @pytest.mark.parametrize(
@@ -250,11 +290,12 @@ def test_read_instance_rejects_bad_gear():
     [
         (lambda doc: doc.update(jobs=5), "jobs must be a list"),
         (lambda doc: doc["jobs"][0].update(operations={"options": []}), "operations must be a list"),
+        (lambda doc: doc["jobs"][0]["operations"][0].update(options=5), "operation 1: options must be a list"),
         (lambda doc: doc["machines"][0].update(switch=5), "switch must be a list"),
         (lambda doc: doc["machines"][0].update(idle_power="low"), "expected a list of numbers"),
         (lambda doc: doc["machines"][0].update(turn_on=3.0), "expected a list of numbers"),
     ],
-    ids=["jobs", "operations", "switch", "idle-power", "turn-on"],
+    ids=["jobs", "operations", "options", "switch", "idle-power", "turn-on"],
 )
 def test_read_instance_rejects_non_list_fields(edit, message):
     doc = load_document(write_instance(extend_instance(random_base(2, 2, seed=0), seed=0)))
@@ -266,7 +307,7 @@ def test_read_instance_rejects_non_list_fields(edit, message):
 def test_read_instance_lists_every_violation():
     inst = extend_instance(random_base(2, 2, seed=0), seed=0)
     doc = load_document(write_instance(inst))
-    doc["jobs"][0]["operations"][0]["options"][0]["duration"] = 0
+    doc["jobs"][0]["operations"][0]["options"][0][2] = 0  # [machine, gear, duration]
     doc["machines"][1]["standby_power"] = -1.0
     with pytest.raises(DocumentError) as exc:
         read_instance(dump_document(doc))

@@ -339,15 +339,16 @@ def _assert_one_line_error(capsys, *fragments):
 
 
 def _option(doc):
+    """The first option row of job 1's first operation: [machine, gear, duration]."""
     return doc["jobs"][0]["operations"][0]["options"][0]
 
 
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda doc: _option(doc).update(machine=9), "unknown machine 9"),
+        (lambda doc: _option(doc).__setitem__(0, 9), "unknown machine 9"),
         (lambda doc: doc["jobs"][-1].update(id=len(doc["jobs"]) + 1), "job ids must be contiguous"),
-        (lambda doc: _option(doc).update(duration=0), "non-positive duration"),
+        (lambda doc: _option(doc).__setitem__(2, 0), "non-positive duration"),
         (lambda doc: doc["machines"][0].update(standby_power=-1.0), "negative standby power"),
     ],
     ids=["machine-9", "job-id-gap", "duration-0", "negative-standby"],
@@ -361,6 +362,40 @@ def test_solve_refuses_invalid_instance(tmp_path, instance_file, capsys, edit, m
     assert _solve(broken, out) == 1
     _assert_one_line_error(capsys, "invalid instance", message)
     assert not out.exists()
+
+
+def _version_1(text: str) -> str:
+    """An instance document's text as version 1 wrote it: each option a
+    ``{machine, gear, duration}`` mapping."""
+    doc = load_document(text)
+    doc["schema_version"] = 1
+    for job in doc["jobs"]:
+        for op in job["operations"]:
+            op["options"] = [dict(zip(("machine", "gear", "duration"), row)) for row in op["options"]]
+    return dump_document(doc)
+
+
+def test_solve_refuses_a_version_1_instance(tmp_path, instance_file, capsys):
+    old = tmp_path / "old.yaml"
+    old.write_text(_version_1(instance_file.read_text()))
+    out = tmp_path / "result.yaml"
+    assert _solve(old, out) == 1
+    _assert_one_line_error(capsys, f"{old}: unsupported instance schema_version, expected 2")
+    assert not out.exists()
+
+
+def test_gantt_refuses_a_result_whose_instance_is_version_1(tmp_path, instance_file, capsys):
+    result = tmp_path / "result.yaml"
+    assert _solve(instance_file, result) == 0
+    text = _version_1(instance_file.read_text())
+    instance_file.write_text(text)
+    doc = load_document(result.read_text())
+    doc["instance_sha256"] = _sha256(text)  # the hash matches: only the version is at fault
+    result.write_text(dump_document(doc))
+    capsys.readouterr()
+    assert main(["gantt", str(result), "--out", str(tmp_path / "chart")]) == 1
+    _assert_one_line_error(capsys, f"{instance_file}: unsupported instance schema_version, expected 2")
+    assert not list(tmp_path.glob("chart.*"))
 
 
 @pytest.mark.parametrize(
@@ -757,6 +792,10 @@ def test_result_schema_version_must_be_the_integer_1(tmp_path, instance_file, ca
     _assert_result_version_refused(tmp_path, instance_file, capsys, command, version)
 
 
+# an option row that is not three integers is named by its job and operation
+_ROW_FIELD = "job 2 operation 1: options must be a list of [machine, gear, duration] rows"
+
+
 def _document_of(kind, tmp_path, instance_file) -> dict:
     if kind == "instance":
         return load_document(instance_file.read_text())
@@ -775,6 +814,15 @@ def _document_of(kind, tmp_path, instance_file) -> dict:
         ("instance", lambda d: d["machines"][0].update(setup_power="high"), "setup_power"),
         ("instance", lambda d: d["machines"][0].update(standby_power=10**400), "standby_power"),
         ("instance", lambda d: d["jobs"][0].update(operations=5), "operations"),
+        *(
+            (
+                "instance",
+                lambda d, row=row: d["jobs"][1]["operations"][0]["options"].__setitem__(0, row),
+                _ROW_FIELD,
+            )
+            for row in ([1, 1], [1, 1, 3, 4], [1, 1, 3.0], [1, True, 3], [1, 1, "3"],
+                        {"machine": 1, "gear": 1, "duration": 3})
+        ),
         # a config has no required key and no list-valued setting
         ("config", lambda d: d.update(population=True), "population"),
         ("config", lambda d: d.update(population=10**400), "population"),
@@ -788,7 +836,8 @@ def _document_of(kind, tmp_path, instance_file) -> dict:
     ],
     ids=[
         "instance-missing-key", "instance-true-int", "instance-text-number", "instance-10-400",
-        "instance-non-list", "config-true-int", "config-10-400",
+        "instance-non-list", "option-row-of-2", "option-row-of-4", "option-float", "option-true",
+        "option-string", "option-mapping", "config-true-int", "config-10-400",
         "result-missing-key", "result-true-int", "result-text-number", "result-10-400",
         "result-non-list", "result-no-hash", "result-int-hash",
     ],
