@@ -53,6 +53,12 @@ expect_refusal 1 '^error:.*deep\.yaml' efjsp metrics deep.yaml
 python -c "import yaml; d = yaml.safe_load(open('base.yaml')); d['machines'][0]['setup_power'] = 10**399; yaml.safe_dump(d, open('big.yaml', 'w'))"
 expect_refusal 1 '^error:.*big\.yaml' efjsp solve big.yaml --out big-result.yaml
 
+# an instance whose every process power is 1e308 is refused: each power is finite,
+# but a schedule's total energy would not be
+python -c "import yaml; d = yaml.safe_load(open('base.yaml')); [m.update(process_power=[1e308] * len(m['process_power'])) for m in d['machines']]; yaml.safe_dump(d, open('overflow.yaml', 'w'))"
+expect_refusal 1 '^error:.*overflow\.yaml.*energy bound' efjsp solve overflow.yaml --pop 6 --iters 2 --out overflow-result.yaml
+test ! -e overflow-result.yaml
+
 # an archive whose first cmax is -5 is refused
 python -c "import yaml; d = yaml.safe_load(open('result.yaml')); d['archive'][0]['cmax'] = -5; yaml.safe_dump(d, open('neg.yaml', 'w'))"
 expect_refusal 1 '^error:.*neg\.yaml' efjsp gantt neg.yaml --out neg-chart

@@ -23,7 +23,6 @@ from .benchmark import (
 )
 from .encoding import (
     Chromosome,
-    MessageMatrix,
     build_message_matrix,
     decode,
     evaluate,
@@ -50,7 +49,6 @@ __all__ = [
     "Chromosome",
     "EnergyBreakdown",
     "Machine",
-    "MessageMatrix",
     "ParetoArchive",
     "ProblemInstance",
     "RunResult",

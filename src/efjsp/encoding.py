@@ -11,14 +11,14 @@ A solution is a pair of equal-length vectors:
 
 The message matrix of an operation lists its (machine, gear, duration)
 options as columns sorted by duration, ties broken by lower machine id
-and then lower gear, so column 1 is always a fastest option.  They are
-derived once per instance and kept on it (``ProblemInstance.matrices``).
-Two readings of them are derived from them once per instance as well:
-the decoder's table (``ProblemInstance.columns``, see ``column_table``),
-one row per operation holding its mv position, its job's setup time and
-its columns as (machine, gear, duration) triples, and the columns ranked
-by processing energy (``ProblemInstance.energy_ranks``), which the
-energy-greedy chromosomes take their columns from.
+and then lower gear, so column 1 is always a fastest option.
+``build_message_matrix`` derives them into one table, built once per
+instance and kept on it (``ProblemInstance.columns``): per operation, its
+mv position, its job's setup time and its columns as (machine, gear,
+duration) triples.  The decoder, the search and the energy ranking read
+that table.  The columns ranked by processing energy
+(``ProblemInstance.energy_ranks``), which the energy-greedy chromosomes
+take their columns from, are derived from it once per instance as well.
 
 Decoding walks the os vector and inserts every operation into the first
 gap on its chosen machine that admits it, adding a setup row whenever the
@@ -52,6 +52,8 @@ import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import count
+from operator import attrgetter
 
 from .energy import account
 from .model import PROCESS, SETUP, OperationColumns, ProblemInstance, ScheduledRow, Segment
@@ -74,38 +76,26 @@ class Chromosome:
     mv: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class MessageMatrix:
-    """Option columns of one operation: three aligned rows, and the
-    operation's 0-based position in mv.  The decoder reads them through
-    ``column_table``."""
-
-    machines: tuple[int, ...]
-    speeds: tuple[int, ...]
-    durations: tuple[int, ...]
-    position: int
-
-    def __len__(self) -> int:
-        return len(self.machines)
+# A message matrix column, and the column order: by duration, ties to the
+# lower machine, then the lower gear.
+_COLUMN = attrgetter("machine", "speed", "duration")
+_COLUMN_ORDER = attrgetter("duration", "machine", "speed")
 
 
-def build_message_matrix(
-    inst: ProblemInstance,
-) -> dict[tuple[int, int], MessageMatrix]:
-    """Message matrices for every operation, keyed by (job, op_index) in
-    canonical order.  Built once per instance, as ``inst.matrices``, which
-    is what the decoder, the search and the oracle read."""
-    out = {}
-    for job in inst.jobs:
-        for k, op in enumerate(job.operations, 1):
-            cols = sorted(op.options, key=lambda o: (o.duration, o.machine, o.speed))
-            out[(job.id, k)] = MessageMatrix(
-                machines=tuple(c.machine for c in cols),
-                speeds=tuple(c.speed for c in cols),
-                durations=tuple(c.duration for c in cols),
-                position=len(out),
-            )
-    return out
+def build_message_matrix(inst: ProblemInstance) -> tuple[tuple[OperationColumns, ...], ...]:
+    """Every operation's message matrix as the decoder reads it: per job
+    (index job id - 1), per operation (index op_index - 1), its 0-based
+    mv position, its job's setup time and its (machine, speed, duration)
+    columns.  Built once per instance, as ``inst.columns``, which is what
+    the decoder, the search and the energy ranking read."""
+    position = count()
+    return tuple(
+        tuple(
+            (next(position), job.setup_time, tuple(map(_COLUMN, sorted(op.options, key=_COLUMN_ORDER))))
+            for op in job.operations
+        )
+        for job in inst.jobs
+    )
 
 
 def random_chromosome(inst: ProblemInstance, rng: random.Random) -> Chromosome:
@@ -120,29 +110,15 @@ def random_chromosome(inst: ProblemInstance, rng: random.Random) -> Chromosome:
     return Chromosome(tuple(os), tuple(mv))
 
 
-def column_table(inst: ProblemInstance) -> tuple[tuple[OperationColumns, ...], ...]:
-    """The message matrices as the decoder reads them, built once per
-    instance as ``inst.columns``: per job (index job id - 1), per
-    operation (index op_index - 1), its mv position, its job's setup time
-    and its (machine, speed, duration) columns."""
-    table: list[list[OperationColumns]] = [[] for _ in inst.jobs]
-    for (job_id, _), mm in inst.matrices.items():
-        columns = tuple(zip(mm.machines, mm.speeds, mm.durations))
-        table[job_id - 1].append((mm.position, inst.job(job_id).setup_time, columns))
-    return tuple(tuple(ops) for ops in table)
-
-
 def energy_ranking(inst: ProblemInstance) -> tuple[tuple[int, ...], ...]:
     """Every operation's columns, in mv order, ranked by processing energy
     (process power times duration), ties to the lower column; built once
     per instance as ``inst.energy_ranks``."""
     ranks = []
-    for mm in inst.matrices.values():
-        cost = [
-            inst.machine(m).process_power[v - 1] * d
-            for m, v, d in zip(mm.machines, mm.speeds, mm.durations)
-        ]
-        ranks.append(tuple(sorted(range(1, len(mm) + 1), key=lambda c: (cost[c - 1], c))))
+    for ops in inst.columns:
+        for _, _, columns in ops:
+            cost = [inst.machine(m).process_power[v - 1] * d for m, v, d in columns]
+            ranks.append(tuple(sorted(range(1, len(columns) + 1), key=lambda c: (cost[c - 1], c))))
     return tuple(ranks)
 
 
@@ -164,7 +140,7 @@ def heuristic_chromosome(
     os = [job.id for job in inst.jobs for _ in job.operations]
     rng.shuffle(os)
     if rule == RULE_MIN_TIME:
-        rankings = [range(1, len(mm) + 1) for mm in inst.matrices.values()]
+        rankings = [range(1, len(op.options) + 1) for job in inst.jobs for op in job.operations]
     else:
         rankings = inst.energy_ranks
     mv = []
@@ -369,9 +345,9 @@ def evaluate(
     from the last checkpoint at or before ``first``.  The result is the
     same.
 
-    ``_matrices`` is a no-op kept so that existing calls passing the
-    message matrices still run; placement reads them off the instance
-    (``inst.columns``).
+    ``_matrices`` is ignored: the benchmark still passes
+    ``build_message_matrix``'s table there, and placement reads the
+    instance's own (``inst.columns``).
     """
     if base is None:
         _check_chromosome(inst, chrom)

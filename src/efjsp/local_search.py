@@ -32,8 +32,8 @@ call: a neighbour drawn again takes the objectives kept for it, yet
 still counts against the budget and is still returned among the visited
 ones, so the draws, the stop point and the archive feed are those of
 pricing every draw.  Nothing is kept from one call to the next; the
-message matrices the structures read are the instance's own
-(``ProblemInstance.matrices``), derived once per instance.
+message matrices the structures read are the instance's own column
+table (``ProblemInstance.columns``), derived once per instance.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ class _View:
     operations in os order."""
 
     def __init__(self, inst: ProblemInstance, chrom: Chromosome, timelines: list[list[Segment]]):
-        self.chrom, self.timelines, self.matrices = chrom, timelines, inst.matrices
+        self.chrom, self.timelines, self.columns = chrom, timelines, inst.columns
         self.path = critical_path(timelines)
         nth = {job.id: itertools.count(1) for job in inst.jobs}
         self.os_index = {(job, next(nth[job])): i for i, job in enumerate(chrom.os)}
@@ -113,15 +113,16 @@ class _View:
         """Move a random one of ``keys`` to a random column of another machine."""
         mv = self.chrom.mv
         for _ in range(_RETRIES):
-            key = keys[rng.randrange(len(keys))]
-            mm = self.matrices[key]
-            others = sorted(set(mm.machines) - {mm.machines[mv[mm.position] - 1]})
+            job, op = keys[rng.randrange(len(keys))]
+            position, _, cols = self.columns[job - 1][op - 1]
+            machines = [m for m, _, _ in cols]
+            others = sorted(set(machines) - {machines[mv[position] - 1]})
             if others:
                 target = others[rng.randrange(len(others))]
-                columns = [i + 1 for i, m in enumerate(mm.machines) if m == target]
+                columns = [i + 1 for i, m in enumerate(machines) if m == target]
                 moved = list(mv)
-                moved[mm.position] = columns[rng.randrange(len(columns))]
-                return Chromosome(self.chrom.os, tuple(moved)), self.os_index[key]
+                moved[position] = columns[rng.randrange(len(columns))]
+                return Chromosome(self.chrom.os, tuple(moved)), self.os_index[job, op]
         return None
 
     def draw(self, structure: str, rng: random.Random) -> tuple[Chromosome, int] | None:

@@ -18,10 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterator, NamedTuple
-
-if TYPE_CHECKING:
-    from .encoding import MessageMatrix
+from typing import Iterator, NamedTuple
 
 
 @dataclass(frozen=True)
@@ -102,19 +99,13 @@ class ProblemInstance:
         return sum(len(j.operations) for j in self.jobs)
 
     @cached_property
-    def matrices(self) -> dict[tuple[int, int], MessageMatrix]:
-        """``encoding.build_message_matrix(self)``, built on first use and kept
-        (equality and hashing still read only the three fields)."""
+    def columns(self) -> tuple[tuple[OperationColumns, ...], ...]:
+        """``encoding.build_message_matrix(self)``: every operation's message
+        matrix as the decoder reads it, indexed by job id - 1 and then
+        op_index - 1; built on first use and kept (equality and hashing
+        still read only the three fields)."""
         from .encoding import build_message_matrix  # encoding imports this module
         return build_message_matrix(self)
-
-    @cached_property
-    def columns(self) -> tuple[tuple[OperationColumns, ...], ...]:
-        """``encoding.column_table(self)``: the decoder's reading of
-        ``matrices``, indexed by job id - 1 and then op_index - 1; derived
-        on first use and kept, like ``matrices``."""
-        from .encoding import column_table
-        return column_table(self)
 
     @cached_property
     def energy_ranks(self) -> tuple[tuple[int, ...], ...]:
@@ -254,13 +245,41 @@ class ValidationReport:
 MAX_HORIZON = 2**53
 
 
+def _energy_bound(inst: ProblemInstance, horizon: int) -> float:
+    """An upper bound, in floats, on the total energy of any schedule that
+    ends by ``horizon``, for an instance whose ids, gears and table shapes
+    are valid.  Each machine adds its dearest turn-on and its dearest idle
+    or standby power over the whole horizon; each operation adds its
+    dearest option's processing energy, its job's setup at the dearest
+    setup power and the dearest switch.  A schedule spends no more: a
+    machine turns on once, its idle stretches fit in the horizon, and
+    every process segment brings at most one setup and one switch (a
+    stretch's cheaper choice costs at most idling, which pays one switch).
+    Not finite when the instance's energies overflow a float."""
+    bound = 0.0
+    process = []
+    for mach in inst.machines:
+        bound += max(mach.turn_on) + max((*mach.idle_power, mach.standby_power)) * float(horizon)
+        process.append([float(p) for p in mach.process_power])
+    setup = max(float(mach.setup_power) for mach in inst.machines)
+    switch = max(float(v) for mach in inst.machines for row in mach.switch for v in row)
+    for job in inst.jobs:
+        extra = setup * job.setup_time + switch
+        for op in job.operations:
+            dearest = max(process[o.machine - 1][o.speed - 1] * o.duration for o in op.options)
+            bound += extra + dearest
+    return bound
+
+
 def validate_instance(inst: ProblemInstance) -> ValidationReport:
     """Check an instance for well-formedness.
 
     Structural rules (contiguous ids, gear ranges, positive durations,
     power vector shapes, finite powers and energies, zero switch
     diagonal, a horizon of at most ``MAX_HORIZON``) land in
-    ``violations``, one per non-finite value.
+    ``violations``, one per non-finite value.  An instance that passes
+    them all must also have a finite energy bound (``_energy_bound``
+    over the horizon), so that no schedule's total energy overflows.
     Economically odd but legal data (standby power above the cheapest
     idle power) only produces a warning.
     """
@@ -350,6 +369,11 @@ def validate_instance(inst: ProblemInstance) -> ValidationReport:
             report.violations.append(f"{label}: turn_on vector must have {s} entries")
         elif any(t < 0 for t in mach.turn_on):
             report.violations.append(f"{label}: negative turn-on energy")
+    if not report.violations and not math.isfinite(_energy_bound(inst, horizon)):
+        report.violations.append(
+            "energy bound (turn-ons, idle or standby power over the horizon, and each "
+            "operation's dearest option, setup and switch) overflows a float"
+        )
     return report
 
 

@@ -200,7 +200,7 @@ def subset_sizes(w1: float, w2: float, w3: float, n_jobs: int) -> tuple[int, int
 
 
 def fuse_parents(
-    order: tuple[tuple[int, int], ...],
+    mv_jobs: tuple[int, ...],
     p1: Chromosome,
     p2: Chromosome,
     p3: Chromosome,
@@ -214,7 +214,8 @@ def fuse_parents(
     The remaining positions are then filled front to back: first with the
     second subset's entries in the second parent's order, then with the
     third subset's entries in the third parent's order.  Machine columns
-    are taken per operation from the parent owning the job's subset.
+    are taken per operation from the parent owning the job's subset;
+    ``mv_jobs`` holds the job id of every mv position.
     """
     d = len(p1.os)
     os: list[int] = [0] * d
@@ -229,7 +230,7 @@ def fuse_parents(
         if not taken[idx]:
             os[idx] = next(it)
     mv = []
-    for pos, (job, _) in enumerate(order):
+    for pos, job in enumerate(mv_jobs):
         parent = p1 if job in subset1 else p2 if job in subset2 else p3
         mv.append(parent.mv[pos])
     return Chromosome(tuple(os), tuple(mv))
@@ -250,7 +251,8 @@ def weighted_fusion(
     s1 = set(shuffled[:n1])
     s2 = set(shuffled[n1 : n1 + n2])
     s3 = set(shuffled[n1 + n2 :])
-    return fuse_parents(tuple(inst.matrices), p1, p2, p3, s1, s2, s3)
+    mv_jobs = tuple(job.id for job in inst.jobs for _ in job.operations)
+    return fuse_parents(mv_jobs, p1, p2, p3, s1, s2, s3)
 
 
 def inertia_weight(iteration: int, max_iter: int) -> float:

@@ -187,7 +187,7 @@ def enumerate_front(inst: ProblemInstance) -> FrontResult:
     size = search_space_size(inst)
     if size > MAX_POINTS:
         raise SearchSpaceError(size, MAX_POINTS)
-    widths = [range(1, len(mm) + 1) for mm in inst.matrices.values()]
+    widths = [range(1, len(op.options) + 1) for job in inst.jobs for op in job.operations]
     jobs = [job.id for job in inst.jobs for _ in job.operations]
     base = Checkpoints(inst, Chromosome(tuple(jobs), tuple(1 for _ in jobs)))
     tails = list(product(*widths[-1:]))  # (c,) per column of the last operation

@@ -1,5 +1,6 @@
 """Shared fixtures: the two-job walkthrough instance and derived objects;
-``fastest_gears``, which cuts an instance down to fewer gears; and
+``fastest_gears``, which cuts an instance down to fewer gears;
+``with_process_power``, which sets every process power; and
 ``counted_placements``, which counts the os positions the decoder places."""
 
 from __future__ import annotations
@@ -15,6 +16,15 @@ from efjsp import encoding
 from efjsp.encoding import build_message_matrix, decode
 from efjsp.model import ProblemInstance
 from efjsp.sample import sample_chromosome, sample_instance
+
+
+def with_process_power(inst: ProblemInstance, power: float) -> ProblemInstance:
+    """``inst`` with every process power at ``power``."""
+    machines = tuple(
+        dataclasses.replace(m, process_power=(power,) * len(m.process_power))
+        for m in inst.machines
+    )
+    return dataclasses.replace(inst, machines=machines)
 
 
 def fastest_gears(inst: ProblemInstance, k: int) -> ProblemInstance:
@@ -74,7 +84,7 @@ def chrom():
 
 
 @pytest.fixture(scope="session")
-def matrices(inst):
+def columns(inst):
     return build_message_matrix(inst)
 
 

@@ -9,7 +9,7 @@ import re
 import pytest
 import yaml
 
-from conftest import fastest_gears
+from conftest import fastest_gears, with_process_power
 from efjsp.benchmark import (
     MAX_MACHINES,
     ParseError,
@@ -207,6 +207,12 @@ def test_instance_yaml_round_trip():
     assert again == inst
     # serialisation is stable: a second dump is byte-identical
     assert write_instance(again) == text
+
+
+def test_read_instance_refuses_energies_that_overflow():
+    inst = with_process_power(extend_instance(random_base(3, 2, seed=1), seed=1), 1e308)
+    with pytest.raises(DocumentError, match=r"^f\.yaml: invalid instance: energy bound .* overflows a float$"):
+        read_instance(write_instance(inst), "f.yaml")
 
 
 def test_read_instance_rejects_unknown_schema():

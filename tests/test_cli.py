@@ -13,6 +13,7 @@ import pytest
 import yaml
 
 import efjsp
+from conftest import with_process_power
 from efjsp.benchmark import (
     dump_document,
     extend_instance,
@@ -462,6 +463,18 @@ def test_solve_refuses_a_power_too_large_for_a_float(tmp_path, instance_file, ca
     out = tmp_path / "result.yaml"
     assert _solve(broken, out) == 1
     _assert_one_line_error(capsys, f"machine {len(doc['machines'])} {field}", "too large")
+    assert not out.exists()
+
+
+def test_solve_refuses_energies_that_overflow(tmp_path, capsys):
+    # every power is finite, but a schedule's total energy would not be
+    inst = with_process_power(extend_instance(random_base(3, 2, seed=1), seed=1), 1e308)
+    instance = tmp_path / "big.yaml"
+    instance.write_text(write_instance(inst))
+    out = tmp_path / "result.yaml"
+    code = main(["solve", str(instance), "--pop", "6", "--iters", "2", "--out", str(out)])
+    assert code == 1
+    _assert_one_line_error(capsys, str(instance), "energy bound", "overflows a float")
     assert not out.exists()
 
 

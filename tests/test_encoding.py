@@ -1,4 +1,4 @@
-"""Chromosome layout, message matrices, and the gap-insertion decoder."""
+"""Chromosome layout, the message matrix table, and the gap-insertion decoder."""
 
 from __future__ import annotations
 
@@ -36,35 +36,38 @@ from test_evaluate import generated_problems
 
 
 def test_canonical_order(inst):
-    # the message matrices are keyed in mv order: jobs, then operations, ascending
-    assert tuple(inst.matrices) == (
-        (1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (2, 4),
-    )
+    # the table is indexed by job, then operation, and its mv positions run
+    # in that order: jobs, then operations, ascending
+    assert [len(ops) for ops in inst.columns] == [2, 4]
+    assert [position for ops in inst.columns for position, _, _ in ops] == list(range(6))
+    assert [su for ops in inst.columns for _, su, _ in ops] == [
+        inst.job(j).setup_time for j in (1, 1, 2, 2, 2, 2)
+    ]
 
 
 def test_derived_matrices_leave_equality_and_hashing_alone():
     inst = extend_instance(random_base(3, 2, seed=5), seed=5)
-    assert inst.matrices is inst.matrices
-    assert inst.matrices == build_message_matrix(inst)
+    assert inst.columns is inst.columns
+    assert inst.columns == build_message_matrix(inst)
     copy = read_instance(write_instance(inst))
-    assert "matrices" in vars(inst) and "matrices" not in vars(copy)
+    assert "columns" in vars(inst) and "columns" not in vars(copy)
     assert inst == copy
     assert hash(inst) == hash(copy)
 
 
-def test_message_matrix_of_flexible_operation(matrices):
-    mm = matrices[(2, 2)]
-    assert len(mm) == 6
-    assert mm.machines == (1, 1, 2, 1, 2, 2)
-    assert mm.speeds == (3, 2, 3, 1, 2, 1)
-    assert mm.durations == (1, 2, 2, 4, 4, 6)
+def test_message_matrix_of_flexible_operation(columns):
+    position, _, cols = columns[1][1]  # operation (2, 2)
+    assert position == 3
+    assert len(cols) == 6
+    assert [m for m, _, _ in cols] == [1, 1, 2, 1, 2, 2]
+    assert [v for _, v, _ in cols] == [3, 2, 3, 1, 2, 1]
+    assert [d for _, _, d in cols] == [1, 2, 2, 4, 4, 6]
 
 
-def test_message_matrix_single_machine_operation(matrices):
-    mm = matrices[(2, 4)]
-    assert mm.machines == (2, 2, 2)
-    assert mm.speeds == (3, 2, 1)
-    assert mm.durations == (3, 6, 9)
+def test_message_matrix_single_machine_operation(columns):
+    position, _, cols = columns[1][3]  # operation (2, 4)
+    assert position == 5
+    assert cols == ((2, 3, 3), (2, 2, 6), (2, 1, 9))
 
 
 def test_sample_chromosome_layout(chrom):
@@ -158,15 +161,17 @@ def test_partial_min_energy_offers_slow_gear(inst):
     assert cols == {1, 3}
 
 
-def _energy_ranked(inst, mm):
+def _energy_ranked(inst, columns):
     """One operation's columns by processing energy, ties to the lower
     column, worked out afresh: the reference ``inst.energy_ranks`` is held
     to."""
-    cost = [
-        inst.machine(m).process_power[v - 1] * d
-        for m, v, d in zip(mm.machines, mm.speeds, mm.durations)
-    ]
-    return sorted(range(1, len(mm) + 1), key=lambda c: (cost[c - 1], c))
+    cost = [inst.machine(m).process_power[v - 1] * d for m, v, d in columns]
+    return sorted(range(1, len(columns) + 1), key=lambda c: (cost[c - 1], c))
+
+
+def _mv_columns(inst):
+    """Every operation's columns, in mv order."""
+    return [columns for ops in build_message_matrix(inst) for _, _, columns in ops]
 
 
 def _greedy_per_call(inst, rule, mode, rng):
@@ -175,14 +180,18 @@ def _greedy_per_call(inst, rule, mode, rng):
     os = [job.id for job in inst.jobs for _ in job.operations]
     rng.shuffle(os)
     mv = []
-    for mm in inst.matrices.values():
-        ranked = list(range(1, len(mm) + 1)) if rule == RULE_MIN_TIME else _energy_ranked(inst, mm)
+    for columns in _mv_columns(inst):
+        ranked = (
+            list(range(1, len(columns) + 1))
+            if rule == RULE_MIN_TIME
+            else _energy_ranked(inst, columns)
+        )
         mv.append(ranked[0] if mode == MODE_TOTAL or len(ranked) == 1 else rng.choice(ranked[:2]))
     return Chromosome(tuple(os), tuple(mv))
 
 
 def _check_cached_ranking(inst, seed):
-    assert inst.energy_ranks == tuple(tuple(_energy_ranked(inst, mm)) for mm in inst.matrices.values())
+    assert inst.energy_ranks == tuple(tuple(_energy_ranked(inst, c)) for c in _mv_columns(inst))
     for rule in (RULE_MIN_TIME, RULE_MIN_ENERGY):
         for mode in (MODE_TOTAL, MODE_PARTIAL):
             cached = heuristic_chromosome(inst, rule, mode, random.Random(seed))

@@ -159,7 +159,7 @@ shapes = st.one_of(problems(), generated_problems())
 long_shapes = st.one_of(problems(), generated_problems(max_jobs=20))
 
 
-def _linear_place(inst, chrom, matrices, rows):
+def _linear_place(inst, chrom, table, rows):
     """The decoder's placement loop as it was before the gap scan was
     bisected: every gap of the machine is tried from the front."""
     mv = chrom.mv
@@ -178,11 +178,8 @@ def _linear_place(inst, chrom, matrices, rows):
         j = job_id - 1
         op_idx = next_op[j]
         next_op[j] = op_idx + 1
-        mm = matrices[(job_id, op_idx)]
-        c = mv[mv_base[j] + op_idx] - 1
-        machine = mm.machines[c]
-        speed = mm.speeds[c]
-        dur = mm.durations[c]
+        _, _, columns = table[j][op_idx - 1]
+        machine, speed, dur = columns[mv[mv_base[j] + op_idx] - 1]
         su = setup_times[j]
         ready = job_ready[j]
         seq = segs[machine - 1]
@@ -226,9 +223,9 @@ def _linear_place(inst, chrom, matrices, rows):
 @given(shapes)
 def test_bisected_scan_places_like_the_linear_scan(problem):
     inst, chrom = problem
-    matrices = build_message_matrix(inst)
+    table = build_message_matrix(inst)
     want_rows: list[ScheduledRow] = []
-    want = _linear_place(inst, chrom, matrices, want_rows)
+    want = _linear_place(inst, chrom, table, want_rows)
     got_rows: list[ScheduledRow] = []
     assert _place(inst, chrom, got_rows, _empty_state(inst)) == want
     assert got_rows == want_rows
@@ -269,7 +266,7 @@ def test_vns_view_prices_every_neighbour_like_evaluate(problem, seed):
         )
 
 
-def _vary_from(matrices, chrom, first, rng):
+def _vary_from(table, chrom, first, rng):
     """A chromosome sharing ``chrom``'s os entries ahead of ``first`` and the
     mv columns of the operations they place; the rest is redrawn."""
     tail = list(chrom.os[first:])
@@ -280,8 +277,8 @@ def _vary_from(matrices, chrom, first, rng):
     for i, job in enumerate(os):
         nth[job] = nth.get(job, 0) + 1
         if i >= first:
-            mm = matrices[(job, nth[job])]
-            mv[mm.position] = rng.randint(1, len(mm))
+            position, _, columns = table[job - 1][nth[job] - 1]
+            mv[position] = rng.randint(1, len(columns))
     return Chromosome(os, tuple(mv))
 
 
@@ -300,7 +297,7 @@ def test_decode_from_checkpoints_follows_a_chain_like_a_fresh_decode(problem, se
     rng = random.Random(seed)
     for _ in range(8):
         first = rng.randrange(len(chrom.os))
-        chrom = _vary_from(inst.matrices, chrom, first, rng)
+        chrom = _vary_from(inst.columns, chrom, first, rng)
         got = decode(inst, chrom, base=base, first=first)
         assert got == decode(inst, chrom)
         assert all(type(r) is ScheduledRow for r in got)
@@ -330,7 +327,7 @@ def test_a_resume_at_stride_one_places_only_the_positions_from_first_on(problem,
     rng = random.Random(seed)
     for _ in range(4):
         first = rng.randrange(d)
-        chrom = _vary_from(inst.matrices, chrom, first, rng)
+        chrom = _vary_from(inst.columns, chrom, first, rng)
         with counted_placements() as placed:
             evaluate(inst, chrom, base=base, first=first)
         assert placed == [d - first]

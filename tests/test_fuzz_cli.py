@@ -14,7 +14,7 @@ Every call must return 0, 1 or 2 and raise nothing, and print at most
 one stderr line, which starts with ``error:`` and, when a file was
 broken, names that file.  Whenever ``solve`` succeeds, every archived
 chromosome must decode to a schedule that ``validate_schedule`` accepts,
-with the stored objectives equal to ``evaluate``'s.
+with the stored objectives finite and equal to ``evaluate``'s.
 """
 
 from __future__ import annotations
@@ -187,6 +187,7 @@ def _check_solved(instance_path: Path, result_path: Path) -> None:
         chrom = Chromosome(tuple(entry["os"]), tuple(entry["mv"]))
         report = validate_schedule(inst, decode(inst, chrom))
         assert report.ok, str(report)
+        assert math.isfinite(entry["tec"]), entry["tec"]
         assert (entry["cmax"], entry["tec"]) == evaluate(inst, chrom)
 
 

@@ -70,7 +70,7 @@ def test_critical_path_folds_a_setup_into_its_operation(inst):
 def test_n1_moves_a_critical_operation_to_another_machine(inst, chrom, sched):
     rng = random.Random(0)
     path = critical_path(machine_timelines(inst, sched))
-    matrices = build_message_matrix(inst)
+    table = build_message_matrix(inst)
     for _ in range(20):
         out = neighbor(chrom, "n1", inst, sched, rng)
         assert out is not None
@@ -79,11 +79,12 @@ def test_n1_moves_a_critical_operation_to_another_machine(inst, chrom, sched):
         ]
         assert len(changed) == 1
         pos = changed[0]
-        key = ((1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (2, 4))[pos]
+        job, op = key = ((1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (2, 4))[pos]
         assert key in path
-        mm = matrices[key]
-        old_machine = mm.machines[chrom.mv[pos] - 1]
-        new_machine = mm.machines[out.mv[pos] - 1]
+        position, _, columns = table[job - 1][op - 1]
+        assert position == pos
+        old_machine = columns[chrom.mv[pos] - 1][0]
+        new_machine = columns[out.mv[pos] - 1][0]
         assert new_machine != old_machine
 
 
@@ -95,7 +96,7 @@ def test_n2_needs_two_jobs_on_the_path(inst, chrom, sched):
 
 def test_n3_unloads_the_busiest_machine(inst, chrom, sched):
     # machine 2 carries the most occupied time (setups included)
-    matrices = build_message_matrix(inst)
+    table = build_message_matrix(inst)
     rng = random.Random(2)
     moved_from = set()
     for _ in range(30):
@@ -104,10 +105,11 @@ def test_n3_unloads_the_busiest_machine(inst, chrom, sched):
         pos = next(
             p for p, (a, b) in enumerate(zip(chrom.mv, out.mv)) if a != b
         )
-        key = ((1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (2, 4))[pos]
-        mm = matrices[key]
-        moved_from.add(mm.machines[chrom.mv[pos] - 1])
-        assert mm.machines[out.mv[pos] - 1] != mm.machines[chrom.mv[pos] - 1]
+        job, op = ((1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (2, 4))[pos]
+        position, _, columns = table[job - 1][op - 1]
+        assert position == pos
+        moved_from.add(columns[chrom.mv[pos] - 1][0])
+        assert columns[out.mv[pos] - 1][0] != columns[chrom.mv[pos] - 1][0]
     assert moved_from == {2}
 
 

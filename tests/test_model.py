@@ -4,13 +4,18 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import random
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import with_process_power
 from efjsp.benchmark import extend_instance, random_base
-from efjsp.encoding import decode, random_chromosome
+from efjsp.encoding import decode, evaluate, random_chromosome
 from efjsp.energy import total_energy
 from efjsp.model import (
     IdleIntervalRecord,
@@ -20,12 +25,14 @@ from efjsp.model import (
     ProcessingOption,
     ProblemInstance,
     ScheduledRow,
+    _energy_bound,
     continuous_pairs,
     idle_intervals,
     validate_instance,
     validate_schedule,
 )
 from efjsp.sample import sample_instance
+from test_evaluate import generated_problems, problems
 
 
 def test_sample_instance_is_valid(inst):
@@ -90,6 +97,51 @@ def test_validate_instance_flags_each_non_finite_value(inst):
         "machine 1: non-finite idle power nan",
         "machine 1: non-finite switch energy nan",
     ]
+
+
+_ENERGY_BOUND_VIOLATION = (
+    "energy bound (turn-ons, idle or standby power over the horizon, and each "
+    "operation's dearest option, setup and switch) overflows a float"
+)
+
+
+def _horizon(inst) -> int:
+    return sum(
+        max(o.duration for o in op.options) + job.setup_time
+        for job in inst.jobs
+        for op in job.operations
+    )
+
+
+def test_validate_instance_refuses_energies_that_overflow():
+    # every power is finite, but one operation's processing energy is not
+    inst = with_process_power(extend_instance(random_base(3, 2, seed=1), seed=1), 1e308)
+    report = validate_instance(inst)
+    assert report.violations == [_ENERGY_BOUND_VIOLATION]
+    assert not report.ok
+
+
+def test_validate_instance_accepts_an_energy_bound_near_the_float_limit():
+    # the bound is linear in the process power: rest + per_unit * power
+    inst = extend_instance(random_base(3, 2, seed=1), seed=1)
+    rest = _energy_bound(with_process_power(inst, 0.0), _horizon(inst))
+    per_unit = _energy_bound(with_process_power(inst, 1.0), _horizon(inst)) - rest
+    near = with_process_power(inst, (sys.float_info.max / 2 - rest) / per_unit)
+    bound = _energy_bound(near, _horizon(near))
+    assert sys.float_info.max / 4 < bound < math.inf
+    assert validate_instance(near).ok
+    rng = random.Random(1)
+    for _ in range(20):
+        assert evaluate(near, random_chromosome(near, rng))[1] <= bound
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.one_of(problems(), generated_problems()))
+def test_energy_bound_holds_the_total_energy_of_every_schedule(problem):
+    # the bound and the accounting add the same kinds of terms in other
+    # orders, hence the rounding allowance
+    inst, chrom = problem
+    assert evaluate(inst, chrom)[1] <= _energy_bound(inst, _horizon(inst)) * (1 + 1e-12)
 
 
 def test_makespan_and_rows(inst, sched):

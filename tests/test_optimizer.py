@@ -160,11 +160,11 @@ def test_self_rotate_preserves_multiset(inst):
 
 
 def test_fuse_parents_packing(inst):
-    order = tuple(inst.matrices)
+    mv_jobs = (1, 1, 2, 2, 2, 2)  # the job of every mv position
     p1 = Chromosome((1, 2, 2, 2, 2, 1), (1, 1, 1, 1, 1, 1))
     p2 = Chromosome((2, 2, 1, 1, 2, 2), (2, 2, 2, 2, 2, 2))
     p3 = Chromosome((2, 1, 2, 1, 2, 2), (3, 3, 3, 3, 3, 3))
-    child = fuse_parents(order, p1, p2, p3, {1}, {2}, set())
+    child = fuse_parents(mv_jobs, p1, p2, p3, {1}, {2}, set())
     # job 1 keeps its slots from p1; job 2 fills the rest in p2's order
     assert child.os == (1, 2, 2, 2, 2, 1)
     # job 1's two operations take p1 columns, job 2's four take p2 columns

@@ -172,7 +172,7 @@ def test_enumerate_front_keeps_the_smallest_witness(name):
 
     inst = PINNED[name]()
     jobs = [job.id for job in inst.jobs for _ in job.operations]
-    widths = [range(1, len(mm) + 1) for mm in inst.matrices.values()]
+    widths = [range(1, len(op.options) + 1) for job in inst.jobs for op in job.operations]
     best: dict[tuple[int, float], tuple] = {}
     for os in sorted(set(itertools.permutations(jobs))):
         for mv in itertools.product(*widths):
