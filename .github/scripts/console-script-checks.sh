@@ -22,6 +22,17 @@ efjsp solve base.yaml --pop 6 --iters 1 --seed 1 --out result.yaml
 efjsp metrics result.yaml --out report.yaml
 efjsp gantt result.yaml --out chart
 
+# every document the pipeline writes is a JSON text, which a YAML reader reads alike
+for doc in base.yaml result.yaml report.yaml chart.yaml; do
+  python -m json.tool "$doc" > /dev/null
+  python -c "import json, sys, yaml; t = open(sys.argv[1]).read(); assert yaml.safe_load(t) == json.loads(t), sys.argv[1]" "$doc"
+done
+
+# the instance written as block YAML solves to the same archive as the JSON instance
+python -c "import yaml; yaml.safe_dump(yaml.safe_load(open('base.yaml')), open('block.yaml', 'w'), sort_keys=False)"
+efjsp solve block.yaml --pop 6 --iters 1 --seed 1 --out block-result.yaml
+python -c "import json; a, b = (json.load(open(f))['archive'] for f in ('result.yaml', 'block-result.yaml')); assert a == b, (a, b)"
+
 # an instance writes each option as one [machine, gear, duration] row of integers
 python -c "import yaml; o = yaml.safe_load(open('base.yaml'))['jobs'][0]['operations'][0]['options'][0]; assert type(o) is list and len(o) == 3 and all(type(v) is int for v in o), o"
 
@@ -76,8 +87,8 @@ efjsp solve second.yaml --pop 6 --iters 1 --seed 1 --out other.yaml
 expect_refusal 1 '^error:.*other\.yaml' efjsp metrics result.yaml other.yaml
 
 # results that carry no instance hash are refused, naming the file and the field
-grep -v '^instance_sha256:' result.yaml > unhashed.yaml
-grep -v '^instance_sha256:' other.yaml > unhashed-other.yaml
+grep -v '^  "instance_sha256": ' result.yaml > unhashed.yaml
+grep -v '^  "instance_sha256": ' other.yaml > unhashed-other.yaml
 expect_refusal 1 '^error:.*unhashed\.yaml.*instance_sha256' efjsp metrics unhashed.yaml unhashed-other.yaml
 
 # a setting that is gone (disable_vns is vns_budget: 0) is an unknown key, naming the config

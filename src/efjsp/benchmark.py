@@ -16,7 +16,8 @@ dormancy (the switch between a gear and speed 0) is a fifth of turn-on;
 switching between two gears costs their mean idle power times a drag
 factor; all three factors are drawn once per machine.
 
-Instances travel as YAML documents (``efjsp.documents``), each option a
+Instances travel as documents (``efjsp.documents``: JSON text, which YAML
+readers also read), each option a
 ``[machine, gear, duration]`` row and every real written at 17
 significant digits, so a write/read round trip is lossless.
 """
@@ -277,9 +278,9 @@ def extend_instance(base: BaseFjspInstance, seed: int = 0) -> ProblemInstance:
 
 
 def write_instance(inst: ProblemInstance) -> str:
-    """Serialise an instance to its YAML document form.
+    """Serialise an instance to its document form.
 
-    Each operation's options are its message matrix, one flow row
+    Each operation's options are its message matrix, one row
     ``[machine, gear, duration]`` per option in the operation's order;
     machines are mappings of their power tables.  ``read_instance`` reads
     the text back to an equal instance.

@@ -1,5 +1,12 @@
-"""YAML documents: the one reader and writer of every file efjsp keeps,
-and the typed readers that check a loaded document's fields.
+"""Documents: the one reader and writer of every file efjsp keeps, and
+the typed readers that check a loaded document's fields.
+
+``dump_document`` writes JSON text, which every YAML reader reads too:
+floats, escapes and keys are written so that a YAML 1.1 reader such as
+PyYAML builds the objects ``json`` builds.  ``load_document`` reads any
+one YAML document, so a hand-written block-YAML file reads as before.  A
+text that is ASCII, with no backslash, tab or DEL, is parsed by ``json``
+first; any other text, and one ``json`` refuses, goes to the YAML parser.
 
 A reader returns the value it is given when it has the named shape, and
 otherwise raises ``DocumentError``: one line naming ``where`` the value
@@ -8,73 +15,24 @@ sits (file, then place in it) and the field.  A missing key reads as None.
 
 from __future__ import annotations
 
-import io
+import json
 import math
+import re
 from itertools import chain
+from json.encoder import encode_basestring
 
 import yaml
 
 from .model import MAX_HORIZON
 
 
-class _PyDumper(yaml.SafeDumper):
-    """PyYAML's own emitter, made to write the bytes libyaml writes.
-
-    The emitters differ in two rules that documents reach: libyaml folds
-    a long double-quoted scalar only at a single space (PyYAML also after
-    an escape, with a trailing backslash), and it takes any one-line
-    scalar of at most 128 UTF-8 bytes as a simple key (PyYAML wants fewer
-    than 128 characters counting the implicit tag, and no empty key).
-    Both methods follow libyaml's ``emitter.c`` for what ``dump_document``
-    writes: text, not bytes, without ``allow_unicode``, and keys whose tag
-    stays implicit (every safe scalar type but ``bytes``).
-    """
-
-    def write_double_quoted(self, text, split=True):
-        self.write_indicator('"', True)
-        for i, ch in enumerate(text):
-            if ch == " ":
-                data = " "
-                fold = split and 0 < i < len(text) - 1 and text[i - 1] != " "
-                if fold and self.column > self.best_width:
-                    self.write_indent()  # the line break stands for the space
-                    data = "\\" if text[i + 1] == " " else ""
-            elif "\x20" <= ch <= "\x7e" and ch not in '"\\':
-                data = ch
-            elif ch in self.ESCAPE_REPLACEMENTS:
-                data = "\\" + self.ESCAPE_REPLACEMENTS[ch]
-            elif ch <= "\xff":
-                data = f"\\x{ord(ch):02X}"
-            elif ch <= "\uffff":
-                data = f"\\u{ord(ch):04X}"
-            else:
-                data = f"\\U{ord(ch):08X}"
-            self.column += len(data)
-            self.stream.write(data)
-        self.write_indicator('"', False)
-
-    def check_simple_key(self):
-        event = self.event
-        if not isinstance(event, yaml.ScalarEvent):
-            return super().check_simple_key()
-        if any(c in "\r\n\x85\u2028\u2029" for c in event.value):
-            return False
-        return len(event.value.encode("utf-8")) <= 128
-
-
-_Dumper = getattr(yaml, "CSafeDumper", _PyDumper)  # libyaml when present
-
-_STR, _INT, _FLOAT, _BOOL, _NULL = (
-    f"tag:yaml.org,2002:{name}" for name in ("str", "int", "float", "bool", "null")
-)
-
-
 def _float_text(value: float) -> str:
-    """A plain float scalar's text that YAML's implicit resolver reads back.
+    """A float's text that both JSON and YAML's implicit resolver read back.
 
     17 significant digits, with a ``.0`` put before any exponent when the
-    digits have no point (``1.0e+17``), and ``.inf``/``-.inf``/``.nan``
-    for the non-finite values, so no float needs a tag or quotes.
+    digits have no point (``1.0e+17``): YAML 1.1 reads a float only with a
+    point and a signed exponent.  The non-finite values are ``.inf``,
+    ``-.inf`` and ``.nan``, which are YAML but not JSON.
     """
     if math.isnan(value):
         return ".nan"
@@ -87,108 +45,95 @@ def _float_text(value: float) -> str:
     return text
 
 
-# The tag and text SafeRepresenter gives each scalar type it writes
-# plainly; documents hold no other scalar type.
+# What YAML reads as a line break or refuses as not printable, beyond the
+# C0 controls that JSON escapes itself
+_YAML_UNSAFE = re.compile("[\x7f-\x9f\u2028\u2029\ud800-\udfff\ufffe\uffff]")
+
+
+def _escape(match) -> str:
+    return f"\\u{ord(match.group()):04X}"
+
+
+def _string_text(value: str) -> str:
+    """``value`` as a JSON string that YAML reads back as the same text."""
+    return _YAML_UNSAFE.sub(_escape, encode_basestring(value))
+
+
 _SCALAR_TEXT = {
-    str: (_STR, str),
-    int: (_INT, str),
-    float: (_FLOAT, _float_text),
-    bool: (_BOOL, lambda value: "true" if value else "false"),
-    type(None): (_NULL, lambda value: "null"),
+    str: _string_text,
+    int: int.__repr__,
+    float: _float_text,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
 }
 _COLLECTIONS = frozenset((list, dict))
-# Emitters only read events, so one event serves every collection.
-_SEQUENCE_START = {
-    flow: yaml.SequenceStartEvent(None, "tag:yaml.org,2002:seq", True, flow_style=flow)
-    for flow in (False, True)
-}
-_MAPPING_START = {
-    flow: yaml.MappingStartEvent(None, "tag:yaml.org,2002:map", True, flow_style=flow)
-    for flow in (False, True)
-}
-_SEQUENCE_END = yaml.SequenceEndEvent()
-_MAPPING_END = yaml.MappingEndEvent()
+_MAX_KEY = 1024  # the longest simple key, quotes included, that YAML reads
 
 
-def _emit_document(dumper, data) -> None:
-    """Emit ``data`` as one document through ``dumper``'s own emitter.
+def _scalar(value) -> str:
+    to_text = _SCALAR_TEXT.get(type(value))
+    if to_text is None:
+        raise TypeError(f"cannot write a {type(value).__name__} to a document")
+    return to_text(value)
 
-    The events are those the safe representer and serializer would give:
-    a collection is flow style iff all its items are scalars (so an empty
-    one is too), and each distinct scalar's implicit flags come from the
-    dumper's resolver, once per document.  A collection met twice is
-    written twice.  Raises TypeError on any type but str, int, float,
-    bool, None, list and dict.
-    """
-    emit = dumper.emit
-    resolve = dumper.resolve
-    scalars = {cls: {} for cls in _SCALAR_TEXT}  # per type: value (float: text) -> event
 
-    def scalar(cls, value):
-        tag, to_text = _SCALAR_TEXT[cls]
-        text = to_text(value)
-        implicit = (
-            resolve(yaml.ScalarNode, text, (True, False)) == tag,
-            resolve(yaml.ScalarNode, text, (False, True)) == tag,
-        )
-        return yaml.ScalarEvent(None, tag, implicit, text)
+def _key(key) -> str:
+    if type(key) is not str:
+        raise TypeError(f"cannot write a {type(key).__name__} key to a document")
+    text = _string_text(key)
+    if len(text) > _MAX_KEY:
+        raise ValueError(f"a document key longer than {_MAX_KEY - 2} characters")
+    return text
 
-    def walk(data):
-        cls = type(data)
-        events = scalars.get(cls)
-        if events is not None:
-            key = _float_text(data) if cls is float else data
-            event = events.get(key)
-            if event is None:
-                event = events[key] = scalar(cls, data)
-            emit(event)
+
+def _write(data, indent: str, out: list) -> None:
+    """Append ``data``'s text to ``out``: a collection of scalars on one
+    line, any other collection one item per line, indented two more."""
+    cls = type(data)
+    if cls is list:
+        if _COLLECTIONS.isdisjoint(map(type, data)):
+            out.append(f"[{', '.join(map(_scalar, data))}]")
             return
-        if cls is list:
-            emit(_SEQUENCE_START[_COLLECTIONS.isdisjoint(map(type, data))])
-            for item in data:
-                walk(item)
-            emit(_SEQUENCE_END)
-        elif cls is dict:
-            emit(_MAPPING_START[_COLLECTIONS.isdisjoint(map(type, data.values()))])
-            for key, value in data.items():
-                walk(key)
-                walk(value)
-            emit(_MAPPING_END)
-        else:
-            raise TypeError(f"cannot write a {cls.__name__} to a YAML document")
-
-    emit(yaml.DocumentStartEvent(explicit=None, version=None, tags=None))
-    walk(data)
-    emit(yaml.DocumentEndEvent(explicit=None))
+        inner = indent + "  "
+        out.append("[" + inner)
+        for i, item in enumerate(data):
+            if i:
+                out.append("," + inner)
+            _write(item, inner, out)
+        out.append(indent + "]")
+    elif cls is dict:
+        if _COLLECTIONS.isdisjoint(map(type, data.values())):
+            pairs = (f"{_key(key)}: {_scalar(value)}" for key, value in data.items())
+            out.append(f"{{{', '.join(pairs)}}}")
+            return
+        inner = indent + "  "
+        out.append("{" + inner)
+        for i, (key, value) in enumerate(data.items()):
+            if i:
+                out.append("," + inner)
+            out.append(_key(key) + ": ")
+            _write(value, inner, out)
+        out.append(indent + "}")
+    else:
+        out.append(_scalar(data))
 
 
 def dump_document(data) -> str:
-    """YAML text with floats at 17 significant digits, keys in order.
+    """``data`` as JSON text, which a YAML reader reads to the same objects.
 
-    ``data`` is dicts and lists of str, int, float, bool and None, and
-    raises TypeError on anything else.  It is walked into YAML events for
-    libyaml's emitter when present, with no node graph; the bytes are
-    those ``yaml.dump`` writes.  A lone surrogate (a file name that is not
-    UTF-8), which libyaml cannot encode, sends the walk to PyYAML's own
-    emitter, which escapes it.
+    ``data`` is dicts with str keys and lists of str, int, float, bool and
+    None; anything else raises TypeError, and a key whose text is longer
+    than YAML reads (1,024 characters) ValueError.  Keys keep their order
+    and floats have 17 significant digits (``_float_text``); a non-finite
+    float makes the text YAML only.  Strings are JSON-escaped, and so is
+    every character YAML reads as a line break or refuses (DEL, the C1
+    controls, U+2028, U+2029, lone surrogates, U+FFFE and U+FFFF);
+    other characters are written as they are.
     """
-    try:
-        return _dump_through(_Dumper, data)
-    except UnicodeEncodeError:
-        return _dump_through(_PyDumper, data)
-
-
-def _dump_through(dumper_class, data) -> str:
-    """``data`` as YAML text through ``dumper_class``'s emitter."""
-    stream = io.StringIO()
-    dumper = dumper_class(stream)
-    try:
-        dumper.open()
-        _emit_document(dumper, data)
-        dumper.close()
-    finally:
-        dumper.dispose()
-    return stream.getvalue()
+    out = []
+    _write(data, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
 class _Fallback(Exception):
@@ -268,16 +213,47 @@ def _load_events(text: str):
         loader.dispose()
 
 
+# A JSON number that YAML 1.1 also reads as a float: a point, and a sign
+# on any exponent (YAML reads ``1e5`` and ``1.5e3`` as strings)
+_YAML_FLOAT = re.compile(r"-?[0-9]+\.[0-9]+(?:[eE][-+][0-9]+)?").fullmatch
+
+
+def _json_float(literal: str) -> float:
+    if _YAML_FLOAT(literal) is None:
+        raise ValueError(f"{literal} is not a YAML float")
+    return float(literal)
+
+
+def _json_constant(name: str):
+    raise ValueError(f"{name} is not YAML")  # NaN, Infinity, -Infinity
+
+
 def load_document(text: str):
     """Parse one YAML document into the objects ``yaml.safe_load`` builds.
 
-    libyaml parses it when present, and the objects are built from its
-    events (``_load_events``).  An anchor or alias, a merge key, another
-    tag, an unhashable key, a second document and any error send the
-    text to ``yaml.safe_load`` itself, whose objects or error stand,
-    except that a document nested too deeply for it raises a one-line
-    ValueError.
+    Three paths, each of which builds those objects or hands the text on:
+
+    - A text that is ASCII, with no backslash, tab or DEL, is parsed by
+      ``json``; ``dump_document`` writes such a text unless a string needs
+      an escape or a float is not finite.  JSON and YAML read such a text
+      alike, except for a number YAML 1.1 reads as a string (``1e5``,
+      ``1.5e3``) and the constants ``NaN`` and ``Infinity``, which hand the
+      text on, as does any error.
+    - The parser's events (libyaml's, when present) are built into
+      objects (``_load_events``).  An anchor or alias, a merge key, another
+      tag, an unhashable key, a second document and any error hand it on.
+    - ``yaml.safe_load``, whose objects or error stand, except that a
+      document nested too deeply for it raises a one-line ValueError.
+
+    The ``json`` path accepts two texts that YAML readers refuse: a key
+    longer than 1,024 characters with its quotes, and a line break between
+    a key and its ``:``.  ``dump_document`` writes neither.
     """
+    if text.isascii() and "\\" not in text and "\t" not in text and "\x7f" not in text:
+        try:
+            return json.loads(text, parse_float=_json_float, parse_constant=_json_constant)
+        except (ValueError, RecursionError):  # not JSON, or not read alike
+            pass
     try:
         return _load_events(text)
     except Exception:

@@ -342,9 +342,12 @@ def validate_instance(inst: ProblemInstance) -> ValidationReport:
             ("switch energy", [v for row in mach.switch for v in row]),
             ("turn-on energy", mach.turn_on),
         ):
-            report.violations.extend(
-                f"{label}: non-finite {name} {v}" for v in values if not math.isfinite(v)
-            )
+            for v in values:
+                try:
+                    if not math.isfinite(v):
+                        report.violations.append(f"{label}: non-finite {name} {v}")
+                except OverflowError:  # an int beyond the float range
+                    report.violations.append(f"{label}: {name} too large for a float")
         for name, values in (("process", mach.process_power), ("idle", mach.idle_power)):
             if any(p < 0 for p in values):
                 report.violations.append(f"{label}: negative {name} power")

@@ -215,11 +215,17 @@ def test_read_instance_refuses_energies_that_overflow():
         read_instance(write_instance(inst), "f.yaml")
 
 
+def _with_schema_version(inst, version: str) -> str:
+    """``inst``'s document with ``schema_version`` set to the YAML scalar ``version``."""
+    doc = load_document(write_instance(inst))
+    doc["schema_version"] = load_document(version)
+    return dump_document(doc)
+
+
 def test_read_instance_rejects_unknown_schema():
     inst = extend_instance(random_base(2, 2, seed=0), seed=0)
-    text = write_instance(inst).replace("schema_version: 2", "schema_version: 99")
     with pytest.raises(DocumentError):
-        read_instance(text)
+        read_instance(_with_schema_version(inst, "99"))
 
 
 @pytest.mark.parametrize("version", ["true", "1.0"])
@@ -227,9 +233,8 @@ def test_read_instance_rejects_a_schema_version_that_is_not_the_integer_1(versio
     # `true` and `1.0` compare equal to the integer 1 of the old format; neither
     # may pass for a version, old or current
     inst = extend_instance(random_base(2, 2, seed=0), seed=0)
-    text = write_instance(inst).replace("schema_version: 2", f"schema_version: {version}")
     with pytest.raises(DocumentError, match="schema_version"):
-        read_instance(text)
+        read_instance(_with_schema_version(inst, version))
 
 
 @pytest.mark.parametrize(

@@ -779,9 +779,10 @@ def test_result_documents_of_the_wrong_shape_fail_closed(tmp_path, capsys, comma
 def _assert_result_version_refused(tmp_path, instance_file, capsys, command, version):
     result = tmp_path / "result.yaml"
     assert _solve(instance_file, result) == 0
-    text = result.read_text()
-    assert text.startswith("schema_version: 2\n")
-    result.write_text(text.replace("schema_version: 2", f"schema_version: {version}", 1))
+    doc = load_document(result.read_text())
+    assert doc["schema_version"] == 2
+    doc["schema_version"] = load_document(version)
+    result.write_text(dump_document(doc))
     capsys.readouterr()
     prefix = tmp_path / "chart"
     extra = ["--out", str(prefix)] if command == "gantt" else []
@@ -883,7 +884,9 @@ def test_solve_refuses_a_document_of_another_kind(tmp_path, instance_file, capsy
         wrong = tmp_path / "report.yaml"
         assert main(["metrics", str(result), "--out", str(wrong)]) == 0
     relabelled = tmp_path / "relabelled.yaml"
-    relabelled.write_text(instance_file.read_text().replace("kind: instance", f"kind: {kind}", 1))
+    doc = load_document(instance_file.read_text())
+    doc["kind"] = kind
+    relabelled.write_text(dump_document(doc))
     for path in (wrong, relabelled):
         capsys.readouterr()
         assert _solve(path, tmp_path / "out.yaml") == 1
@@ -1059,21 +1062,22 @@ def test_solve_progress_streams_one_line_per_iteration(tmp_path, instance_file, 
     assert capsys.readouterr().out.startswith("archive ")
 
 
-def test_pipeline_documents_take_the_event_path(tmp_path, base_file, monkeypatch):
-    # yaml.safe_load, the read side's fallback, builds the same objects,
-    # so only a spy tells that the event walk was left.
+def test_pipeline_documents_take_the_json_path(tmp_path, base_file, monkeypatch):
+    # every read path builds the same objects, so only a spy tells which one
+    # read a document: json.loads counts only the texts it parsed
     from efjsp import documents
 
-    calls = []
+    reads = []
+    real_loads, real_events, real_load = documents.json.loads, documents._load_events, documents.yaml.load
 
-    def spy(owner, name):
-        real = getattr(owner, name)
-        monkeypatch.setattr(owner, name, lambda *args, **kw: calls.append(name) or real(*args, **kw))
+    def json_loads(*args, **kw):
+        data = real_loads(*args, **kw)
+        reads.append("json")
+        return data
 
-    for name in ("_emit_document", "_load_events"):
-        spy(documents, name)
-    for name in ("dump", "load"):
-        spy(documents.yaml, name)
+    monkeypatch.setattr(documents.json, "loads", json_loads)
+    monkeypatch.setattr(documents, "_load_events", lambda text: reads.append("events") or real_events(text))
+    monkeypatch.setattr(documents.yaml, "load", lambda *a, **kw: reads.append("safe_load") or real_load(*a, **kw))
     config = tmp_path / "solver.yaml"
     config.write_text("population: 6\nmax_iter: 1\narchive_capacity: 3\n")
     instance, runs = tmp_path / "tiny.yaml", [tmp_path / "r1.yaml", tmp_path / "r2.yaml"]
@@ -1083,9 +1087,12 @@ def test_pipeline_documents_take_the_event_path(tmp_path, base_file, monkeypatch
         assert main([*argv, "--out", str(out)]) == 0
     assert main(["metrics", *map(str, runs), "--out", str(tmp_path / "report.yaml")]) == 0
     assert main(["gantt", str(runs[0]), "--out", str(tmp_path / "chart")]) == 0
-    # written: instance, 2 results, report, chart data; read: 2 x (config, instance), 3 results
-    # and the charted result's instance
-    assert sorted(calls) == ["_emit_document"] * 5 + ["_load_events"] * 8
+    # read: the 2 hand-written configs through the event walk; the 2 instances,
+    # 3 results and the charted result's instance, all written here, as JSON
+    assert sorted(reads) == ["events"] * 2 + ["json"] * 6
+    # written: instance, 2 results, report, chart data, each a JSON text
+    for path in (instance, *runs, tmp_path / "report.yaml", tmp_path / "chart.yaml"):
+        assert real_loads(path.read_text()) == real_load(path.read_text(), Loader=yaml.SafeLoader)
 
 
 def test_version_flag():

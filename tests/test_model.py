@@ -99,6 +99,17 @@ def test_validate_instance_flags_each_non_finite_value(inst):
     ]
 
 
+def test_validate_instance_reports_an_int_power_beyond_the_float_range():
+    inst = sample_instance()
+    m = inst.machines[0]
+    big = dataclasses.replace(m, setup_power=10**400, process_power=(10**400, *m.process_power[1:]))
+    report = validate_instance(dataclasses.replace(inst, machines=(big, *inst.machines[1:])))
+    assert report.violations == [
+        "machine 1: setup power too large for a float",
+        "machine 1: process power too large for a float",
+    ]
+
+
 _ENERGY_BOUND_VIOLATION = (
     "energy bound (turn-ons, idle or standby power over the horizon, and each "
     "operation's dearest option, setup and switch) overflows a float"
