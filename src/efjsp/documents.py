@@ -4,9 +4,10 @@ the typed readers that check a loaded document's fields.
 ``dump_document`` writes JSON text, which every YAML reader reads too:
 floats, escapes and keys are written so that a YAML 1.1 reader such as
 PyYAML builds the objects ``json`` builds.  ``load_document`` reads any
-one YAML document, so a hand-written block-YAML file reads as before.  A
-text that is ASCII, with no backslash, tab or DEL, is parsed by ``json``
-first; any other text, and one ``json`` refuses, goes to the YAML parser.
+one YAML document, so a hand-written block-YAML file reads as before.  It
+takes one of two paths: a text that is ASCII, with no backslash, tab or
+DEL, is parsed by ``json`` first; any other text, and one ``json``
+refuses, goes to PyYAML's pure-Python ``SafeLoader``.
 
 A reader returns the value it is given when it has the named shape, and
 otherwise raises ``DocumentError``: one line naming ``where`` the value
@@ -136,83 +137,6 @@ def dump_document(data) -> str:
     return "".join(out)
 
 
-class _Fallback(Exception):
-    """The event walk met what only ``yaml.safe_load`` reads."""
-
-
-_Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # libyaml when present
-_CORE_SCALARS = {
-    f"tag:yaml.org,2002:{name}": getattr(yaml.constructor.SafeConstructor, f"construct_yaml_{name}")
-    for name in ("str", "int", "float", "bool", "null")
-}
-_SEQUENCE_TAGS = frozenset((None, "!", "tag:yaml.org,2002:seq"))
-_MAPPING_TAGS = frozenset((None, "!", "tag:yaml.org,2002:map"))
-
-
-def _load_events(text: str):
-    """Build one document from the parser's events, with no node graph.
-
-    Lists, dicts and the five core scalars are built directly, the same
-    objects the safe loader builds: each distinct ``(tag, implicit,
-    value)`` is resolved once per document and built by SafeConstructor's
-    own constructor for its tag.  Raises ``_Fallback`` on an anchor or
-    alias, another tag (explicit, or implicit as for merge keys and
-    timestamps) and a second document.
-    """
-    loader = _Loader(text)
-    next_event = loader.get_event
-    built = {}
-
-    def scalar(event):
-        key = (event.tag, event.implicit, event.value)
-        value = built.get(key, built)
-        if value is not built:
-            return value
-        tag = event.tag
-        if tag is None or tag == "!":
-            tag = loader.resolve(yaml.ScalarNode, event.value, event.implicit)
-        construct = _CORE_SCALARS.get(tag)
-        if construct is None:
-            raise _Fallback
-        value = built[key] = construct(loader, yaml.ScalarNode(tag, event.value))
-        return value
-
-    def build(event):
-        if event.anchor is not None:  # an alias's anchor names its target
-            raise _Fallback
-        cls = type(event)
-        if cls is yaml.ScalarEvent:
-            return scalar(event)
-        if cls is yaml.SequenceStartEvent and event.tag in _SEQUENCE_TAGS:
-            items = []
-            event = next_event()
-            while type(event) is not yaml.SequenceEndEvent:
-                items.append(build(event))
-                event = next_event()
-            return items
-        if cls is yaml.MappingStartEvent and event.tag in _MAPPING_TAGS:
-            mapping = {}
-            event = next_event()
-            while type(event) is not yaml.MappingEndEvent:
-                key = build(event)
-                mapping[key] = build(next_event())  # TypeError on an unhashable key
-                event = next_event()
-            return mapping
-        raise _Fallback
-
-    try:
-        next_event()  # stream start
-        if type(next_event()) is yaml.StreamEndEvent:
-            return None  # no document
-        data = build(next_event())
-        next_event()  # document end
-        if type(next_event()) is not yaml.StreamEndEvent:
-            raise _Fallback  # a second document
-        return data
-    finally:
-        loader.dispose()
-
-
 # A JSON number that YAML 1.1 also reads as a float: a point, and a sign
 # on any exponent (YAML reads ``1e5`` and ``1.5e3`` as strings)
 _YAML_FLOAT = re.compile(r"-?[0-9]+\.[0-9]+(?:[eE][-+][0-9]+)?").fullmatch
@@ -231,7 +155,7 @@ def _json_constant(name: str):
 def load_document(text: str):
     """Parse one YAML document into the objects ``yaml.safe_load`` builds.
 
-    Three paths, each of which builds those objects or hands the text on:
+    Two paths:
 
     - A text that is ASCII, with no backslash, tab or DEL, is parsed by
       ``json``; ``dump_document`` writes such a text unless a string needs
@@ -239,11 +163,9 @@ def load_document(text: str):
       alike, except for a number YAML 1.1 reads as a string (``1e5``,
       ``1.5e3``) and the constants ``NaN`` and ``Infinity``, which hand the
       text on, as does any error.
-    - The parser's events (libyaml's, when present) are built into
-      objects (``_load_events``).  An anchor or alias, a merge key, another
-      tag, an unhashable key, a second document and any error hand it on.
-    - ``yaml.safe_load``, whose objects or error stand, except that a
-      document nested too deeply for it raises a one-line ValueError.
+    - ``yaml.load`` with the pure-Python ``SafeLoader``, whose objects or
+      error stand, except that a document nested too deeply for it raises
+      a one-line ValueError.  Hand-written block YAML takes this path.
 
     The ``json`` path accepts two texts that YAML readers refuse: a key
     longer than 1,024 characters with its quotes, and a line break between
@@ -255,12 +177,9 @@ def load_document(text: str):
         except (ValueError, RecursionError):  # not JSON, or not read alike
             pass
     try:
-        return _load_events(text)
-    except Exception:
-        try:
-            return yaml.load(text, Loader=yaml.SafeLoader)
-        except RecursionError:
-            raise ValueError("YAML document nested too deeply to read") from None
+        return yaml.load(text, Loader=yaml.SafeLoader)
+    except RecursionError:
+        raise ValueError("YAML document nested too deeply to read") from None
 
 
 class DocumentError(ValueError):
@@ -278,7 +197,10 @@ def read_document(text: str, where: str):
         mark = getattr(exc, "problem_mark", None)
         at = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
         raise DocumentError(f"{where}: malformed YAML: {problem}{at}") from None
-    except ValueError as exc:  # nested too deeply
+    except ValueError as exc:
+        # nested too deeply, or a scalar SafeConstructor cannot build: an
+        # integer literal of more than 4,300 digits (int's limit), a date
+        # that does not exist
         raise DocumentError(f"{where}: {exc}") from None
 
 

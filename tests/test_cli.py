@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import os
 import subprocess
@@ -217,14 +218,36 @@ def test_solve_writes_result_document(tmp_path, instance_file):
 
 
 def test_load_document_matches_pure_python_loader(tmp_path, instance_file):
-    # load_document parses with libyaml when it is present; the objects
-    # must not differ from the pure-Python safe loader's
+    # load_document reads a document efjsp wrote with json; the objects
+    # must not differ from the pure-Python safe loader's, types and order kept
     out = tmp_path / "result.yaml"
     assert _solve(instance_file, out) == 0
     for text in (out.read_text(), instance_file.read_text()):
         fast, slow = load_document(text), yaml.load(text, Loader=yaml.SafeLoader)
         assert fast == slow
         assert repr(fast) == repr(slow)
+
+
+def test_block_yaml_copies_read_like_the_golden_documents(tmp_path, monkeypatch):
+    # efjsp writes JSON; a hand-written file is block YAML, which the safe
+    # loader reads: to the same instance, and to results with the same report
+    golden = Path(__file__).parent / "data" / "golden"
+
+    def block(name):
+        text = yaml.safe_dump(yaml.safe_load((golden / name).read_text()), sort_keys=False)
+        with pytest.raises(ValueError):
+            json.loads(text)  # so load_document reads it with the safe loader
+        return text
+
+    instance = (golden / "base6x4.yaml").read_text()
+    assert read_instance(block("base6x4.yaml")) == read_instance(instance)
+    # the results name their instance relative to their own directory
+    (tmp_path / "base6x4.yaml").write_text(instance)
+    for name in ("result-1.yaml", "result-2.yaml"):
+        (tmp_path / name).write_text(block(name))
+    monkeypatch.chdir(tmp_path)
+    assert main(["metrics", "result-1.yaml", "result-2.yaml", "--out", "metrics.yaml"]) == 0
+    assert (tmp_path / "metrics.yaml").read_text() == (golden / "metrics.yaml").read_text()
 
 
 def test_solve_results_identical_apart_from_wall_time(tmp_path, instance_file):
@@ -520,7 +543,19 @@ def test_solve_refuses_malformed_yaml(tmp_path, instance_file, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("setting", ["population: abc", "vns_budget: true", "- 30"])
+_LONG_INT = "1" * 5000  # past int's limit of 4,300 digits read from text
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [
+        "population: abc",
+        "vns_budget: true",
+        "- 30",
+        pytest.param("population: " + _LONG_INT, id="int-of-5000-digits"),
+        pytest.param('{"population": ' + _LONG_INT + "}", id="int-of-5000-digits-json"),
+    ],
+)
 def test_solve_refuses_mistyped_config(tmp_path, instance_file, capsys, setting):
     cfg = tmp_path / "config.yaml"
     cfg.write_text(setting + "\n")
@@ -1068,7 +1103,7 @@ def test_pipeline_documents_take_the_json_path(tmp_path, base_file, monkeypatch)
     from efjsp import documents
 
     reads = []
-    real_loads, real_events, real_load = documents.json.loads, documents._load_events, documents.yaml.load
+    real_loads, real_load = documents.json.loads, documents.yaml.load
 
     def json_loads(*args, **kw):
         data = real_loads(*args, **kw)
@@ -1076,7 +1111,6 @@ def test_pipeline_documents_take_the_json_path(tmp_path, base_file, monkeypatch)
         return data
 
     monkeypatch.setattr(documents.json, "loads", json_loads)
-    monkeypatch.setattr(documents, "_load_events", lambda text: reads.append("events") or real_events(text))
     monkeypatch.setattr(documents.yaml, "load", lambda *a, **kw: reads.append("safe_load") or real_load(*a, **kw))
     config = tmp_path / "solver.yaml"
     config.write_text("population: 6\nmax_iter: 1\narchive_capacity: 3\n")
@@ -1087,9 +1121,9 @@ def test_pipeline_documents_take_the_json_path(tmp_path, base_file, monkeypatch)
         assert main([*argv, "--out", str(out)]) == 0
     assert main(["metrics", *map(str, runs), "--out", str(tmp_path / "report.yaml")]) == 0
     assert main(["gantt", str(runs[0]), "--out", str(tmp_path / "chart")]) == 0
-    # read: the 2 hand-written configs through the event walk; the 2 instances,
+    # read: the 2 hand-written configs through the safe loader; the 2 instances,
     # 3 results and the charted result's instance, all written here, as JSON
-    assert sorted(reads) == ["events"] * 2 + ["json"] * 6
+    assert sorted(reads) == ["json"] * 6 + ["safe_load"] * 2
     # written: instance, 2 results, report, chart data, each a JSON text
     for path in (instance, *runs, tmp_path / "report.yaml", tmp_path / "chart.yaml"):
         assert real_loads(path.read_text()) == real_load(path.read_text(), Loader=yaml.SafeLoader)
