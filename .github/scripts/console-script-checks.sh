@@ -41,6 +41,12 @@ python -c "import yaml; d = yaml.safe_load(open('base.yaml')); d['schema_version
 expect_refusal 1 '^error:.*v1\.yaml.*schema_version' efjsp solve v1.yaml --out v1-result.yaml
 test ! -e v1-result.yaml
 
+# a misspelt turn_on is refused, naming the file and the key: read as absent, it
+# would power the machine up at switch[0][g]
+python -c "import json; d = json.load(open('base.yaml')); m = d['machines'][0]; m['turnon'] = m.pop('turn_on'); json.dump(d, open('misspelt.yaml', 'w'))"
+expect_refusal 1 "^error: misspelt\.yaml: machines\[0\]: unknown machine keys: \['turnon'\]$" efjsp solve misspelt.yaml --out misspelt-result.yaml
+test ! -e misspelt-result.yaml
+
 # a result whose instance was edited after the solve is refused, naming the result
 mkdir edited
 cp result.yaml base.yaml edited/

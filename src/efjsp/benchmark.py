@@ -52,6 +52,13 @@ from .model import (
 
 SCHEMA_VERSION = 2  # 1 wrote each option as a {machine, gear, duration} mapping
 OPTION_COLUMNS = ("machine", "gear", "duration")  # an option row's entries, in order
+# The keys each level of an instance document may hold: what write_instance writes
+INSTANCE_KEYS = frozenset(("schema_version", "kind", "speed_count", "jobs", "machines"))
+JOB_KEYS = frozenset(("id", "setup_time", "operations"))
+OPERATION_KEYS = frozenset(("options",))
+MACHINE_KEYS = frozenset(
+    ("id", "setup_power", "process_power", "idle_power", "standby_power", "turn_on", "switch")
+)
 
 # A base job is a tuple of operations; each operation is a tuple of
 # (machine, duration) pairs.
@@ -322,23 +329,27 @@ def read_instance(text: str, where: str = "document") -> ProblemInstance:
 
     The document must be of ``kind: instance`` at ``schema_version`` 2,
     each option a row of three integers ``[machine, gear, duration]``
-    (version 1, which wrote options as mappings, is refused).  Raises
-    DocumentError on a malformed document, naming the job and operation
-    of a malformed option row, and on an instance that
+    (version 1, which wrote options as mappings, is refused), and each
+    level may hold only the keys ``write_instance`` writes (``turn_on``
+    may be left out).  Raises DocumentError on a malformed document,
+    naming the job and operation of a malformed option row or the place
+    of an unknown key, and on an instance that
     ``validate_instance`` rejects, listing every violation."""
-    data = header(read_document(text, where), where, "instance", SCHEMA_VERSION)
+    data = header(read_document(text, where), where, "instance", SCHEMA_VERSION, INSTANCE_KEYS)
     s = integer(data.get("speed_count"), where, "speed_count")
     jobs = []
-    for jdoc in items(data.get("jobs"), where, "jobs", ("id", "setup_time")):
+    for jdoc in items(data.get("jobs"), where, "jobs", "job", JOB_KEYS, ("id",)):
         label = f"{where}: job {jdoc['id']}"
+        setup_time = integer(jdoc.get("setup_time"), label, "setup_time")
         ops = []
-        for o, odoc in enumerate(items(jdoc.get("operations"), label, "operations", ()), start=1):
+        odocs = items(jdoc.get("operations"), label, "operations", "operation", OPERATION_KEYS)
+        for o, odoc in enumerate(odocs, start=1):
             optrows = rows(odoc.get("options"), f"{label} operation {o}", "options", OPTION_COLUMNS)
             ops.append(OperationSpec(tuple(starmap(ProcessingOption, optrows))))
-        jobs.append(JobSpec(jdoc["id"], jdoc["setup_time"], tuple(ops)))
+        jobs.append(JobSpec(jdoc["id"], setup_time, tuple(ops)))
 
     machines = []
-    for mdoc in items(data.get("machines"), where, "machines", ("id",)):
+    for mdoc in items(data.get("machines"), where, "machines", "machine", MACHINE_KEYS, ("id",)):
         label = f"{where}: machine {mdoc['id']}"
         switch = items(mdoc.get("switch"), label, "switch")
         machines.append(

@@ -58,6 +58,12 @@ from .pareto import nondominated
 
 RESULT_SCHEMA = 2
 REPORT_SCHEMA = 1  # metrics and gantt documents
+# The keys a result and each of its archived solutions may hold: what solve writes
+RESULT_KEYS = frozenset(
+    ("schema_version", "kind", "instance", "instance_sha256", "config", "wall_time_s",
+     "iterations", "archive")
+)
+SOLUTION_KEYS = frozenset(("cmax", "tec", "os", "mv", "energy"))
 MAX_REPLICAS = 1_000
 HV_REFERENCE = (1.1, 1.1)
 _SETTING_READERS = {int: integer, bool: boolean}  # by a setting's default type
@@ -170,11 +176,10 @@ def _config_from_args(args: argparse.Namespace) -> AlgorithmConfig:
     cfg = AlgorithmConfig()
     if args.config:
         doc = read_document(_read_text(args.config), args.config)
-        doc = mapping({} if doc is None else doc, args.config, "config")  # empty: the defaults
+        if doc is None:  # an empty document: the defaults
+            doc = {}
         defaults = {f.name: f.default for f in fields(AlgorithmConfig)}
-        unknown = set(doc) - set(defaults)
-        if unknown:
-            raise ValueError(f"{args.config}: unknown config keys: {sorted(unknown, key=str)}")
+        mapping(doc, args.config, "config", defaults.keys())
         for key, value in doc.items():
             _SETTING_READERS[type(defaults[key])](value, args.config, key)
         try:
@@ -313,8 +318,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _load_result(path: str) -> dict:
-    doc = header(read_document(_read_text(path), path), path, "result", RESULT_SCHEMA)
-    archive = items(doc.get("archive"), path, "archive", ("cmax",), bound=True)
+    doc = header(read_document(_read_text(path), path), path, "result", RESULT_SCHEMA, RESULT_KEYS)
+    archive = items(
+        doc.get("archive"), path, "archive", "solution", SOLUTION_KEYS, ("cmax",), bound=True
+    )
     if not archive:
         raise ValueError(f"{path}: empty archive")
     for i, entry in enumerate(archive):

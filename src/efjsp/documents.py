@@ -11,7 +11,9 @@ refuses, goes to PyYAML's pure-Python ``SafeLoader``.
 
 A reader returns the value it is given when it has the named shape, and
 otherwise raises ``DocumentError``: one line naming ``where`` the value
-sits (file, then place in it) and the field.  A missing key reads as None.
+sits (file, then place in it) and the field.  A missing key reads as None;
+a key that the level may not hold is refused (``mapping``), so a misspelt
+optional key is not read as absent.
 """
 
 from __future__ import annotations
@@ -204,18 +206,25 @@ def read_document(text: str, where: str):
         raise DocumentError(f"{where}: {exc}") from None
 
 
-def header(doc, where: str, kind: str, version: int) -> dict:
-    """``doc`` when it is a mapping of ``kind`` at schema_version ``version``."""
+def header(doc, where: str, kind: str, version: int, keys) -> dict:
+    """``doc`` when it is a mapping of ``kind`` at schema_version ``version``
+    that holds no key but ``keys`` (see ``mapping``)."""
     if type(doc) is not dict or doc.get("kind") != kind:
         raise DocumentError(f"{where}: not a document of kind {kind!r}")
     if type(doc.get("schema_version")) is not int or doc["schema_version"] != version:
         raise DocumentError(f"{where}: unsupported {kind} schema_version, expected {version}")
-    return doc
+    return mapping(doc, where, kind, keys)
 
 
-def mapping(value, where: str, name: str) -> dict:
+def mapping(value, where: str, name: str, keys) -> dict:
+    """``value`` when it is a mapping that holds no key but ``keys``, the
+    keys its level may hold.  The message lists every other key:
+    ``c.yaml: unknown config keys: ['seeds']``."""
     if type(value) is not dict:
         raise DocumentError(f"{where}: {name} must be a mapping")
+    if not value.keys() <= keys:
+        unknown = sorted((key for key in value if key not in keys), key=str)
+        raise DocumentError(f"{where}: unknown {name} keys: {unknown}")
     return value
 
 
@@ -281,15 +290,21 @@ def rows(value, where: str, name: str, columns: tuple[str, ...]) -> list:
     raise DocumentError(f"{where}: {name} must be a list of [{', '.join(columns)}] rows of integers")
 
 
-def items(value, where: str, name: str, ints=None, bound: bool = False) -> list:
-    """``value`` when it is a list.  Given key names ``ints``, it must be a
-    list of mappings whose ``ints`` hold integers, of at most 2**53 in
-    magnitude with ``bound``; the message names the first key that fails."""
-    what = "a list" if ints is None else "a list of mappings"
-    if type(value) is list and (ints is None or all(type(row) is dict for row in value)):
+def items(value, where: str, name: str, row=None, keys=(), ints=(), bound: bool = False) -> list:
+    """``value`` when it is a list.  Given the name of a ``row``, it must be
+    a list of mappings that hold no key but ``keys`` (``mapping``, each row
+    named by its index: ``x.yaml: machines[0]: unknown machine keys:
+    ['turnon']``) and hold integers under ``ints``, of at most 2**53 in
+    magnitude with ``bound``; the message names the first key that fails.
+    The keys are checked first, so a misspelt ``ints`` key is named."""
+    what = "a list" if row is None else "a list of mappings"
+    if type(value) is list and (row is None or all(type(r) is dict for r in value)):
+        if row is not None:
+            for i, r in enumerate(value):
+                mapping(r, f"{where}: {name}[{i}]", row, keys)
         limit = MAX_HORIZON if bound else math.inf
-        for key in ints or ():
-            if any(type(row.get(key)) is not int or abs(row[key]) > limit for row in value):
+        for key in ints:
+            if any(type(r.get(key)) is not int or abs(r[key]) > limit for r in value):
                 what += f" with integer {key}" + (" of at most 2**53 in magnitude" if bound else "")
                 break
         else:

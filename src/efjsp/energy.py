@@ -122,12 +122,15 @@ def account(
     summed machine by machine and, on a machine, in time order.  When
     ``decisions`` is a list, every interval decision is appended to it.
 
-    A pair of consecutive process segments pays a gear switch when it is
-    continuous and encloses a priced idle/standby stretch otherwise
-    (the rule of ``model.is_continuous``, tested here in line: the
-    follower starts no later than the previous process segment ends, or
-    only its own setup lies between them).  The stretch costs the cheaper
-    of idling and standby (see ``interval_energy``).  The first process
+    A pair of consecutive process segments on a machine is continuous
+    when the follower starts no later than the previous process segment
+    ends, or when only the follower's own setup lies between them: the
+    setup directly ahead of it, of its job, ending where it starts and
+    starting no later than the previous segment ends.  A continuous pair
+    pays a gear switch; any other pair encloses an idle/standby stretch
+    from the previous segment's end to the follower's start, priced at
+    the cheaper of idling and standby (see ``interval_energy``).  This
+    walk is the only place the rule is decided.  The first process
     segment of a machine pays its turn-on, ``mach.turn_on[gear - 1]``.
     Turning off is free.
     """

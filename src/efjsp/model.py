@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 
 @dataclass(frozen=True)
@@ -174,23 +174,6 @@ def machine_timelines(
     for seq in out:
         seq.sort()
     return out
-
-
-def is_continuous(last: Segment, prev_end: int, start: int, job: int) -> bool:
-    """Whether a process segment follows the machine's previous one without
-    an idle/standby stretch between them.
-
-    ``prev_end`` is where the previous process segment ends, ``start`` and
-    ``job`` belong to the follower, and ``last`` is the segment just ahead
-    of the follower on the timeline.  The pair is continuous when the
-    follower starts no later than ``prev_end``, or when only the
-    follower's own setup separates them.  A continuous pair pays a gear
-    switch; any other pair encloses an idle/standby stretch.
-    ``energy.account`` tests the same rule in line.
-    """
-    return start <= prev_end or (
-        last[2] == SETUP and last[3] == job and last[1] == start and last[0] <= prev_end
-    )
 
 
 class IdleIntervalRecord(NamedTuple):
@@ -394,48 +377,50 @@ def setup_rows(sched: tuple[ScheduledRow, ...], machine_id: int) -> list[Schedul
     return rows
 
 
-def _process_pairs(
-    sched: tuple[ScheduledRow, ...], machine_id: int
-) -> Iterator[tuple[Segment, Segment, bool]]:
-    """Consecutive process segments on one machine with their continuity."""
-    seq = sorted(_segment(r) for r in sched if r.machine == machine_id)
-    prev = last = None
-    for seg in seq:
-        if seg[2] == PROCESS:
-            if prev is not None:
-                yield prev, seg, is_continuous(last, prev[1], seg[0], seg[3])
-            prev = seg
-        last = seg
-
-
-def idle_intervals(sched: tuple[ScheduledRow, ...], machine_id: int) -> list[IdleIntervalRecord]:
-    """Non-processing stretches on one machine, ascending by start.
+def idle_intervals(
+    inst: ProblemInstance, sched: tuple[ScheduledRow, ...], machine_id: int
+) -> list[IdleIntervalRecord]:
+    """Non-processing stretches on one machine, ascending by start: the
+    intervals of ``energy.total_energy(inst, sched)``'s decisions there.
 
     Gaps fully covered by a setup row are not intervals (the machine goes
     straight from one operation into the next setup).  The stretch before
     the first process row and after the last one is never reported; those
     boundaries are handled by turn-on accounting and shutdown.
     """
+    from .energy import total_energy  # energy imports this module
     return [
-        IdleIntervalRecord(machine_id, prev[1], nxt[0], prev[5], nxt[5])
-        for prev, nxt, continuous in _process_pairs(sched, machine_id)
-        if not continuous
+        d.interval
+        for d in total_energy(inst, sched).interval_decisions
+        if d.interval.machine == machine_id
     ]
 
 
 def continuous_pairs(
-    sched: tuple[ScheduledRow, ...], machine_id: int
+    inst: ProblemInstance, sched: tuple[ScheduledRow, ...], machine_id: int
 ) -> list[tuple[ScheduledRow, ScheduledRow]]:
-    """Consecutive process-row pairs with no idle/standby stretch between."""
-    def row(seg: Segment) -> ScheduledRow:
-        start, end, _, job, op_index, speed = seg
-        return ScheduledRow(job, op_index, machine_id, speed, start, end)
+    """Consecutive process rows on one machine, in timeline order, that
+    ``energy.account`` walks as continuous: the pairs that pay a gear
+    switch rather than enclose a priced stretch.
 
-    return [
-        (row(a), row(b))
-        for a, b, continuous in _process_pairs(sched, machine_id)
-        if continuous
-    ]
+    Each pair is walked on its own, with the setups between its two rows,
+    so two pairs that span the same numbers are told apart."""
+    from .energy import account  # energy imports this module
+    rows = sorted((r for r in sched if r.machine == machine_id), key=_segment)
+    seq = [_segment(r) for r in rows]
+    timelines: list[list[Segment]] = [[] for _ in inst.machines]
+    pairs = []
+    prev = None  # the index of the previous process row
+    for i, seg in enumerate(seq):
+        if seg[2] == PROCESS:
+            if prev is not None:
+                timelines[machine_id - 1] = seq[prev : i + 1]
+                decisions: list = []
+                account(inst, timelines, decisions)
+                if not decisions:
+                    pairs.append((rows[prev], rows[i]))
+            prev = i
+    return pairs
 
 
 def validate_schedule(inst: ProblemInstance, sched: tuple[ScheduledRow, ...]) -> ValidationReport:

@@ -11,7 +11,11 @@ import yaml
 
 from conftest import fastest_gears, with_process_power
 from efjsp.benchmark import (
+    INSTANCE_KEYS,
+    JOB_KEYS,
+    MACHINE_KEYS,
     MAX_MACHINES,
+    OPERATION_KEYS,
     ParseError,
     dump_document,
     extend_instance,
@@ -313,6 +317,45 @@ def test_read_instance_rejects_non_list_fields(edit, message):
     edit(doc)
     with pytest.raises(DocumentError, match=message):
         read_instance(dump_document(doc))
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc["machines"][0].update(turnon=doc["machines"][0].pop("turn_on")),
+         "f.yaml: machines[0]: unknown machine keys: ['turnon']"),
+        (lambda doc: doc.update(speeds=3, name="x"), "f.yaml: unknown instance keys: ['name', 'speeds']"),
+        (lambda doc: doc["jobs"][1].update(setup=1), "f.yaml: jobs[1]: unknown job keys: ['setup']"),
+        (lambda doc: doc["jobs"][1].update(setuptime=doc["jobs"][1].pop("setup_time")),
+         "f.yaml: jobs[1]: unknown job keys: ['setuptime']"),
+        (lambda doc: doc["jobs"][1].update(ids=doc["jobs"][1].pop("id")),
+         "f.yaml: jobs[1]: unknown job keys: ['ids']"),
+        (lambda doc: doc["machines"][1].update(ids=doc["machines"][1].pop("id")),
+         "f.yaml: machines[1]: unknown machine keys: ['ids']"),
+        (lambda doc: doc["jobs"][0]["operations"][1].update(option=[]),
+         "f.yaml: job 1: operations[1]: unknown operation keys: ['option']"),
+    ],
+    ids=["machine-turnon", "instance", "job", "job-setup-time", "job-id", "machine-id", "operation"],
+)
+def test_read_instance_refuses_a_key_no_reader_reads(edit, message):
+    # a misspelt turn_on would otherwise read as absent: the machine would
+    # power up at switch[0][g], and every tec would change
+    doc = load_document(write_instance(extend_instance(random_base(2, 2, seed=0), seed=0)))
+    edit(doc)
+    with pytest.raises(DocumentError, match=f"^{re.escape(message)}$"):
+        read_instance(dump_document(doc), "f.yaml")
+
+
+def test_read_instance_reads_every_key_write_instance_writes():
+    # the key sets are the writer's, with turn_on optional
+    doc = load_document(write_instance(extend_instance(random_base(2, 2, seed=0), seed=0)))
+    assert set(doc) == INSTANCE_KEYS
+    assert {frozenset(job) for job in doc["jobs"]} == {JOB_KEYS}
+    assert {frozenset(op) for job in doc["jobs"] for op in job["operations"]} == {OPERATION_KEYS}
+    assert {frozenset(mach) for mach in doc["machines"]} == {MACHINE_KEYS}
+    for mach in doc["machines"]:
+        del mach["turn_on"]
+    read_instance(dump_document(doc))
 
 
 def test_read_instance_lists_every_violation():

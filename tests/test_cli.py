@@ -841,6 +841,55 @@ def test_result_schema_version_must_be_the_integer_1(tmp_path, instance_file, ca
     _assert_result_version_refused(tmp_path, instance_file, capsys, command, version)
 
 
+@pytest.mark.parametrize("command", ["metrics", "gantt"])
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d.update(archives=[]), "unknown result keys: ['archives']"),
+        (lambda d: d["archive"][0].update(tecc=1.0), "archive[0]: unknown solution keys: ['tecc']"),
+        (lambda d: d["archive"][0].update(cmaxs=d["archive"][0].pop("cmax")),
+         "archive[0]: unknown solution keys: ['cmaxs']"),
+    ],
+    ids=["top-level", "archive-entry", "archive-cmax"],
+)
+def test_result_keys_no_command_reads_are_refused(tmp_path, instance_file, capsys, command, edit, message):
+    result = tmp_path / "result.yaml"
+    assert _solve(instance_file, result) == 0
+    doc = load_document(result.read_text())
+    edit(doc)
+    result.write_text(dump_document(doc))
+    capsys.readouterr()
+    extra = ["--out", str(tmp_path / "chart")] if command == "gantt" else []
+    assert main([command, str(result), *extra]) == 1
+    _assert_one_line_error(capsys, f"{result}: {message}")
+    assert not list(tmp_path.glob("chart.*"))
+
+
+def test_result_blocks_no_command_reads_hold_any_keys(tmp_path, instance_file):
+    # metrics and gantt read neither the config, the trace nor the energy
+    # parts, so their keys are not checked
+    result = tmp_path / "result.yaml"
+    assert _solve(instance_file, result) == 0
+    doc = load_document(result.read_text())
+    doc["config"]["particles"] = 9
+    doc["iterations"][0]["note"] = "x"
+    doc["archive"][0]["energy"]["idle"] = 0.0
+    result.write_text(dump_document(doc))
+    assert main(["metrics", str(result), "--out", str(tmp_path / "report.yaml")]) == 0
+    assert main(["gantt", str(result), "--out", str(tmp_path / "chart")]) == 0
+
+
+def test_solve_refuses_an_instance_with_a_misspelt_turn_on(tmp_path, instance_file, capsys):
+    # read as absent, `turnon` would power each machine up at switch[0][g]
+    doc = load_document(instance_file.read_text())
+    doc["machines"][1]["turnon"] = doc["machines"][1].pop("turn_on")
+    instance_file.write_text(dump_document(doc))
+    out = tmp_path / "result.yaml"
+    assert main(["solve", str(instance_file), "--out", str(out)]) == 1
+    _assert_one_line_error(capsys, f"{instance_file}: machines[1]: unknown machine keys: ['turnon']")
+    assert not out.exists()
+
+
 # an option row that is not three integers is named by its job and operation
 _ROW_FIELD = "job 2 operation 1: options must be a list of [machine, gear, duration] rows"
 

@@ -24,7 +24,12 @@ from efjsp.energy import (
     interval_energy,
     total_energy,
 )
-from efjsp.model import IdleIntervalRecord, ScheduledRow, idle_intervals
+from efjsp.model import (
+    IdleIntervalRecord,
+    ScheduledRow,
+    continuous_pairs,
+    idle_intervals,
+)
 from efjsp.oracle import cross_check
 from efjsp.sample import sample_instance
 
@@ -138,6 +143,43 @@ def test_a_gap_the_followers_setup_leaves_open_is_priced(inst):
     assert bd.interval == interval_energy(inst, bd.interval_decisions[0].interval).energy
 
 
+def _reference_pairs(rows, machine_id):
+    """Consecutive process rows of one machine, each with whether the pair
+    is continuous, by the pair walk that ``efjsp.model`` ran beside
+    ``energy.account`` until the walk became the one place continuity is
+    decided: the machine's rows sorted as timeline segments, and each pair
+    tested on its own.  Kept as an independent reference for that walk."""
+    timeline = sorted(
+        (r for r in rows if r.machine == machine_id),
+        key=lambda r: (r.start, r.end, not r.is_setup, r.job, r.op_index, r.speed),
+    )
+    pairs = []
+    prev = last = None
+    for row in timeline:
+        if not row.is_setup:
+            if prev is not None:
+                continuous = row.start <= prev.end or (
+                    last.is_setup
+                    and last.job == row.job
+                    and last.end == row.start
+                    and last.start <= prev.end
+                )
+                pairs.append((prev, row, continuous))
+            prev = row
+        last = row
+    return pairs
+
+
+def reference_intervals(inst, rows):
+    """The stretches the reference pair walk encloses, machine by machine."""
+    return [
+        IdleIntervalRecord(mach.id, a.end, b.start, a.speed, b.speed)
+        for mach in inst.machines
+        for a, b, continuous in _reference_pairs(rows, mach.id)
+        if not continuous
+    ]
+
+
 _rows = st.lists(
     st.tuples(
         st.integers(1, 2), st.integers(1, 2), st.booleans(), st.integers(1, 3),
@@ -159,15 +201,27 @@ _rows = st.lists(
     ScheduledRow(job=1, op_index=1, machine=1, speed=3, start=8, end=8),
     ScheduledRow(job=2, op_index=1, machine=1, speed=2, start=9, end=12),
 ])
+@example([
+    ScheduledRow(job=1, op_index=1, machine=1, speed=1, start=0, end=5),
+    ScheduledRow(job=2, op_index=0, machine=1, speed=0, start=4, end=8),
+    ScheduledRow(job=2, op_index=1, machine=1, speed=2, start=8, end=5),
+    ScheduledRow(job=1, op_index=2, machine=1, speed=3, start=8, end=10),
+])
 def test_accounting_prices_the_stretches_is_continuous_leaves(inst, rows):
-    # any rows, overlapping and zero-length ones included: the walk's own
-    # continuity test and model.is_continuous (through idle_intervals) agree.
-    # The example: a setup counts only for the process directly behind it,
-    # not for one behind a zero-length process that sits inside it
-    decisions = total_energy(inst, tuple(rows)).interval_decisions
-    assert [d.interval for d in decisions] == [
-        rec for mach in inst.machines for rec in idle_intervals(tuple(rows), mach.id)
-    ]
+    # any rows, overlapping and zero-length ones included: the walk prices
+    # the stretches the reference pair walk encloses, and model's views of
+    # them read the walk.  The first example: a setup counts only for the
+    # process directly behind it, not for one behind a zero-length process
+    # that sits inside it.  The second: a row that ends before it starts
+    # makes a continuous pair (covered by the setup) and a priced one span
+    # the same numbers, 5 to 8; continuous_pairs must keep the first
+    rows = tuple(rows)
+    want = reference_intervals(inst, rows)
+    assert [d.interval for d in total_energy(inst, rows).interval_decisions] == want
+    for mach in inst.machines:
+        assert idle_intervals(inst, rows, mach.id) == [rec for rec in want if rec.machine == mach.id]
+        pairs = _reference_pairs(rows, mach.id)
+        assert continuous_pairs(inst, rows, mach.id) == [(a, b) for a, b, cont in pairs if cont]
 
 
 def test_total_energy_breakdown(inst, sched):

@@ -41,12 +41,12 @@ from efjsp.model import (
     ProblemInstance,
     ProcessingOption,
     ScheduledRow,
-    idle_intervals,
     machine_timelines,
     validate_instance,
     validate_schedule,
 )
 from efjsp.oracle import independent_objectives
+from test_energy import reference_intervals
 
 PINS = Path(__file__).parent / "data" / "evaluate_pins_10x6.json"
 
@@ -124,9 +124,7 @@ def test_three_routes_agree_on_generated_instances(problem):
     fast = evaluate(inst, chrom)
     breakdown = total_energy(inst, sched)
     assert fast == (breakdown.cmax, breakdown.tec)
-    assert [d.interval for d in breakdown.interval_decisions] == [
-        rec for mach in inst.machines for rec in idle_intervals(sched, mach.id)
-    ]
+    assert [d.interval for d in breakdown.interval_decisions] == reference_intervals(inst, sched)
     cmax, tec = independent_objectives(inst, sched)
     assert fast[0] == cmax
     assert abs(fast[1] - tec) <= 1e-9 * max(abs(tec), 1.0)

@@ -4,17 +4,19 @@ A derandomized Hypothesis gate drives ``efjsp.cli.main`` with base text
 for ``generate``, instance and ``--config`` YAML for ``solve``, result
 documents for ``metrics`` and ``gantt``, and flag values.  Each example
 starts from valid inputs and breaks one of them: nodes of a document are
-deleted, duplicated or retyped, numbers become huge, negative,
-fractional or non-finite, a config gains a setting that no longer
-exists, text is cut short or made not UTF-8, and base tokens and lines
-are dropped, repeated or replaced.  Or a second base file of the same
+deleted, duplicated or retyped, keys are misspelt, numbers become huge,
+negative, fractional or non-finite, a config gains a setting that no
+longer exists, text is cut short or made not UTF-8, and base tokens and
+lines are dropped, repeated or replaced.  Or a second base file of the same
 stem is given, or, with every file valid, the flags take such values.
 
 Every call must return 0, 1 or 2 and raise nothing, and print at most
 one stderr line, which starts with ``error:`` and, when a file was
-broken, names that file.  Whenever ``solve`` succeeds, every archived
-chromosome must decode to a schedule that ``validate_schedule`` accepts,
-with the stored objectives finite and equal to ``evaluate``'s.
+broken, names that file.  A document whose only faults are misspelt keys
+of mappings that a reader checks must be refused with status 1.
+Whenever ``solve`` succeeds, every archived chromosome must decode to a
+schedule that ``validate_schedule`` accepts, with the stored objectives
+finite and equal to ``evaluate``'s.
 """
 
 from __future__ import annotations
@@ -82,14 +84,34 @@ def _paths(node, path=()):
         yield from _paths(child, (*path, key))
 
 
-def _mutate_document(data, doc, kind):
-    """``doc`` with one to three nodes deleted, duplicated, retyped or renumbered."""
+def _misspelt(key: str) -> str:
+    return key.replace("_", "", 1) if "_" in key else key + "s"
+
+
+def _checked(kind, path) -> bool:
+    """Whether a reader checks the key at ``path``: every key of an instance
+    and of a config; of a result, its own keys and each archived solution's,
+    but not those of its config, trace or energy parts, which no command reads."""
+    if kind in ("instance", "config"):
+        return True
+    return len(path) == 1 or (path[0] == "archive" and len(path) == 3)
+
+
+def _mutate_document(data, doc, kind, done):
+    """``doc`` with one to three nodes deleted, duplicated, retyped or
+    renumbered, or keys misspelt; each mutation's op and path is appended
+    to ``done``."""
     for _ in range(data.draw(st.integers(1, 3))):
-        path = data.draw(st.sampled_from(list(_paths(doc))))
-        ops = ["delete", "duplicate", "retype", "number"]
+        ops = ["delete", "duplicate", "retype", "number", "rename"]
         if kind == "config" and type(doc) is dict:
             ops.append("removed-setting")
         op = data.draw(st.sampled_from(ops))
+        # a key to misspell, or any node
+        paths = [p for p in _paths(doc) if op != "rename" or (p and type(p[-1]) is str)]
+        if not paths:  # no mapping left to misspell a key of
+            continue
+        path = data.draw(st.sampled_from(paths))
+        done.append((op, path))
         if op == "removed-setting":
             doc[data.draw(st.sampled_from(REMOVED_SETTINGS))] = data.draw(
                 st.sampled_from((True, False, 0.5, *NUMBERS))
@@ -108,6 +130,8 @@ def _mutate_document(data, doc, kind):
             parent.insert(key, copy.deepcopy(parent[key]))
         elif op == "duplicate":
             parent[f"{key}_"] = copy.deepcopy(parent[key])
+        elif op == "rename":
+            parent[_misspelt(key)] = parent.pop(key)
         elif op == "retype":
             parent[key] = data.draw(st.sampled_from((*OTHERS, str(parent[key]))))
         else:
@@ -213,12 +237,18 @@ def test_every_input_fails_closed(valid, data):
         def write(name, kind, content):
             path = d / name
             if broken == kind:
+                done = []
                 if kind == "base":
                     content = _mutate_base(data, content)
                 else:
-                    content = dump_document(_mutate_document(data, copy.deepcopy(content), kind))
-                path.write_bytes(_file_bytes(data, content))
+                    content = dump_document(_mutate_document(data, copy.deepcopy(content), kind, done))
+                raw = _file_bytes(data, content)
+                path.write_bytes(raw)
                 files["broken"] = path
+                # whole text whose only faults are keys misspelt where a reader checks them
+                files["misspelt"] = bool(done) and raw == content.encode() and all(
+                    op == "rename" and _checked(kind, key_path) for op, key_path in done
+                )
             else:
                 path.write_text(content if type(content) is str else dump_document(content))
             return str(path)
@@ -256,6 +286,7 @@ def test_every_input_fails_closed(valid, data):
         assert len(lines) <= 1, (argv, err)
         assert (code == 0) == (not lines), (argv, code, err)
         assert code == 1 or broken != "stem", (argv, code, err)
+        assert code == 1 or not files.get("misspelt"), (argv, code, err)
         if lines:
             assert lines[0].startswith("error: "), (argv, err)
             if "broken" in files:

@@ -210,11 +210,11 @@ def test_validate_schedule_flags_new_job_block_without_setup(inst, sched):
     assert any("setup" in v for v in report.violations)
 
 
-def test_idle_intervals_of_sample(sched):
-    assert idle_intervals(sched, 1) == [
+def test_idle_intervals_of_sample(inst, sched):
+    assert idle_intervals(inst, sched, 1) == [
         IdleIntervalRecord(machine=1, start=9, end=15, prev_speed=3, next_speed=2)
     ]
-    assert idle_intervals(sched, 2) == [
+    assert idle_intervals(inst, sched, 2) == [
         IdleIntervalRecord(machine=2, start=15, end=18, prev_speed=2, next_speed=3)
     ]
 
@@ -224,18 +224,18 @@ def test_interval_record_length():
     assert rec.length == 6
 
 
-def test_continuous_pairs_of_sample(sched):
+def test_continuous_pairs_of_sample(inst, sched):
     # back-to-back rows and setup-covered gaps count as continuous
-    m1 = continuous_pairs(sched, 1)
+    m1 = continuous_pairs(inst, sched, 1)
     keys = {((a.job, a.op_index), (b.job, b.op_index)) for a, b in m1}
     assert ((1, 1), (1, 2)) in keys
     assert ((2, 3), None) not in keys
-    m2 = continuous_pairs(sched, 2)
+    m2 = continuous_pairs(inst, sched, 2)
     keys2 = {((a.job, a.op_index), (b.job, b.op_index)) for a, b in m2}
     assert ((2, 1), (2, 2)) in keys2
 
 
-def test_setup_covered_gap_is_continuous():
+def test_setup_covered_gap_is_continuous(inst):
     # a gap fully hidden behind the follower's setup produces no interval
     rows = (
         ScheduledRow(job=1, op_index=0, machine=1, speed=0, start=0, end=1),
@@ -243,7 +243,7 @@ def test_setup_covered_gap_is_continuous():
         ScheduledRow(job=2, op_index=0, machine=1, speed=0, start=7, end=9),
         ScheduledRow(job=2, op_index=1, machine=1, speed=3, start=9, end=19),
     )
-    assert idle_intervals(rows, 1) == []
+    assert idle_intervals(inst, rows, 1) == []
 
 
 def test_instance_contiguity_check():
