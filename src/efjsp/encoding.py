@@ -21,15 +21,18 @@ that table.  The columns ranked by processing energy
 take their columns from, are derived from it once per instance as well.
 
 Decoding walks the os vector and inserts every operation into the first
-gap on its chosen machine that admits it, adding a setup row whenever the
-operation opens a new job block on that machine.  Setup rows are placed
-as late as possible, ending exactly at the process start, and may overlap
+gap on its chosen machine that admits it, adding a setup whenever the
+operation opens a new job block on that machine.  Setups are placed as
+late as possible, ending exactly at the process start, and may overlap
 the job's previous operation running elsewhere.
 
-Placement builds one time-ordered timeline per machine.  ``decode``
-returns the schedule rows it placed, in os order; ``evaluate`` prices the
-timelines directly, reading the makespan and the total energy off one
-walk over them (``energy.account``) without collecting any rows.
+Placement builds one time-ordered timeline per machine, with one segment
+per placed operation that carries the operation's setup when it brings
+one (see ``model.Segment``).  A gap is admitted only ahead of a segment
+that brings its own setup.  ``decode`` returns the schedule rows it
+placed, in os order; ``evaluate`` prices the timelines directly, reading
+the makespan and the total energy off one walk over them
+(``energy.account``) without collecting any rows.
 
 Segments on a timeline never overlap, so their start times never
 decrease and the gap scan can start by bisection: an operation that
@@ -56,7 +59,7 @@ from itertools import count
 from operator import attrgetter
 
 from .energy import account
-from .model import PROCESS, SETUP, OperationColumns, ProblemInstance, ScheduledRow, Segment
+from .model import OperationColumns, ProblemInstance, ScheduledRow, Segment
 
 RULE_MIN_TIME = "min_time"
 RULE_MIN_ENERGY = "min_energy"
@@ -193,7 +196,7 @@ def _empty_state(inst: ProblemInstance) -> PlacementState:
 
 # What the gap scan reads of the segment ahead of a machine's first one:
 # it ends at time 0 and serves no job.
-_EMPTY = (0, 0, PROCESS, 0, 0, 0)
+_EMPTY = (0, 0, 0, 0, 0, None)
 
 
 def _place(
@@ -234,7 +237,7 @@ def _place(
 
         i = len(seq)
         if not i:
-            prev_end = prev_proc_job = 0
+            prev_end = prev_job = 0
             rest = seq
         else:
             prev = seq[-1]
@@ -244,39 +247,32 @@ def _place(
                 i = bisect_left(seq, (ready + dur,))
                 rest = seq[i:]
                 prev = seq[i - 1] if i else _EMPTY
-            # A timeline never ends with a setup, and a setup ahead of the
-            # scan is followed by its process, which sets prev_proc_job
-            # before any gap reads it.
             prev_end = prev[1]
-            prev_proc_job = prev[3]
-        for seg_start, seg_end, kind, seg_job, _, _ in rest:
-            if seg_start > prev_end and kind == SETUP:
-                need_setup = prev_proc_job != job_id
+            prev_job = prev[2]
+        for seg_start, seg_end, seg_job, _, _, setup_end in rest:
+            if seg_start > prev_end and setup_end is not None:
+                need_setup = prev_job != job_id
                 start = prev_end + su if need_setup else prev_end
                 if start < ready:
                     start = ready
                 if start + dur <= seg_start:
                     break
             prev_end = seg_end
-            if kind == PROCESS:
-                prev_proc_job = seg_job
+            prev_job = seg_job
             i += 1
         else:  # the open tail
-            need_setup = prev_proc_job != job_id
+            need_setup = prev_job != job_id
             start = prev_end + su if need_setup else prev_end
             if start < ready:
                 start = ready
 
         end = start + dur
         if need_setup:
-            seq[i:i] = (
-                (start - su, start, SETUP, job_id, 0, 0),
-                (start, end, PROCESS, job_id, op_idx, speed),
-            )
+            seq.insert(i, (start - su, end, job_id, op_idx, speed, start))
             if rows is not None:
                 rows.append(new_row(ScheduledRow, (job_id, 0, machine, 0, start - su, start)))
         else:
-            seq.insert(i, (start, end, PROCESS, job_id, op_idx, speed))
+            seq.insert(i, (start, end, job_id, op_idx, speed, None))
         if rows is not None:
             rows.append(new_row(ScheduledRow, (job_id, op_idx, machine, speed, start, end)))
         job_ready[j] = end
@@ -299,7 +295,7 @@ def decode(
     setup is required when the gap opens a new job block: no earlier
     operation on the machine, or the closest one belongs to another job.
 
-    Gaps directly before a process row that has no setup row of its own
+    Gaps directly before an operation that brings no setup of its own
     are skipped: inserting a different job there would retroactively
     invalidate that row's same-job continuity, and a later operation of
     the same job can never fit in front of it.

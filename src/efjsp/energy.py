@@ -13,10 +13,11 @@ adjacent gears (paying idle power plus one speed switch) or drops to
 standby (paying standby power plus a switch down to speed 0 and back up).
 The cheaper choice is taken, ties going to waiting idle.
 
-All five parts come from one walk over per-machine timelines
-(``account``).  ``encoding.evaluate`` runs it on the decoder's own
-timelines to price a chromosome; ``total_energy`` runs it on a
-schedule's rows, sorted per machine, and also keeps the makespan and
+All five parts come from one walk over per-machine timelines, one
+segment per operation with its setup in it (``account``).
+``encoding.evaluate`` runs it on the decoder's own timelines to price a
+chromosome; ``total_energy`` runs it on a schedule's rows, merged into
+timelines (``model.machine_timelines``), and also keeps the makespan and
 every interval decision, so the breakdown and the objectives are the
 same sums.  The walk tests continuity and prices a stretch in line, with
 each machine's tables read once; ``interval_energy`` prices a single
@@ -28,8 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .model import (
-    PROCESS,
-    SETUP,
     IdleIntervalRecord,
     ProblemInstance,
     ScheduledRow,
@@ -69,15 +68,6 @@ class EnergyBreakdown:
     interval_decisions: tuple[IntervalDecision, ...]
 
 
-def _decision(interval: IdleIntervalRecord, cost: float, idle: bool) -> IntervalDecision:
-    return IntervalDecision(
-        interval=interval,
-        mode=MODE_IDLE if idle else MODE_STANDBY,
-        idle_speed=min(interval.prev_speed, interval.next_speed),
-        energy=cost,
-    )
-
-
 def interval_energy(inst: ProblemInstance, interval: IdleIntervalRecord) -> IntervalDecision:
     """Pick the cheaper of idling and standby for one interior stretch.
 
@@ -102,8 +92,8 @@ def interval_energy(inst: ProblemInstance, interval: IdleIntervalRecord) -> Inte
         )
     timelines: list[list[Segment]] = [[] for _ in inst.machines]
     timelines[interval.machine - 1] = [
-        (interval.start, interval.start, PROCESS, 0, 0, interval.prev_speed),
-        (interval.end, interval.end, PROCESS, 0, 0, interval.next_speed),
+        (interval.start, interval.start, 0, 1, interval.prev_speed, None),
+        (interval.end, interval.end, 0, 1, interval.next_speed, None),
     ]
     decisions: list[IntervalDecision] = []
     account(inst, timelines, decisions)
@@ -122,17 +112,17 @@ def account(
     summed machine by machine and, on a machine, in time order.  When
     ``decisions`` is a list, every interval decision is appended to it.
 
-    A pair of consecutive process segments on a machine is continuous
-    when the follower starts no later than the previous process segment
-    ends, or when only the follower's own setup lies between them: the
-    setup directly ahead of it, of its job, ending where it starts and
-    starting no later than the previous segment ends.  A continuous pair
-    pays a gear switch; any other pair encloses an idle/standby stretch
-    from the previous segment's end to the follower's start, priced at
-    the cheaper of idling and standby (see ``interval_energy``).  This
-    walk is the only place the rule is decided.  The first process
-    segment of a machine pays its turn-on, ``mach.turn_on[gear - 1]``.
-    Turning off is free.
+    A segment pays its own setup, if it brings one, and then its process;
+    a segment with op_index 0 is a setup that serves no process and pays
+    nothing else.  A segment follows the previous process on its machine
+    continuously when its process starts no later than that process ends,
+    or when it brings its own setup and the setup starts no later than
+    that.  A continuous pair pays a gear switch; any other pair encloses
+    an idle/standby stretch from the previous process's end to the
+    follower's process start, priced at the cheaper of idling and standby
+    (see ``interval_energy``).  This walk is the only place the rule is
+    decided.  The first process of a machine pays its turn-on,
+    ``mach.turn_on[gear - 1]``.  Turning off is free.
     """
     cmax = -1
     ie1 = ie2 = se1 = se2 = 0.0
@@ -146,20 +136,20 @@ def account(
         idle_power = mach.idle_power
         standby_power = mach.standby_power
         prev_end = prev_speed = 0
-        su_end = None  # the end of a setup directly ahead, None after a process segment
-        for start, end, kind, job, _, speed in seq:
-            if kind == SETUP:
-                se1 += setup_power * (end - start)
-                su_start, su_end, su_job = start, end, job
-                continue
+        # busy: where the machine becomes busy; start: where the process starts
+        for busy, end, _, op, speed, start in seq:
+            if start is None:
+                start = busy
+            else:
+                se1 += setup_power * (start - busy)
+                if not op:
+                    continue
             se2 += process_power[speed - 1] * (end - start)
             if end > cmax:
                 cmax = end
             if not prev_speed:
                 ie1 += mach.turn_on[speed - 1]
-            elif start <= prev_end or (
-                su_end == start and su_job == job and su_start <= prev_end
-            ):
+            elif start <= prev_end or busy <= prev_end:
                 if prev_speed != speed:
                     ie2 += switch[prev_speed][speed]
             else:
@@ -173,9 +163,9 @@ def account(
                 ise += cost
                 if decisions is not None:
                     interval = IdleIntervalRecord(mach.id, prev_end, start, prev_speed, speed)
-                    decisions.append(_decision(interval, cost, idle))
+                    mode = MODE_IDLE if idle else MODE_STANDBY
+                    decisions.append(IntervalDecision(interval, mode, min(prev_speed, speed), cost))
             prev_end, prev_speed = end, speed
-            su_end = None
     return cmax, ie1, ie2, se1, se2, ise
 
 

@@ -2,12 +2,12 @@
 
 The search reads each solution off the decoder's own machine timelines,
 time-ordered as placed (``encoding.Checkpoints``), so no schedule rows
-are collected or sorted.  The critical path folds every setup into the
-process segment it serves and walks backwards from the latest
-completion, always stepping to the later-completing of the job
-predecessor and the machine predecessor (the previous process segment
-on the timeline; ties prefer the machine predecessor), until an
-operation that starts at time zero.
+are collected or sorted.  Each operation is one segment there, which
+starts with its setup when it brings one.  The critical path walks
+backwards from the latest completion, always stepping to the
+later-completing of the job predecessor and the machine predecessor (the
+previous operation on the timeline; ties prefer the machine
+predecessor), until an operation whose segment starts at time zero.
 
 Three neighbourhood structures perturb a chromosome:
 
@@ -43,7 +43,7 @@ import random
 from functools import cached_property
 
 from .encoding import Checkpoints, Chromosome, evaluate
-from .model import PROCESS, SETUP, ProblemInstance, Segment
+from .model import ProblemInstance, Segment
 from .pareto import dominates
 
 STRUCTURES = ("n1", "n2", "n3")
@@ -57,17 +57,13 @@ def critical_path(timelines: list[list[Segment]]) -> list[tuple[int, int]]:
     schedule's time-ordered machine timelines: the decoder's own in
     ``vns``, ``model.machine_timelines(inst, sched)`` for given rows.
     """
-    span = {}  # (job, op) -> (start with its setup folded in, end, machine predecessor)
+    span = {}  # (job, op) -> (start with its setup, end, machine predecessor)
     for seq in timelines:
-        prev = last = None
-        for seg in seq:
-            start, end, kind, job, op, _ = seg
-            if kind == PROCESS:
-                if last is not None and last[2] == SETUP and last[3] == job and last[1] == start:
-                    start = last[0]
-                span[(job, op)] = (start, end, prev)
+        prev = None
+        for start, end, job, op, _, _ in seq:
+            if op:  # not a setup that serves no process
+                span[job, op] = (start, end, prev)
                 prev = (job, op)
-            last = seg
     if not span:
         return []
     current = min(span, key=lambda k: (-span[k][1], k))
@@ -104,7 +100,7 @@ class _View:
         ties going to the lowest id."""
         timelines = self.timelines
         loads = [sum(seg[1] - seg[0] for seg in seq) for seq in timelines]
-        ops = [seg[3:5] for seg in timelines[loads.index(max(loads))] if seg[2] == PROCESS]
+        ops = [seg[2:4] for seg in timelines[loads.index(max(loads))] if seg[3]]
         return sorted(ops, key=self.os_index.__getitem__)
 
     def move_off(

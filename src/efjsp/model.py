@@ -145,17 +145,14 @@ class ScheduledRow(NamedTuple):
         return self.end - self.start
 
 
-# A machine timeline lists the machine's rows as plain tuples
-# (start, end, kind, job, op_index, speed) in time order, every setup
-# directly ahead of the process row it serves.  The decoder builds one
-# per machine; energy accounting walks them.
-SETUP = 0
-PROCESS = 1
-Segment = tuple[int, int, int, int, int, int]
-
-
-def _segment(r: ScheduledRow) -> Segment:
-    return (r.start, r.end, SETUP if r.is_setup else PROCESS, r.job, r.op_index, r.speed)
+# A machine timeline holds one segment per placed operation, a plain tuple
+# (start, end, job, op_index, speed, setup_end), in time order.  ``start``
+# is where the machine becomes busy: the start of the operation's own
+# setup when it brings one, and ``setup_end`` is then the process start;
+# it is None when the operation runs on from its job's previous one
+# there.  A zero-length setup still sets it.  The decoder builds one
+# timeline per machine; energy accounting walks them.
+Segment = tuple[int, int, int, int, int, int | None]
 
 
 def machine_timelines(
@@ -163,16 +160,30 @@ def machine_timelines(
 ) -> list[list[Segment]]:
     """Timelines of all machines, indexed by machine id - 1.
 
-    The rows are grouped by machine and each group is sorted once.
-    Raises ValueError on a row whose machine id is not in the instance.
+    One walk groups the rows by machine; each group is sorted once, by
+    (start, end), setups first, job, op_index and speed, and merged as it
+    is walked: a setup row goes into the process row directly behind it
+    if that is of its job and starts where the setup ends, and is
+    otherwise a segment of its own, with op_index 0 and ``setup_end`` its
+    end.  Raises ValueError on a row whose machine id is not in the
+    instance.
     """
-    out: list[list[Segment]] = [[] for _ in inst.machines]
+    out: list[list] = [[] for _ in inst.machines]
     for r in sched:
-        if not 1 <= r.machine <= len(out):
-            raise ValueError(f"row {r} names unknown machine {r.machine}")
-        out[r.machine - 1].append(_segment(r))
-    for seq in out:
-        seq.sort()
+        job, op, machine, speed, start, end = r
+        if not 0 < machine <= len(out):
+            raise ValueError(f"row {r} names unknown machine {machine}")
+        out[machine - 1].append((start, end, op != 0, job, op, speed))
+    for m, rows in enumerate(out):
+        rows.sort()
+        seq = out[m] = []
+        for start, end, is_process, job, op, speed in rows:
+            if not is_process:
+                seq.append((start, end, job, op, speed, end))
+            elif seq and (last := seq[-1])[3] == 0 and last[1] == start and last[2] == job:
+                seq[-1] = (last[0], end, job, op, speed, start)
+            else:
+                seq.append((start, end, job, op, speed, None))
     return out
 
 
@@ -403,22 +414,23 @@ def continuous_pairs(
     ``energy.account`` walks as continuous: the pairs that pay a gear
     switch rather than enclose a priced stretch.
 
-    Each pair is walked on its own, with the setups between its two rows,
-    so two pairs that span the same numbers are told apart."""
+    Each pair is walked on its own, as the timeline of the machine's rows
+    from the one to the other, so two pairs that span the same numbers
+    are told apart."""
     from .energy import account  # energy imports this module
-    rows = sorted((r for r in sched if r.machine == machine_id), key=_segment)
-    seq = [_segment(r) for r in rows]
-    timelines: list[list[Segment]] = [[] for _ in inst.machines]
+    rows = sorted(
+        (r for r in sched if r.machine == machine_id),
+        key=lambda r: (r.start, r.end, not r.is_setup, r.job, r.op_index, r.speed),
+    )
     pairs = []
     prev = None  # the index of the previous process row
-    for i, seg in enumerate(seq):
-        if seg[2] == PROCESS:
+    for i, row in enumerate(rows):
+        if not row.is_setup:
             if prev is not None:
-                timelines[machine_id - 1] = seq[prev : i + 1]
                 decisions: list = []
-                account(inst, timelines, decisions)
+                account(inst, machine_timelines(inst, rows[prev : i + 1]), decisions)
                 if not decisions:
-                    pairs.append((rows[prev], rows[i]))
+                    pairs.append((rows[prev], row))
             prev = i
     return pairs
 

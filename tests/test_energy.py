@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -24,11 +25,13 @@ from efjsp.energy import (
     interval_energy,
     total_energy,
 )
+from efjsp.local_search import critical_path
 from efjsp.model import (
     IdleIntervalRecord,
     ScheduledRow,
     continuous_pairs,
     idle_intervals,
+    machine_timelines,
 )
 from efjsp.oracle import cross_check
 from efjsp.sample import sample_instance
@@ -143,16 +146,22 @@ def test_a_gap_the_followers_setup_leaves_open_is_priced(inst):
     assert bd.interval == interval_energy(inst, bd.interval_decisions[0].interval).energy
 
 
+def _timeline(rows, machine_id):
+    """One machine's rows in time order, as a timeline orders them: by
+    (start, end), setups first, then by job, op_index and speed."""
+    return sorted(
+        (r for r in rows if r.machine == machine_id),
+        key=lambda r: (r.start, r.end, not r.is_setup, r.job, r.op_index, r.speed),
+    )
+
+
 def _reference_pairs(rows, machine_id):
     """Consecutive process rows of one machine, each with whether the pair
     is continuous, by the pair walk that ``efjsp.model`` ran beside
     ``energy.account`` until the walk became the one place continuity is
     decided: the machine's rows sorted as timeline segments, and each pair
     tested on its own.  Kept as an independent reference for that walk."""
-    timeline = sorted(
-        (r for r in rows if r.machine == machine_id),
-        key=lambda r: (r.start, r.end, not r.is_setup, r.job, r.op_index, r.speed),
-    )
+    timeline = _timeline(rows, machine_id)
     pairs = []
     prev = last = None
     for row in timeline:
@@ -194,27 +203,135 @@ _rows = st.lists(
 )
 
 
-@settings(max_examples=500, deadline=None, derandomize=True, database=None)
-@given(_rows)
-@example([
+# A setup counts only for the process directly behind it, not for one
+# behind a zero-length process that sits inside it.
+_SETUP_BEHIND_A_ZERO_LENGTH_PROCESS = [
     ScheduledRow(job=2, op_index=0, machine=1, speed=0, start=7, end=9),
     ScheduledRow(job=1, op_index=1, machine=1, speed=3, start=8, end=8),
     ScheduledRow(job=2, op_index=1, machine=1, speed=2, start=9, end=12),
-])
-@example([
+]
+# A row that ends before it starts makes a continuous pair (covered by the
+# setup) and a priced one span the same numbers, 5 to 8.
+_TWO_PAIRS_OVER_ONE_SPAN = [
     ScheduledRow(job=1, op_index=1, machine=1, speed=1, start=0, end=5),
     ScheduledRow(job=2, op_index=0, machine=1, speed=0, start=4, end=8),
     ScheduledRow(job=2, op_index=1, machine=1, speed=2, start=8, end=5),
     ScheduledRow(job=1, op_index=2, machine=1, speed=3, start=8, end=10),
-])
+]
+# Every kind of setup row on one machine: a zero-length one serving its
+# process, another job's, one that ends before its process starts and a
+# dangling one at the end.
+_EVERY_SETUP_CASE = [
+    ScheduledRow(job=1, op_index=0, machine=1, speed=0, start=0, end=0),
+    ScheduledRow(job=1, op_index=1, machine=1, speed=2, start=0, end=3),
+    ScheduledRow(job=2, op_index=0, machine=1, speed=0, start=3, end=5),
+    ScheduledRow(job=1, op_index=2, machine=1, speed=3, start=5, end=7),
+    ScheduledRow(job=2, op_index=0, machine=1, speed=0, start=8, end=9),
+    ScheduledRow(job=2, op_index=1, machine=1, speed=1, start=10, end=12),
+    ScheduledRow(job=1, op_index=0, machine=1, speed=0, start=12, end=14),
+]
+
+
+def _setup_cases(rows) -> set[str]:
+    """Which kinds of setup row ``rows`` hold, each setup read against the
+    row directly behind it in a machine's time order."""
+    cases = set()
+    for mach in {r.machine for r in rows}:
+        timeline = _timeline(rows, mach)
+        for row, behind in zip(timeline, timeline[1:] + [None]):
+            if not row.is_setup:
+                continue
+            if behind is None or behind.is_setup:
+                cases.add("dangling")
+            elif behind.job != row.job:
+                cases.add("another job's")
+            elif behind.start > row.end:
+                cases.add("ends before its process starts")
+            elif behind.start == row.end and row.start == row.end:
+                cases.add("zero-length")
+    return cases
+
+
+def _drawn_rows(seed: int) -> list[ScheduledRow]:
+    """Up to ten rows drawn as ``_rows`` draws them, from ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    rows = []
+    for _ in range(rng.randint(0, 10)):
+        job, machine, setup = rng.randint(1, 2), rng.randint(1, 2), rng.random() < 0.5
+        speed, start, length = rng.randint(1, 3), rng.randint(0, 12), rng.randint(0, 4)
+        rows.append(ScheduledRow(
+            job=job, op_index=0 if setup else 1, machine=machine, speed=0 if setup else speed,
+            start=start, end=start + length,
+        ))
+    return rows
+
+
+def _drawn_schedule(seed: int) -> list[ScheduledRow]:
+    """Process rows with a critical chain, from ``random.Random(seed)``: up
+    to three operations for each of three jobs, each after its job's last
+    and after its machine's last process row, so that no two process rows
+    of a machine overlap.  Setup rows of any job and length, up to 3, lie
+    ahead of some: ending at the process start, earlier, or serving no
+    process at all."""
+    rng = random.Random(seed)
+    ops = [job for job in (1, 2, 3) for _ in range(rng.randint(1, 3))]
+    rng.shuffle(ops)
+    job_ready, machine_free, nth = {}, {}, {}
+    rows = []
+    for job in ops:
+        nth[job] = nth.get(job, 0) + 1
+        machine = rng.randint(1, 2)
+        start = max(job_ready.get(job, 0), machine_free.get(machine, 0)) + rng.randint(0, 3)
+        end = start + rng.randint(1, 4)
+        job_ready[job] = machine_free[machine] = end
+        rows.append(ScheduledRow(job, nth[job], machine, rng.randint(1, 3), start, end))
+        if rng.random() < 0.7:
+            su_job = job if rng.random() < 0.7 else rng.randint(1, 3)
+            su_end = start - (rng.randint(1, 2) if rng.random() < 0.2 else 0)
+            rows.append(ScheduledRow(su_job, 0, machine, 0, su_end - rng.randint(0, 3), su_end))
+    for _ in range(rng.randint(0, 2)):
+        at = rng.randint(0, 20)
+        rows.append(ScheduledRow(rng.randint(1, 3), 0, rng.randint(1, 2), 0, at, at + rng.randint(0, 3)))
+    rng.shuffle(rows)
+    return rows
+
+
+# sha256 of the arbitrary-row examples' breakdowns and of the critical
+# chains of the schedule-like ones, by repr, recorded while every setup
+# still was a timeline segment of its own
+ARBITRARY_ROWS_SHA256 = "de91db964314cad778aecbe3d0e99a6b7d92ecde160c3bf22608e06469a53fc5"
+
+
+def test_arbitrary_rows_keep_their_breakdown_and_critical_path_bits(inst):
+    # the property's examples, 500 seeded draws of its shape and 500
+    # schedule-like draws: every energy sum and interval decision, and
+    # the critical chain where the rows have one, to the last bit, whether
+    # or not a row's setup travels with its process
+    fixed = [_SETUP_BEHIND_A_ZERO_LENGTH_PROCESS, _TWO_PAIRS_OVER_ONE_SPAN, _EVERY_SETUP_CASE]
+    drawn = [_drawn_rows(seed) for seed in range(500)]
+    schedules = [_drawn_schedule(seed) for seed in range(500)]
+    every_case = {"dangling", "another job's", "ends before its process starts", "zero-length"}
+    assert _setup_cases(_EVERY_SETUP_CASE) == every_case
+    assert set.union(*map(_setup_cases, drawn)) == every_case
+    assert set.union(*map(_setup_cases, schedules)) == every_case
+    digest = hashlib.sha256()
+    for rows in fixed + drawn + schedules:
+        digest.update(repr(total_energy(inst, tuple(rows))).encode())
+    for rows in fixed + schedules:
+        digest.update(repr(critical_path(machine_timelines(inst, tuple(rows)))).encode())
+    assert digest.hexdigest() == ARBITRARY_ROWS_SHA256
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(_rows)
+@example(_SETUP_BEHIND_A_ZERO_LENGTH_PROCESS)
+@example(_TWO_PAIRS_OVER_ONE_SPAN)
+@example(_EVERY_SETUP_CASE)
 def test_accounting_prices_the_stretches_is_continuous_leaves(inst, rows):
     # any rows, overlapping and zero-length ones included: the walk prices
     # the stretches the reference pair walk encloses, and model's views of
-    # them read the walk.  The first example: a setup counts only for the
-    # process directly behind it, not for one behind a zero-length process
-    # that sits inside it.  The second: a row that ends before it starts
-    # makes a continuous pair (covered by the setup) and a priced one span
-    # the same numbers, 5 to 8; continuous_pairs must keep the first
+    # them read the walk; continuous_pairs keeps the continuous one of two
+    # pairs that span the same numbers
     rows = tuple(rows)
     want = reference_intervals(inst, rows)
     assert [d.interval for d in total_energy(inst, rows).interval_decisions] == want

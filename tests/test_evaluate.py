@@ -4,7 +4,8 @@ the bisected gap scan against the linear one it replaced; and VNS's
 incremental pricing of neighbours against ``evaluate``; and
 ``decode(..., base=, first=)`` walking its checkpoints through a chain of
 chromosomes against a fresh ``decode``, placing only the positions from
-the resume position on."""
+the resume position on; and the decoder's one-segment timelines against
+its rows merged by ``machine_timelines``."""
 
 from __future__ import annotations
 
@@ -33,8 +34,6 @@ from efjsp.encoding import (
 from efjsp.energy import total_energy
 from efjsp.local_search import STRUCTURES, _View, critical_path
 from efjsp.model import (
-    PROCESS,
-    SETUP,
     JobSpec,
     Machine,
     OperationSpec,
@@ -47,6 +46,7 @@ from efjsp.model import (
 )
 from efjsp.oracle import independent_objectives
 from test_energy import reference_intervals
+from test_oracle import PINNED
 
 PINS = Path(__file__).parent / "data" / "evaluate_pins_10x6.json"
 
@@ -159,7 +159,9 @@ long_shapes = st.one_of(problems(), generated_problems(max_jobs=20))
 
 def _linear_place(inst, chrom, table, rows):
     """The decoder's placement loop as it was before the gap scan was
-    bisected: every gap of the machine is tried from the front."""
+    bisected: every gap of the machine is tried from the front.  It
+    builds its timelines itself, one segment per operation, with the
+    operation's setup in it when it brings one (see ``model.Segment``)."""
     mv = chrom.mv
     setup_times = []
     mv_base = []
@@ -184,34 +186,30 @@ def _linear_place(inst, chrom, table, rows):
 
         i = 0
         prev_end = 0
-        prev_proc_job = 0
-        for seg_start, seg_end, kind, seg_job, _, _ in seq:
-            if seg_start > prev_end and kind == SETUP:
-                need_setup = prev_proc_job != job_id
+        prev_job = 0
+        for seg_start, seg_end, seg_job, _, _, setup_end in seq:
+            if seg_start > prev_end and setup_end is not None:
+                need_setup = prev_job != job_id
                 start = prev_end + su if need_setup else prev_end
                 if start < ready:
                     start = ready
                 if start + dur <= seg_start:
                     break
             prev_end = seg_end
-            if kind == PROCESS:
-                prev_proc_job = seg_job
+            prev_job = seg_job
             i += 1
         else:  # the open tail
-            need_setup = prev_proc_job != job_id
+            need_setup = prev_job != job_id
             start = prev_end + su if need_setup else prev_end
             if start < ready:
                 start = ready
 
         end = start + dur
         if need_setup:
-            seq[i:i] = (
-                (start - su, start, SETUP, job_id, 0, 0),
-                (start, end, PROCESS, job_id, op_idx, speed),
-            )
+            seq.insert(i, (start - su, end, job_id, op_idx, speed, start))
             rows.append(ScheduledRow(job_id, 0, machine, 0, start - su, start))
         else:
-            seq.insert(i, (start, end, PROCESS, job_id, op_idx, speed))
+            seq.insert(i, (start, end, job_id, op_idx, speed, None))
         rows.append(ScheduledRow(job_id, op_idx, machine, speed, start, end))
         job_ready[j] = end
     return segs
@@ -234,6 +232,28 @@ def test_bisected_scan_places_like_the_linear_scan(problem):
     for c, saved in enumerate(base.saved):
         lo = c * base.every
         assert _place(inst, chrom, None, _copy(saved), lo) == want
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(shapes)
+def test_rows_merge_into_the_decoders_timelines(problem):
+    # one segment per placed operation: the decoder's timelines are the
+    # ones its rows give, every setup merged into the process it serves
+    inst, chrom = problem
+    timelines = Checkpoints(inst, chrom).timelines
+    assert machine_timelines(inst, decode(inst, chrom)) == timelines
+    assert sum(map(len, timelines)) == inst.total_operations
+
+
+def test_rows_merge_into_the_decoders_timelines_on_the_zero_setup_oracle_instance():
+    inst = PINNED["3x2-s4-zero-setup"]()
+    rng = random.Random(4)
+    for _ in range(200):
+        chrom = random_chromosome(inst, rng)
+        timelines = Checkpoints(inst, chrom).timelines
+        assert machine_timelines(inst, decode(inst, chrom)) == timelines
+        # every machine's first operation brings a setup, of zero length here
+        assert all(seq[0][5] == seq[0][0] for seq in timelines if seq)
 
 
 def _exact(objectives) -> tuple[str, str]:
