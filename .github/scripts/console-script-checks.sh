@@ -28,6 +28,22 @@ for doc in base.yaml result.yaml report.yaml chart.yaml; do
   python -c "import json, sys, yaml; t = open(sys.argv[1]).read(); assert yaml.safe_load(t) == json.loads(t), sys.argv[1]" "$doc"
 done
 
+# every idle or standby row of the chart runs from the end of one process row to the
+# start of the next on its machine, an idle row at the lower of their gears, standby at 0
+python - <<'EOF'
+import json
+rows = json.load(open("chart.yaml"))["rows"]
+stretches = [r for r in rows if r["kind"] in ("idle", "standby")]
+assert stretches, "chart.yaml has no idle or standby row"
+for r in stretches:
+    procs = sorted(
+        (p for p in rows if p["kind"] == "process" and p["machine"] == r["machine"]),
+        key=lambda p: p["start"],
+    )
+    [(a, b)] = [(a, b) for a, b in zip(procs, procs[1:]) if (a["end"], b["start"]) == (r["start"], r["end"])]
+    assert r["gear"] == (min(a["gear"], b["gear"]) if r["kind"] == "idle" else 0), (r, a, b)
+EOF
+
 # the instance written as block YAML solves to the same archive as the JSON instance
 python -c "import yaml; yaml.safe_dump(yaml.safe_load(open('base.yaml')), open('block.yaml', 'w'), sort_keys=False)"
 efjsp solve block.yaml --pop 6 --iters 1 --seed 1 --out block-result.yaml

@@ -424,16 +424,16 @@ def _gantt_rows(inst: ProblemInstance, chrom: Chromosome, entry: dict, where: st
         }
         for r in sched
     ]
-    for d in breakdown.interval_decisions:
+    for machine, start, end, prev_speed, next_speed, mode, _ in breakdown.interval_decisions:
         rows.append(
             {
-                "machine": d.interval.machine,
-                "kind": d.mode,
+                "machine": machine,
+                "kind": mode,
                 "job": None,
                 "op": None,
-                "start": d.interval.start,
-                "end": d.interval.end,
-                "gear": d.idle_speed if d.mode == MODE_IDLE else 0,
+                "start": start,
+                "end": end,
+                "gear": min(prev_speed, next_speed) if mode == MODE_IDLE else 0,
             }
         )
     rows.sort(key=lambda r: (r["machine"], r["start"], r["kind"]))

@@ -18,39 +18,36 @@ segment per operation with its setup in it (``account``).
 ``encoding.evaluate`` runs it on the decoder's own timelines to price a
 chromosome; ``total_energy`` runs it on a schedule's rows, merged into
 timelines (``model.machine_timelines``), and also keeps the makespan and
-every interval decision, so the breakdown and the objectives are the
-same sums.  The walk tests continuity and prices a stretch in line, with
-each machine's tables read once; ``interval_energy`` prices a single
-stretch by the same walk, so the stretch formula exists once.
+every stretch's ``IntervalDecision``, so the breakdown and the objectives
+are the same sums.  The walk tests continuity and prices a stretch in
+line, with each machine's tables read once, so the stretch formula
+exists once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .model import (
-    IdleIntervalRecord,
-    ProblemInstance,
-    ScheduledRow,
-    Segment,
-    machine_timelines,
-)
+from .model import ProblemInstance, ScheduledRow, Segment, machine_timelines
 
 MODE_IDLE = "idle"
 MODE_STANDBY = "standby"
 
 
-@dataclass(frozen=True)
-class IntervalDecision:
-    """Resolved treatment of one interior non-processing stretch.
+class IntervalDecision(NamedTuple):
+    """One priced interior stretch of a machine: from the end of a process
+    to the start of the next process, whose gears are ``prev_speed`` and
+    ``next_speed``, held at ``mode`` for ``energy``.  An idling machine
+    holds the lower of the two gears; a setup that serves the follower may
+    sit inside the stretch."""
 
-    ``idle_speed`` is the gear the machine would hold while idling (the
-    lower of the two neighbouring gears).
-    """
-
-    interval: IdleIntervalRecord
+    machine: int
+    start: int
+    end: int
+    prev_speed: int
+    next_speed: int
     mode: str
-    idle_speed: int
     energy: float
 
 
@@ -68,38 +65,6 @@ class EnergyBreakdown:
     interval_decisions: tuple[IntervalDecision, ...]
 
 
-def interval_energy(inst: ProblemInstance, interval: IdleIntervalRecord) -> IntervalDecision:
-    """Pick the cheaper of idling and standby for one interior stretch.
-
-    Idling holds the lower of the two adjacent gears for the whole
-    stretch and pays one switch between the neighbouring gears.  Standby
-    pays standby power for the stretch plus the switch down to speed 0
-    and the switch back up.  Ties resolve to idling.  The stretch must be
-    interior, with both neighbouring gears, and of positive length (two
-    process rows with no time between them are a continuous pair).  The
-    decision is ``account``'s, on two zero-length process segments, one at
-    each end of the stretch.
-    """
-    if interval.prev_speed < 1 or interval.next_speed < 1:
-        raise ValueError(
-            "interval energy is only defined between two process rows; "
-            "boundary stretches carry no idle/standby energy"
-        )
-    if interval.end <= interval.start:
-        raise ValueError(
-            "interval energy is only defined for a stretch of positive length; "
-            "two process rows with no time between them are a continuous pair"
-        )
-    timelines: list[list[Segment]] = [[] for _ in inst.machines]
-    timelines[interval.machine - 1] = [
-        (interval.start, interval.start, 0, 1, interval.prev_speed, None),
-        (interval.end, interval.end, 0, 1, interval.next_speed, None),
-    ]
-    decisions: list[IntervalDecision] = []
-    account(inst, timelines, decisions)
-    return decisions[0]
-
-
 def account(
     inst: ProblemInstance,
     timelines: list[list[Segment]],
@@ -110,7 +75,8 @@ def account(
     Returns ``(cmax, turn_on, transition, setup, process, interval)``;
     ``cmax`` is -1 when no machine processes anything.  Each part is
     summed machine by machine and, on a machine, in time order.  When
-    ``decisions`` is a list, every interval decision is appended to it.
+    ``decisions`` is a list, one ``IntervalDecision`` is appended to it
+    for each priced stretch, in the same order.
 
     A segment pays its own setup, if it brings one, and then its process;
     a segment with op_index 0 is a setup that serves no process and pays
@@ -119,10 +85,12 @@ def account(
     or when it brings its own setup and the setup starts no later than
     that.  A continuous pair pays a gear switch; any other pair encloses
     an idle/standby stretch from the previous process's end to the
-    follower's process start, priced at the cheaper of idling and standby
-    (see ``interval_energy``).  This walk is the only place the rule is
-    decided.  The first process of a machine pays its turn-on,
-    ``mach.turn_on[gear - 1]``.  Turning off is free.
+    follower's process start.  The stretch costs the cheaper of idling,
+    which holds the lower of the two gears and pays one switch between
+    them, and standby, which pays standby power plus the switches down to
+    speed 0 and back up; a tie goes to idling.  This walk is the only
+    place either rule is decided.  The first process of a machine pays
+    its turn-on, ``mach.turn_on[gear - 1]``.  Turning off is free.
     """
     cmax = -1
     ie1 = ie2 = se1 = se2 = 0.0
@@ -162,9 +130,10 @@ def account(
                     cost = idle_cost
                 ise += cost
                 if decisions is not None:
-                    interval = IdleIntervalRecord(mach.id, prev_end, start, prev_speed, speed)
-                    mode = MODE_IDLE if idle else MODE_STANDBY
-                    decisions.append(IntervalDecision(interval, mode, min(prev_speed, speed), cost))
+                    decisions.append(IntervalDecision(
+                        mach.id, prev_end, start, prev_speed, speed,
+                        MODE_IDLE if idle else MODE_STANDBY, cost,
+                    ))
             prev_end, prev_speed = end, speed
     return cmax, ie1, ie2, se1, se2, ise
 

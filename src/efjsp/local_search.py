@@ -56,6 +56,8 @@ def critical_path(timelines: list[list[Segment]]) -> list[tuple[int, int]]:
     """Operations on one critical chain, in processing order, read off a
     schedule's time-ordered machine timelines: the decoder's own in
     ``vns``, ``model.machine_timelines(inst, sched)`` for given rows.
+    Timelines that are no schedule raise ValueError: a job predecessor
+    with no segment, or a walk that comes back to an operation.
     """
     span = {}  # (job, op) -> (start with its setup, end, machine predecessor)
     for seq in timelines:
@@ -74,10 +76,14 @@ def critical_path(timelines: list[list[Segment]]) -> list[tuple[int, int]]:
         gamma = span[current][2]
         if beta is None and gamma is None:
             break
+        if beta is not None and beta not in span:
+            raise ValueError(f"operation {op} of job {job} has no operation {op - 1} ahead of it")
         c_beta = span[beta][1] if beta is not None else 0
         c_gamma = span[gamma][1] if gamma is not None else 0
         current = beta if c_beta > c_gamma else gamma
         path.append(current)
+        if len(path) > len(span):
+            raise ValueError(f"the critical chain comes back to (job, op) {current}")
     path.reverse()
     return path
 

@@ -187,26 +187,6 @@ def machine_timelines(
     return out
 
 
-class IdleIntervalRecord(NamedTuple):
-    """A non-processing stretch between two process rows on one machine.
-
-    The span runs from the end of the preceding process row to the start
-    of the following one; a setup row attached to the follower may sit
-    inside the span.  ``prev_speed`` and ``next_speed`` are the gears of
-    the rows on either side.
-    """
-
-    machine: int
-    start: int
-    end: int
-    prev_speed: int
-    next_speed: int
-
-    @property
-    def length(self) -> int:
-        return self.end - self.start
-
-
 @dataclass
 class ValidationReport:
     """Outcome of a validation pass.
@@ -388,23 +368,18 @@ def setup_rows(sched: tuple[ScheduledRow, ...], machine_id: int) -> list[Schedul
     return rows
 
 
-def idle_intervals(
-    inst: ProblemInstance, sched: tuple[ScheduledRow, ...], machine_id: int
-) -> list[IdleIntervalRecord]:
-    """Non-processing stretches on one machine, ascending by start: the
-    intervals of ``energy.total_energy(inst, sched)``'s decisions there.
+def idle_intervals(inst: ProblemInstance, sched: tuple[ScheduledRow, ...], machine_id: int) -> list:
+    """The ``energy.IntervalDecision`` of every priced stretch on one
+    machine, ascending by start: ``energy.total_energy(inst, sched)``'s
+    decisions there.
 
-    Gaps fully covered by a setup row are not intervals (the machine goes
+    Gaps fully covered by a setup row are not stretches (the machine goes
     straight from one operation into the next setup).  The stretch before
     the first process row and after the last one is never reported; those
     boundaries are handled by turn-on accounting and shutdown.
     """
     from .energy import total_energy  # energy imports this module
-    return [
-        d.interval
-        for d in total_energy(inst, sched).interval_decisions
-        if d.interval.machine == machine_id
-    ]
+    return [d for d in total_energy(inst, sched).interval_decisions if d.machine == machine_id]
 
 
 def continuous_pairs(

@@ -20,9 +20,9 @@ from contextlib import contextmanager
 from efjsp.benchmark import extend_instance, load_document, random_base, write_base
 from efjsp.cli import main
 from efjsp.encoding import decode, random_chromosome
-from efjsp.energy import MODE_IDLE, MODE_STANDBY, interval_energy, total_energy
+from efjsp.energy import MODE_IDLE, MODE_STANDBY, total_energy
 from efjsp.metrics import c_metric, hv, igd, normalize
-from efjsp.model import IdleIntervalRecord, validate_schedule
+from efjsp.model import validate_schedule
 from efjsp.optimizer import AlgorithmConfig, dominates, run
 from efjsp.oracle import cross_check, enumerate_front
 from efjsp.sample import sample_instance
@@ -53,37 +53,32 @@ def _best_time(fn, repeats: int = 5) -> float:
     return best
 
 
-def test_interval_choice_golden_arithmetic(capsys, inst):
+def test_interval_choice_golden_arithmetic(capsys, inst, sched):
     with _verdict(capsys, "interval idle/standby arithmetic"):
-        stretch_a = IdleIntervalRecord(
-            machine=1, start=9, end=15, prev_speed=3, next_speed=2
-        )
-        stretch_b = IdleIntervalRecord(
-            machine=2, start=15, end=18, prev_speed=2, next_speed=3
-        )
+        # the worked sample's two stretches, as total_energy decides them
+        stretch_a, stretch_b = total_energy(inst, sched).interval_decisions
+        assert stretch_a[:5] == (1, 9, 15, 3, 2)
+        assert stretch_b[:5] == (2, 15, 18, 2, 3)
+        length_a, length_b = stretch_a.end - stretch_a.start, stretch_b.end - stretch_b.start
         m1, m2 = inst.machine(1), inst.machine(2)
         # raw costs of both options on both stretches
-        assert m1.idle_power[1] * stretch_a.length + m1.switch[3][2] == 41.0
+        assert m1.idle_power[1] * length_a + m1.switch[3][2] == 41.0
         assert (
-            m1.standby_power * stretch_a.length
+            m1.standby_power * length_a
             + m1.switch[3][0]
             + m1.switch[0][2]
             == 30.0
         )
-        assert m2.idle_power[1] * stretch_b.length + m2.switch[2][3] == 23.0
+        assert m2.idle_power[1] * length_b + m2.switch[2][3] == 23.0
         assert (
-            m2.standby_power * stretch_b.length
+            m2.standby_power * length_b
             + m2.switch[2][0]
             + m2.switch[0][3]
             == 24.0
         )
-        decision_a = interval_energy(inst, stretch_a)
-        decision_b = interval_energy(inst, stretch_b)
-        assert (decision_a.mode, decision_a.energy) == (MODE_STANDBY, 30.0)
-        assert (decision_b.mode, decision_b.energy) == (MODE_IDLE, 23.0)
-        elapsed = _best_time(
-            lambda: (interval_energy(inst, stretch_a), interval_energy(inst, stretch_b))
-        )
+        assert (stretch_a.mode, stretch_a.energy) == (MODE_STANDBY, 30.0)
+        assert (stretch_b.mode, stretch_b.energy) == (MODE_IDLE, 23.0)
+        elapsed = _best_time(lambda: total_energy(inst, sched))
         assert elapsed < 1e-3
 
 

@@ -19,15 +19,9 @@ from efjsp.benchmark import (
     write_instance,
 )
 from efjsp.encoding import decode, evaluate, random_chromosome
-from efjsp.energy import (
-    MODE_IDLE,
-    MODE_STANDBY,
-    interval_energy,
-    total_energy,
-)
+from efjsp.energy import MODE_IDLE, MODE_STANDBY, IntervalDecision, total_energy
 from efjsp.local_search import critical_path
 from efjsp.model import (
-    IdleIntervalRecord,
     ScheduledRow,
     continuous_pairs,
     idle_intervals,
@@ -64,25 +58,22 @@ def test_setup_only_schedule_breakdown(inst):
     assert breakdown.tec == breakdown.setup == 10.0
 
 
-def test_interval_energy_standby_choice(inst):
-    rec = IdleIntervalRecord(machine=1, start=9, end=15, prev_speed=3, next_speed=2)
-    decision = interval_energy(inst, rec)
-    assert decision.mode == MODE_STANDBY
-    assert decision.energy == 30.0
+def test_interval_energy_standby_choice(inst, sched):
+    # machine 1's stretch 9..15 between gears 3 and 2 drops to standby
+    [decision] = idle_intervals(inst, sched, 1)
+    assert decision == IntervalDecision(1, 9, 15, 3, 2, MODE_STANDBY, 30.0)
     # the losing idle option costs idle_power[2] * 6 + switch 3->2
     m = inst.machine(1)
-    assert m.idle_power[1] * rec.length + m.switch[3][2] == 41.0
+    assert m.idle_power[1] * 6 + m.switch[3][2] == 41.0
 
 
-def test_interval_energy_idle_choice(inst):
-    rec = IdleIntervalRecord(machine=2, start=15, end=18, prev_speed=2, next_speed=3)
-    decision = interval_energy(inst, rec)
-    assert decision.mode == MODE_IDLE
-    assert decision.energy == 23.0
-    assert decision.idle_speed == 2
+def test_interval_energy_idle_choice(inst, sched):
+    # machine 2's stretch 15..18 between gears 2 and 3 idles at gear 2
+    [decision] = idle_intervals(inst, sched, 2)
+    assert decision == IntervalDecision(2, 15, 18, 2, 3, MODE_IDLE, 23.0)
     # the losing standby option costs standby * 3 + switch 2->0 + switch 0->3
     m = inst.machine(2)
-    assert m.standby_power * rec.length + m.switch[2][0] + m.switch[0][3] == 24.0
+    assert m.standby_power * 3 + m.switch[2][0] + m.switch[0][3] == 24.0
 
 
 def test_interval_energy_tie_prefers_idle(inst):
@@ -95,22 +86,12 @@ def test_interval_energy_tie_prefers_idle(inst):
         switch=tuple(tuple(0.0 for _ in row) for row in m.switch),
     )
     inst2 = dataclasses.replace(inst, machines=(tied,) + inst.machines[1:])
-    rec = IdleIntervalRecord(machine=1, start=0, end=4, prev_speed=1, next_speed=1)
-    decision = interval_energy(inst2, rec)
-    assert decision.mode == MODE_IDLE
-
-
-def test_interval_energy_rejects_boundary(inst):
-    rec = IdleIntervalRecord(machine=1, start=0, end=4, prev_speed=0, next_speed=1)
-    with pytest.raises(ValueError):
-        interval_energy(inst, rec)
-
-
-def test_interval_energy_rejects_a_stretch_of_no_length(inst):
-    # two process rows with no time between them are a continuous pair
-    rec = IdleIntervalRecord(machine=1, start=9, end=9, prev_speed=3, next_speed=2)
-    with pytest.raises(ValueError, match="positive length"):
-        interval_energy(inst, rec)
+    rows = (
+        ScheduledRow(job=1, op_index=1, machine=1, speed=1, start=0, end=2),
+        ScheduledRow(job=2, op_index=1, machine=1, speed=1, start=6, end=8),
+    )
+    bd = total_energy(inst2, rows)
+    assert bd.interval_decisions == (IntervalDecision(1, 2, 6, 1, 1, MODE_IDLE, 8.0),)
 
 
 def _setup_covered_gap(next_speed: int, setup_start: int = 7) -> tuple[ScheduledRow, ...]:
@@ -139,11 +120,10 @@ def test_a_gap_the_followers_setup_leaves_open_is_priced(inst):
     # the same rows with the setup a unit later: 7..8 is idle, so the pair
     # encloses a stretch 7..9 and pays no switch of its own
     bd = total_energy(inst, _setup_covered_gap(2, setup_start=8))
-    assert [d.interval for d in bd.interval_decisions] == [
-        IdleIntervalRecord(machine=1, start=7, end=9, prev_speed=3, next_speed=2)
-    ]
+    [decision] = bd.interval_decisions
+    assert decision[:5] == (1, 7, 9, 3, 2)
     assert bd.transition == 0.0
-    assert bd.interval == interval_energy(inst, bd.interval_decisions[0].interval).energy
+    assert bd.interval == decision.energy
 
 
 def _timeline(rows, machine_id):
@@ -180,9 +160,11 @@ def _reference_pairs(rows, machine_id):
 
 
 def reference_intervals(inst, rows):
-    """The stretches the reference pair walk encloses, machine by machine."""
+    """The stretches the reference pair walk encloses, machine by machine,
+    each as an ``IntervalDecision``'s first five fields: machine, start,
+    end and the gears on either side."""
     return [
-        IdleIntervalRecord(mach.id, a.end, b.start, a.speed, b.speed)
+        (mach.id, a.end, b.start, a.speed, b.speed)
         for mach in inst.machines
         for a, b, continuous in _reference_pairs(rows, mach.id)
         if not continuous
@@ -296,10 +278,27 @@ def _drawn_schedule(seed: int) -> list[ScheduledRow]:
     return rows
 
 
-# sha256 of the arbitrary-row examples' breakdowns and of the critical
-# chains of the schedule-like ones, by repr, recorded while every setup
-# still was a timeline segment of its own
+# sha256 of the arbitrary-row examples' breakdowns (as ``_recorded_repr``
+# renders them) and of the critical chains of the schedule-like ones, by
+# repr, recorded while every setup still was a timeline segment of its own
 ARBITRARY_ROWS_SHA256 = "de91db964314cad778aecbe3d0e99a6b7d92ecde160c3bf22608e06469a53fc5"
+
+
+def _recorded_repr(breakdown) -> str:
+    """``repr(breakdown)`` in the text the pin was recorded on, when an
+    interval decision wrapped an ``IdleIntervalRecord`` of its first five
+    fields and named its idle gear: every field and bit, in that layout."""
+    decisions = [
+        f"IntervalDecision(interval=IdleIntervalRecord(machine={m}, start={s}, end={e}, "
+        f"prev_speed={p}, next_speed={n}), mode={mode!r}, idle_speed={min(p, n)}, "
+        f"energy={energy!r})"
+        for m, s, e, p, n, mode, energy in breakdown.interval_decisions
+    ]
+    sums = ", ".join(
+        f"{f.name}={getattr(breakdown, f.name)!r}" for f in dataclasses.fields(breakdown)[:-1]
+    )
+    tail = "," if len(decisions) == 1 else ""
+    return f"EnergyBreakdown({sums}, interval_decisions=({', '.join(decisions)}{tail}))"
 
 
 def test_arbitrary_rows_keep_their_breakdown_and_critical_path_bits(inst):
@@ -316,7 +315,7 @@ def test_arbitrary_rows_keep_their_breakdown_and_critical_path_bits(inst):
     assert set.union(*map(_setup_cases, schedules)) == every_case
     digest = hashlib.sha256()
     for rows in fixed + drawn + schedules:
-        digest.update(repr(total_energy(inst, tuple(rows))).encode())
+        digest.update(_recorded_repr(total_energy(inst, tuple(rows))).encode())
     for rows in fixed + schedules:
         digest.update(repr(critical_path(machine_timelines(inst, tuple(rows)))).encode())
     assert digest.hexdigest() == ARBITRARY_ROWS_SHA256
@@ -334,9 +333,16 @@ def test_accounting_prices_the_stretches_is_continuous_leaves(inst, rows):
     # pairs that span the same numbers
     rows = tuple(rows)
     want = reference_intervals(inst, rows)
-    assert [d.interval for d in total_energy(inst, rows).interval_decisions] == want
+    breakdown = total_energy(inst, rows)
+    assert [d[:5] for d in breakdown.interval_decisions] == want
+    total = 0  # left to right from the int 0, as the walk adds them (not ``sum``)
+    for d in breakdown.interval_decisions:
+        total += d.energy
+    assert repr(breakdown.interval) == repr(total)  # the type too: 0 is not 0.0
     for mach in inst.machines:
-        assert idle_intervals(inst, rows, mach.id) == [rec for rec in want if rec.machine == mach.id]
+        assert [d[:5] for d in idle_intervals(inst, rows, mach.id)] == [
+            rec for rec in want if rec[0] == mach.id
+        ]
         pairs = _reference_pairs(rows, mach.id)
         assert continuous_pairs(inst, rows, mach.id) == [(a, b) for a, b, cont in pairs if cont]
 
@@ -361,7 +367,7 @@ def test_total_energy_rejects_unknown_machine(inst, sched, machine):
 
 def test_total_energy_decision_order(inst, sched):
     bd = total_energy(inst, sched)
-    keys = [(d.interval.machine, d.interval.start) for d in bd.interval_decisions]
+    keys = [(d.machine, d.start) for d in bd.interval_decisions]
     assert keys == sorted(keys)
     assert len(bd.interval_decisions) == 2
 

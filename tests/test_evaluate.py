@@ -62,13 +62,17 @@ def test_evaluate_reproduces_recorded_objectives():
 
 
 _energies = st.floats(0.0, 50.0, allow_nan=False, allow_infinity=False, allow_subnormal=False)
+_durations = st.integers(1, 6)
+_setups = st.sampled_from((0, 0, 1, 2, 3))
 
 
 @st.composite
-def instances(draw) -> ProblemInstance:
+def instances(draw, durations=_durations, setups=_setups, energies=_energies) -> ProblemInstance:
     """Small valid instances, including shapes the generator never makes:
     one gear, zero setup times, no turn-on vector, standby dearer than
-    idling, a single machine and one-operation jobs."""
+    idling, a single machine and one-operation jobs.  Valid by
+    construction with the default ranges; wider ones may overflow the
+    energy bound or the horizon (``validate_instance``)."""
     s = draw(st.integers(1, 3))
     n_machines = draw(st.integers(1, 3))
     jobs = []
@@ -83,22 +87,22 @@ def instances(draw) -> ProblemInstance:
                     unique=True,
                 )
             )
-            options = tuple(ProcessingOption(m, g, draw(st.integers(1, 6))) for m, g in keys)
+            options = tuple(ProcessingOption(m, g, draw(durations)) for m, g in keys)
             ops.append(OperationSpec(options))
-        jobs.append(JobSpec(j, draw(st.sampled_from((0, 0, 1, 2, 3))), tuple(ops)))
-    gears = st.lists(_energies, min_size=s, max_size=s).map(tuple)
+        jobs.append(JobSpec(j, draw(setups), tuple(ops)))
+    gears = st.lists(energies, min_size=s, max_size=s).map(tuple)
     machines = []
     for m in range(1, n_machines + 1):
         switch = tuple(
-            tuple(0.0 if a == b else draw(_energies) for b in range(s + 1)) for a in range(s + 1)
+            tuple(0.0 if a == b else draw(energies) for b in range(s + 1)) for a in range(s + 1)
         )
         machines.append(
             Machine(
                 id=m,
-                setup_power=draw(_energies),
+                setup_power=draw(energies),
                 process_power=draw(gears),
                 idle_power=draw(gears),
-                standby_power=draw(_energies),
+                standby_power=draw(energies),
                 switch=switch,
                 turn_on=draw(st.none() | gears),
             )
@@ -124,10 +128,38 @@ def test_three_routes_agree_on_generated_instances(problem):
     fast = evaluate(inst, chrom)
     breakdown = total_energy(inst, sched)
     assert fast == (breakdown.cmax, breakdown.tec)
-    assert [d.interval for d in breakdown.interval_decisions] == reference_intervals(inst, sched)
+    assert [d[:5] for d in breakdown.interval_decisions] == reference_intervals(inst, sched)
     cmax, tec = independent_objectives(inst, sched)
     assert fast[0] == cmax
     assert abs(fast[1] - tec) <= 1e-9 * max(abs(tec), 1.0)
+
+
+# numbers far beyond the generator's: durations up to 2**40, setups up to
+# 2**30 and energies of 0, 1e-300 and up to 1e300, kept only where the
+# instance is valid (a finite energy bound, a horizon of at most 2**53)
+_extreme_instances = instances(
+    durations=st.integers(1, 6) | st.integers(1, 2**40),
+    setups=_setups | st.integers(0, 2**30),
+    energies=st.sampled_from((0.0, 1e-300)) | st.floats(0.0, 1e300) | _energies,
+).filter(lambda inst: validate_instance(inst).ok)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_extreme_instances, st.integers(0, 2**32))
+def test_three_routes_agree_on_extreme_shapes(inst, seed):
+    # every valid instance, however wide its numbers: the one walk and the
+    # breakdown agree to the last bit, the oracle's own sum to 1e-9, and
+    # the decoded rows are a schedule
+    rng = random.Random(seed)
+    for _ in range(5):
+        sched = decode(inst, chrom := random_chromosome(inst, rng))
+        assert validate_schedule(inst, sched).ok
+        fast = evaluate(inst, chrom)
+        breakdown = total_energy(inst, sched)
+        assert fast == (breakdown.cmax, breakdown.tec)
+        cmax, tec = independent_objectives(inst, sched)
+        assert fast[0] == cmax
+        assert abs(fast[1] - tec) <= 1e-9 * max(abs(tec), 1.0)
 
 
 @st.composite

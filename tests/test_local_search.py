@@ -8,6 +8,8 @@ import json
 import random
 from pathlib import Path
 
+import pytest
+
 from conftest import fastest_gears
 from efjsp.benchmark import extend_instance, random_base
 from efjsp import local_search
@@ -65,6 +67,23 @@ def test_critical_path_folds_a_setup_into_its_operation(inst):
         ScheduledRow(1, 2, 2, 1, 2, 5),
     )
     assert critical_path(machine_timelines(inst, rows)) == [(1, 2)]
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        # one operation named twice: the later segment is its own machine predecessor
+        ((ScheduledRow(1, 1, 1, 1, 2, 4), ScheduledRow(1, 1, 1, 1, 5, 7)), "comes back"),
+        # a job's operations out of order: the walk steps between them forever
+        ((ScheduledRow(1, 2, 1, 1, 1, 2), ScheduledRow(1, 1, 1, 1, 3, 5)), "comes back"),
+        # operation 2 alone: its job predecessor has no segment
+        ((ScheduledRow(1, 2, 1, 1, 1, 2),), "operation 2 of job 1 has no operation 1"),
+    ],
+    ids=["repeated-operation", "operations-out-of-order", "missing-predecessor"],
+)
+def test_critical_path_refuses_timelines_that_are_no_schedule(inst, rows, message):
+    with pytest.raises(ValueError, match=message):
+        critical_path(machine_timelines(inst, rows))
 
 
 def test_n1_moves_a_critical_operation_to_another_machine(inst, chrom, sched):

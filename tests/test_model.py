@@ -18,7 +18,6 @@ from efjsp.benchmark import extend_instance, random_base
 from efjsp.encoding import decode, evaluate, random_chromosome
 from efjsp.energy import total_energy
 from efjsp.model import (
-    IdleIntervalRecord,
     JobSpec,
     Machine,
     OperationSpec,
@@ -211,17 +210,9 @@ def test_validate_schedule_flags_new_job_block_without_setup(inst, sched):
 
 
 def test_idle_intervals_of_sample(inst, sched):
-    assert idle_intervals(inst, sched, 1) == [
-        IdleIntervalRecord(machine=1, start=9, end=15, prev_speed=3, next_speed=2)
-    ]
-    assert idle_intervals(inst, sched, 2) == [
-        IdleIntervalRecord(machine=2, start=15, end=18, prev_speed=2, next_speed=3)
-    ]
-
-
-def test_interval_record_length():
-    rec = IdleIntervalRecord(machine=1, start=9, end=15, prev_speed=3, next_speed=2)
-    assert rec.length == 6
+    # machine, start, end and the gears on either side
+    assert [d[:5] for d in idle_intervals(inst, sched, 1)] == [(1, 9, 15, 3, 2)]
+    assert [d[:5] for d in idle_intervals(inst, sched, 2)] == [(2, 15, 18, 2, 3)]
 
 
 def test_continuous_pairs_of_sample(inst, sched):
