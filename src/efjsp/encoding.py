@@ -373,8 +373,9 @@ class Checkpoints:
     d, and at least 1: short chromosomes such as the oracle's resume at
     the very position where they change, and long ones such as the
     search's keep few copies (5 positions apart at d = 100).  ``counts``
-    holds the number of schedule rows placed ahead of each copy.  ``timelines`` are the chromosome's own, time-ordered per
-    machine, and ``rows`` its schedule rows in os order.  Placement reads
+    holds the number of schedule rows placed ahead of each copy.
+    ``timelines`` are the chromosome's own, time-ordered per machine, and
+    ``rows`` its schedule rows in os order.  Placement reads
     the instance's own column table (``inst.columns``).  Raises
     ChromosomeError on a malformed chromosome.
     """

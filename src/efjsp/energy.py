@@ -53,7 +53,7 @@ class IntervalDecision(NamedTuple):
 
 @dataclass(frozen=True)
 class EnergyBreakdown:
-    """Makespan (0 without a process row) and energy totals of one schedule."""
+    """Makespan (0 for the empty schedule) and energy totals of one schedule."""
 
     cmax: int
     turn_on: float
@@ -78,19 +78,18 @@ def account(
     ``decisions`` is a list, one ``IntervalDecision`` is appended to it
     for each priced stretch, in the same order.
 
-    A segment pays its own setup, if it brings one, and then its process;
-    a segment with op_index 0 is a setup that serves no process and pays
-    nothing else.  A segment follows the previous process on its machine
-    continuously when its process starts no later than that process ends,
-    or when it brings its own setup and the setup starts no later than
-    that.  A continuous pair pays a gear switch; any other pair encloses
-    an idle/standby stretch from the previous process's end to the
-    follower's process start.  The stretch costs the cheaper of idling,
-    which holds the lower of the two gears and pays one switch between
-    them, and standby, which pays standby power plus the switches down to
-    speed 0 and back up; a tie goes to idling.  This walk is the only
-    place either rule is decided.  The first process of a machine pays
-    its turn-on, ``mach.turn_on[gear - 1]``.  Turning off is free.
+    A segment pays its own setup, if it brings one, and then its process.
+    A segment follows the previous one on its machine continuously when
+    its process starts no later than that process ends, or when it brings
+    its own setup and the setup starts no later than that.  A continuous
+    pair pays a gear switch; any other pair encloses an idle/standby
+    stretch from the previous process's end to the follower's process
+    start.  The stretch costs the cheaper of idling, which holds the lower
+    of the two gears and pays one switch between them, and standby, which
+    pays standby power plus the switches down to speed 0 and back up; a
+    tie goes to idling.  This walk is the only place either rule is
+    decided.  The first process of a machine pays its turn-on,
+    ``mach.turn_on[gear - 1]``.  Turning off is free.
     """
     cmax = -1
     ie1 = ie2 = se1 = se2 = 0.0
@@ -105,13 +104,11 @@ def account(
         standby_power = mach.standby_power
         prev_end = prev_speed = 0
         # busy: where the machine becomes busy; start: where the process starts
-        for busy, end, _, op, speed, start in seq:
+        for busy, end, _, _, speed, start in seq:
             if start is None:
                 start = busy
             else:
                 se1 += setup_power * (start - busy)
-                if not op:
-                    continue
             se2 += process_power[speed - 1] * (end - start)
             if end > cmax:
                 cmax = end
@@ -143,7 +140,8 @@ def total_energy(inst: ProblemInstance, sched: tuple[ScheduledRow, ...]) -> Ener
 
     ``(cmax, tec)`` are ``encoding.evaluate``'s objectives: ``tec`` is the
     exact sum of the five components, added in the same order.  An empty
-    schedule yields an all-zero breakdown.
+    schedule yields an all-zero breakdown.  Rows that are no schedule raise
+    ValueError (``model.machine_timelines``).
     """
     decisions: list[IntervalDecision] = []
     cmax, ie1, ie2, se1, se2, ise = account(inst, machine_timelines(inst, sched), decisions)

@@ -7,7 +7,8 @@ starts with its setup when it brings one.  The critical path walks
 backwards from the latest completion, always stepping to the
 later-completing of the job predecessor and the machine predecessor (the
 previous operation on the timeline; ties prefer the machine
-predecessor), until an operation whose segment starts at time zero.
+predecessor, and an absent one never wins), until an operation whose
+segment starts at time zero.
 
 Three neighbourhood structures perturb a chromosome:
 
@@ -63,9 +64,8 @@ def critical_path(timelines: list[list[Segment]]) -> list[tuple[int, int]]:
     for seq in timelines:
         prev = None
         for start, end, job, op, _, _ in seq:
-            if op:  # not a setup that serves no process
-                span[job, op] = (start, end, prev)
-                prev = (job, op)
+            span[job, op] = (start, end, prev)
+            prev = (job, op)
     if not span:
         return []
     current = min(span, key=lambda k: (-span[k][1], k))
@@ -78,8 +78,8 @@ def critical_path(timelines: list[list[Segment]]) -> list[tuple[int, int]]:
             break
         if beta is not None and beta not in span:
             raise ValueError(f"operation {op} of job {job} has no operation {op - 1} ahead of it")
-        c_beta = span[beta][1] if beta is not None else 0
-        c_gamma = span[gamma][1] if gamma is not None else 0
+        c_beta = span[beta][1] if beta is not None else float("-inf")
+        c_gamma = span[gamma][1] if gamma is not None else float("-inf")
         current = beta if c_beta > c_gamma else gamma
         path.append(current)
         if len(path) > len(span):
@@ -106,7 +106,7 @@ class _View:
         ties going to the lowest id."""
         timelines = self.timelines
         loads = [sum(seg[1] - seg[0] for seg in seq) for seq in timelines]
-        ops = [seg[2:4] for seg in timelines[loads.index(max(loads))] if seg[3]]
+        ops = [seg[2:4] for seg in timelines[loads.index(max(loads))]]
         return sorted(ops, key=self.os_index.__getitem__)
 
     def move_off(

@@ -146,12 +146,12 @@ class ScheduledRow(NamedTuple):
 
 
 # A machine timeline holds one segment per placed operation, a plain tuple
-# (start, end, job, op_index, speed, setup_end), in time order.  ``start``
-# is where the machine becomes busy: the start of the operation's own
-# setup when it brings one, and ``setup_end`` is then the process start;
-# it is None when the operation runs on from its job's previous one
-# there.  A zero-length setup still sets it.  The decoder builds one
-# timeline per machine; energy accounting walks them.
+# (start, end, job, op_index, speed, setup_end), in time order; op_index
+# is 1 or more.  ``start`` is where the machine becomes busy: the start of
+# the operation's own setup when it brings one, and ``setup_end`` is then
+# the process start; it is None when the operation runs on from its job's
+# previous one there.  A zero-length setup still sets it.  The decoder
+# builds one timeline per machine; energy accounting walks them.
 Segment = tuple[int, int, int, int, int, int | None]
 
 
@@ -160,30 +160,46 @@ def machine_timelines(
 ) -> list[list[Segment]]:
     """Timelines of all machines, indexed by machine id - 1.
 
-    One walk groups the rows by machine; each group is sorted once, by
-    (start, end), setups first, job, op_index and speed, and merged as it
-    is walked: a setup row goes into the process row directly behind it
-    if that is of its job and starts where the setup ends, and is
-    otherwise a segment of its own, with op_index 0 and ``setup_end`` its
-    end.  Raises ValueError on a row whose machine id is not in the
-    instance.
+    Each machine's rows are sorted once, by (start, end), setups first,
+    job, op_index and speed, and merged as they are walked: a setup row
+    goes into the process row directly behind it.  Rows that form no
+    (partial) schedule raise a one-line ValueError: unknown ids or gears,
+    a row that ends before it starts, an operation named twice, rows that
+    overlap on a machine, or a setup row that serves no process.
     """
+    sizes = [len(job.operations) for job in inst.jobs]
     out: list[list] = [[] for _ in inst.machines]
     for r in sched:
         job, op, machine, speed, start, end = r
-        if not 0 < machine <= len(out):
-            raise ValueError(f"row {r} names unknown machine {machine}")
+        known = 0 < machine <= len(out) and 0 < job <= len(sizes) and 0 <= op <= sizes[job - 1]
+        if not known or op and not 0 < speed <= inst.speed_count:
+            raise ValueError(f"row {r} names an unknown machine, job, operation or gear")
+        if end < start:
+            raise ValueError(f"row {r} ends before it starts")
         out[machine - 1].append((start, end, op != 0, job, op, speed))
-    for m, rows in enumerate(out):
+    named = set()
+    for m, rows in enumerate(out, 1):
         rows.sort()
-        seq = out[m] = []
+        seq = out[m - 1] = []
+        setup = None  # (start, end, job) of a setup row waiting for its process row
+        prev_end = -math.inf
         for start, end, is_process, job, op, speed in rows:
+            if start < prev_end:
+                raise ValueError(f"rows overlap on machine {m} at time {start}")
+            prev_end = end
+            if setup and (setup[1:] != (start, job) if is_process else setup != (start, end, job)):
+                break  # the setup row is not directly ahead of a process row of its job
             if not is_process:
-                seq.append((start, end, job, op, speed, end))
-            elif seq and (last := seq[-1])[3] == 0 and last[1] == start and last[2] == job:
-                seq[-1] = (last[0], end, job, op, speed, start)
+                setup = (start, end, job)
+            elif (job, op) in named:
+                raise ValueError(f"operation {op} of job {job} is named twice")
             else:
-                seq.append((start, end, job, op, speed, None))
+                named.add((job, op))
+                busy, setup_end = (start, None) if setup is None else (setup[0], start)
+                seq.append((busy, end, job, op, speed, setup_end))
+                setup = None
+        if setup:
+            raise ValueError(f"job {setup[2]}'s setup at {setup[0]} on machine {m} serves no process")
     return out
 
 

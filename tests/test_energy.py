@@ -1,4 +1,5 @@
-"""Energy accounting: per-part sums, interval mode choice, exact totals."""
+"""Energy accounting: per-part sums, interval mode choice, exact totals,
+and rows that are no schedule refused rather than priced."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ import hashlib
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from efjsp.benchmark import (
@@ -26,6 +27,7 @@ from efjsp.model import (
     continuous_pairs,
     idle_intervals,
     machine_timelines,
+    validate_schedule,
 )
 from efjsp.oracle import cross_check
 from efjsp.sample import sample_instance
@@ -48,14 +50,6 @@ def test_setup_energy(inst, sched):
 
 def test_process_energy(inst, sched):
     assert total_energy(inst, sched).process == 740.0
-
-
-def test_setup_only_schedule_breakdown(inst):
-    # no process row: no makespan, and the setup is all the energy spent
-    only_setup = (ScheduledRow(1, 0, 1, 0, 0, 1),)
-    breakdown = total_energy(inst, only_setup)
-    assert breakdown.cmax == 0
-    assert breakdown.tec == breakdown.setup == 10.0
 
 
 def test_interval_energy_standby_choice(inst, sched):
@@ -185,15 +179,16 @@ _rows = st.lists(
 )
 
 
-# A setup counts only for the process directly behind it, not for one
-# behind a zero-length process that sits inside it.
+# Three row sets that are no schedule, each of several faults; the merge
+# refuses each on the first it meets.  A setup with a zero-length process
+# of another job inside it (the rows overlap):
 _SETUP_BEHIND_A_ZERO_LENGTH_PROCESS = [
     ScheduledRow(job=2, op_index=0, machine=1, speed=0, start=7, end=9),
     ScheduledRow(job=1, op_index=1, machine=1, speed=3, start=8, end=8),
     ScheduledRow(job=2, op_index=1, machine=1, speed=2, start=9, end=12),
 ]
-# A row that ends before it starts makes a continuous pair (covered by the
-# setup) and a priced one span the same numbers, 5 to 8.
+# A row that ends before it starts, beside a setup that overlaps the
+# process ahead of it:
 _TWO_PAIRS_OVER_ONE_SPAN = [
     ScheduledRow(job=1, op_index=1, machine=1, speed=1, start=0, end=5),
     ScheduledRow(job=2, op_index=0, machine=1, speed=0, start=4, end=8),
@@ -214,24 +209,78 @@ _EVERY_SETUP_CASE = [
 ]
 
 
-def _setup_cases(rows) -> set[str]:
-    """Which kinds of setup row ``rows`` hold, each setup read against the
-    row directly behind it in a machine's time order."""
-    cases = set()
-    for mach in {r.machine for r in rows}:
-        timeline = _timeline(rows, mach)
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([ScheduledRow(1, 1, 1, 1, 3, 0)], "ends before it starts"),
+        ([ScheduledRow(9, 1, 1, 1, 0, 5)], "unknown machine, job, operation or gear"),
+        ([ScheduledRow(1, 3, 1, 1, 0, 5)], "unknown machine, job, operation or gear"),
+        ([ScheduledRow(1, 1, 1, 4, 0, 5)], "unknown machine, job, operation or gear"),
+        ([ScheduledRow(1, 1, 1, 1, 0, 3), ScheduledRow(1, 1, 2, 1, 5, 8)], "named twice"),
+        ([ScheduledRow(1, 1, 1, 1, 0, 3), ScheduledRow(2, 1, 1, 1, 2, 5)], "overlap on machine 1"),
+        ([ScheduledRow(1, 0, 1, 0, 0, 1)], "serves no process"),
+        ([ScheduledRow(2, 0, 1, 0, 0, 2), ScheduledRow(1, 1, 1, 1, 2, 5)], "serves no process"),
+        ([ScheduledRow(1, 0, 1, 0, 0, 1), ScheduledRow(1, 1, 1, 1, 2, 5)], "serves no process"),
+        (
+            [
+                ScheduledRow(1, 0, 1, 0, 0, 1),
+                ScheduledRow(2, 0, 1, 0, 1, 3),
+                ScheduledRow(2, 1, 1, 1, 3, 5),
+            ],
+            "serves no process",
+        ),
+        (_SETUP_BEHIND_A_ZERO_LENGTH_PROCESS, "overlap on machine 1 at time 8"),
+        (_TWO_PAIRS_OVER_ONE_SPAN, "ends before it starts"),
+        (_EVERY_SETUP_CASE, "serves no process"),
+    ],
+    ids=[
+        "ends-before-it-starts", "unknown-job", "unknown-operation", "unknown-gear",
+        "operation-named-twice", "overlapping-rows", "dangling-setup", "another-jobs-setup",
+        "setup-ends-before-its-process", "setup-ahead-of-a-setup",
+        "setup-behind-a-zero-length-process", "two-pairs-over-one-span", "every-setup-case",
+    ],
+)
+def test_rows_that_are_no_schedule_are_refused(inst, rows, message):
+    # each is a fault validate_schedule reports: the merge refuses it with
+    # one line rather than price it
+    rows = tuple(rows)
+    assert not validate_schedule(inst, rows).ok
+    with pytest.raises(ValueError, match=message) as refused:
+        total_energy(inst, rows)
+    assert "\n" not in str(refused.value)
+
+
+def _merges(inst, rows) -> bool:
+    """Whether ``model.machine_timelines`` takes ``rows``, by its rules
+    tested here row by row and pair by pair: ids and gears the instance
+    has, no row that ends before it starts, no operation named twice, no
+    two rows that overlap on a machine, and every setup directly ahead of
+    a process row of its job that starts where the setup ends, or of an
+    equal setup (zero-length ones may repeat)."""
+    ops = [(r.job, r.op_index) for r in rows if not r.is_setup]
+    if len(set(ops)) < len(ops):
+        return False
+    for r in rows:
+        if not (
+            1 <= r.machine <= len(inst.machines)
+            and 1 <= r.job <= len(inst.jobs)
+            and 0 <= r.op_index <= len(inst.job(r.job).operations)
+            and (r.is_setup or 1 <= r.speed <= inst.speed_count)
+            and r.start <= r.end
+        ):
+            return False
+    for mach in inst.machines:
+        timeline = _timeline(rows, mach.id)
         for row, behind in zip(timeline, timeline[1:] + [None]):
-            if not row.is_setup:
-                continue
-            if behind is None or behind.is_setup:
-                cases.add("dangling")
-            elif behind.job != row.job:
-                cases.add("another job's")
-            elif behind.start > row.end:
-                cases.add("ends before its process starts")
-            elif behind.start == row.end and row.start == row.end:
-                cases.add("zero-length")
-    return cases
+            if behind is not None and behind.start < row.end:
+                return False
+            if row.is_setup and not (
+                behind is not None
+                and (behind.job, behind.start) == (row.job, row.end)
+                and (not behind.is_setup or (behind.start, behind.end) == (row.start, row.end))
+            ):
+                return False
+    return True
 
 
 def _drawn_rows(seed: int) -> list[ScheduledRow]:
@@ -249,89 +298,67 @@ def _drawn_rows(seed: int) -> list[ScheduledRow]:
 
 
 def _drawn_schedule(seed: int) -> list[ScheduledRow]:
-    """Process rows with a critical chain, from ``random.Random(seed)``: up
-    to three operations for each of three jobs, each after its job's last
-    and after its machine's last process row, so that no two process rows
-    of a machine overlap.  Setup rows of any job and length, up to 3, lie
-    ahead of some: ending at the process start, earlier, or serving no
-    process at all."""
+    """Rows with a critical chain on the sample's shape, from
+    ``random.Random(seed)``: one or both of job 1's operations and one to
+    four of job 2's, each after its job's last and after its machine's
+    last process row.  Most bring a setup of their job, up to 3 long,
+    that ends where the process starts and fits in the gap the machine
+    leaves: zero-length ones, and ones that close the gap, included."""
     rng = random.Random(seed)
-    ops = [job for job in (1, 2, 3) for _ in range(rng.randint(1, 3))]
+    ops = [job for job, most in ((1, 2), (2, 4)) for _ in range(rng.randint(1, most))]
     rng.shuffle(ops)
     job_ready, machine_free, nth = {}, {}, {}
     rows = []
     for job in ops:
         nth[job] = nth.get(job, 0) + 1
         machine = rng.randint(1, 2)
-        start = max(job_ready.get(job, 0), machine_free.get(machine, 0)) + rng.randint(0, 3)
+        free = machine_free.get(machine, 0)
+        start = max(job_ready.get(job, 0), free) + rng.randint(0, 3)
         end = start + rng.randint(1, 4)
         job_ready[job] = machine_free[machine] = end
         rows.append(ScheduledRow(job, nth[job], machine, rng.randint(1, 3), start, end))
         if rng.random() < 0.7:
-            su_job = job if rng.random() < 0.7 else rng.randint(1, 3)
-            su_end = start - (rng.randint(1, 2) if rng.random() < 0.2 else 0)
-            rows.append(ScheduledRow(su_job, 0, machine, 0, su_end - rng.randint(0, 3), su_end))
-    for _ in range(rng.randint(0, 2)):
-        at = rng.randint(0, 20)
-        rows.append(ScheduledRow(rng.randint(1, 3), 0, rng.randint(1, 2), 0, at, at + rng.randint(0, 3)))
+            setup = rng.randint(0, min(3, start - free))
+            rows.append(ScheduledRow(job, 0, machine, 0, start - setup, start))
     rng.shuffle(rows)
     return rows
 
 
-# sha256 of the arbitrary-row examples' breakdowns (as ``_recorded_repr``
-# renders them) and of the critical chains of the schedule-like ones, by
-# repr, recorded while every setup still was a timeline segment of its own
-ARBITRARY_ROWS_SHA256 = "de91db964314cad778aecbe3d0e99a6b7d92ecde160c3bf22608e06469a53fc5"
-
-
-def _recorded_repr(breakdown) -> str:
-    """``repr(breakdown)`` in the text the pin was recorded on, when an
-    interval decision wrapped an ``IdleIntervalRecord`` of its first five
-    fields and named its idle gear: every field and bit, in that layout."""
-    decisions = [
-        f"IntervalDecision(interval=IdleIntervalRecord(machine={m}, start={s}, end={e}, "
-        f"prev_speed={p}, next_speed={n}), mode={mode!r}, idle_speed={min(p, n)}, "
-        f"energy={energy!r})"
-        for m, s, e, p, n, mode, energy in breakdown.interval_decisions
-    ]
-    sums = ", ".join(
-        f"{f.name}={getattr(breakdown, f.name)!r}" for f in dataclasses.fields(breakdown)[:-1]
-    )
-    tail = "," if len(decisions) == 1 else ""
-    return f"EnergyBreakdown({sums}, interval_decisions=({', '.join(decisions)}{tail}))"
+# sha256 of the breakdowns of the drawn row sets the merge takes and of the
+# schedule-like draws, and of the schedule-like draws' critical chains, by
+# repr; recorded before the merge refused any row set
+ARBITRARY_ROWS_SHA256 = "d7419f19017cfec6f74f50780e1b6ea7e4590825c80812ce3a81cae4e73c95a4"
 
 
 def test_arbitrary_rows_keep_their_breakdown_and_critical_path_bits(inst):
-    # the property's examples, 500 seeded draws of its shape and 500
-    # schedule-like draws: every energy sum and interval decision, and
-    # the critical chain where the rows have one, to the last bit, whether
-    # or not a row's setup travels with its process
-    fixed = [_SETUP_BEHIND_A_ZERO_LENGTH_PROCESS, _TWO_PAIRS_OVER_ONE_SPAN, _EVERY_SETUP_CASE]
-    drawn = [_drawn_rows(seed) for seed in range(500)]
+    # the 500 seeded draws of the property's shape that the merge takes and
+    # 500 schedule-like draws: every energy sum and interval decision, and
+    # the critical chain of the schedule-like ones, to the last bit
+    accepted = [rows for rows in map(_drawn_rows, range(500)) if _merges(inst, rows)]
     schedules = [_drawn_schedule(seed) for seed in range(500)]
-    every_case = {"dangling", "another job's", "ends before its process starts", "zero-length"}
-    assert _setup_cases(_EVERY_SETUP_CASE) == every_case
-    assert set.union(*map(_setup_cases, drawn)) == every_case
-    assert set.union(*map(_setup_cases, schedules)) == every_case
+    assert len(accepted) == 72
+    assert all(_merges(inst, rows) for rows in schedules)
     digest = hashlib.sha256()
-    for rows in fixed + drawn + schedules:
-        digest.update(_recorded_repr(total_energy(inst, tuple(rows))).encode())
-    for rows in fixed + schedules:
+    for rows in accepted + schedules:
+        digest.update(repr(total_energy(inst, tuple(rows))).encode())
+    for rows in schedules:
         digest.update(repr(critical_path(machine_timelines(inst, tuple(rows)))).encode())
     assert digest.hexdigest() == ARBITRARY_ROWS_SHA256
 
 
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
 @given(_rows)
-@example(_SETUP_BEHIND_A_ZERO_LENGTH_PROCESS)
-@example(_TWO_PAIRS_OVER_ONE_SPAN)
-@example(_EVERY_SETUP_CASE)
 def test_accounting_prices_the_stretches_is_continuous_leaves(inst, rows):
-    # any rows, overlapping and zero-length ones included: the walk prices
-    # the stretches the reference pair walk encloses, and model's views of
-    # them read the walk; continuous_pairs keeps the continuous one of two
-    # pairs that span the same numbers
+    # any rows, overlapping and zero-length ones included: the merge
+    # refuses those that are no timelines, each a row set validate_schedule
+    # reports; on the others the walk prices the stretches the reference
+    # pair walk encloses, and model's views of them read the walk
     rows = tuple(rows)
+    if not _merges(inst, rows):
+        with pytest.raises(ValueError):
+            total_energy(inst, rows)
+        assert not validate_schedule(inst, rows).ok
+        return
     want = reference_intervals(inst, rows)
     breakdown = total_energy(inst, rows)
     assert [d[:5] for d in breakdown.interval_decisions] == want

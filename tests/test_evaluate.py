@@ -4,8 +4,8 @@ the bisected gap scan against the linear one it replaced; and VNS's
 incremental pricing of neighbours against ``evaluate``; and
 ``decode(..., base=, first=)`` walking its checkpoints through a chain of
 chromosomes against a fresh ``decode``, placing only the positions from
-the resume position on; and the decoder's one-segment timelines against
-its rows merged by ``machine_timelines``."""
+the resume position on; the decoder's one-segment timelines against its
+rows merged by ``machine_timelines``; and rows that fail closed."""
 
 from __future__ import annotations
 
@@ -45,6 +45,7 @@ from efjsp.model import (
     validate_schedule,
 )
 from efjsp.oracle import independent_objectives
+from efjsp.sample import sample_chromosome, sample_instance
 from test_energy import reference_intervals
 from test_oracle import PINNED
 
@@ -286,6 +287,57 @@ def test_rows_merge_into_the_decoders_timelines_on_the_zero_setup_oracle_instanc
         assert machine_timelines(inst, decode(inst, chrom)) == timelines
         # every machine's first operation brings a setup, of zero length here
         assert all(seq[0][5] == seq[0][0] for seq in timelines if seq)
+
+
+# rows as a hand-built schedule may hold them: ids and gears from 0 to one
+# or two past an instance's, and times from -1, ends before starts included
+_any_rows = st.lists(
+    st.builds(
+        ScheduledRow, st.integers(0, 5), st.integers(0, 4), st.integers(0, 4),
+        st.integers(0, 4), st.integers(-1, 12), st.integers(-1, 14),
+    ),
+    max_size=8,
+)
+
+
+def _edited(sched: tuple[ScheduledRow, ...], rng: random.Random) -> tuple[ScheduledRow, ...]:
+    """``sched`` with one row dropped, or repeated, or one of its fields
+    moved by one."""
+    rows = list(sched)
+    i, edit = rng.randrange(len(rows)), rng.randrange(2 + len(ScheduledRow._fields))
+    if edit == 0:
+        del rows[i]
+    elif edit == 1:
+        rows.insert(rng.randrange(len(rows) + 1), rows[i])
+    else:
+        field = ScheduledRow._fields[edit - 2]
+        rows[i] = rows[i]._replace(**{field: getattr(rows[i], field) + rng.choice((-1, 1))})
+    return tuple(rows)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.just((sample_instance(), sample_chromosome())) | shapes,
+    _any_rows,
+    st.integers(0, 2**32 - 1),
+)
+def test_rows_fail_closed(problem, rows, seed):
+    # a decoded schedule is priced and walked; any other rows are, or are
+    # refused with a ValueError, and only when validate_schedule reports
+    # them; every segment the merge gives is an operation's
+    inst, chrom = problem
+    sched = decode(inst, chrom)
+    total_energy(inst, sched)
+    critical_path(machine_timelines(inst, sched))
+    for rows in (tuple(rows), _edited(sched, random.Random(seed))):
+        try:
+            timelines = machine_timelines(inst, rows)
+            total_energy(inst, rows)
+            critical_path(timelines)
+        except ValueError:
+            assert not validate_schedule(inst, rows).ok
+        else:
+            assert all(seg[3] >= 1 for seq in timelines for seg in seq)
 
 
 def _exact(objectives) -> tuple[str, str]:

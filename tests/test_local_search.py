@@ -69,21 +69,29 @@ def test_critical_path_folds_a_setup_into_its_operation(inst):
     assert critical_path(machine_timelines(inst, rows)) == [(1, 2)]
 
 
+def test_critical_path_steps_to_a_job_predecessor_that_ends_at_time_zero(inst):
+    # (1,2) has no machine predecessor, and its job predecessor ends at
+    # time 0: the chain steps to the job predecessor
+    rows = (ScheduledRow(1, 1, 1, 1, 0, 0), ScheduledRow(1, 2, 2, 1, 1, 3))
+    assert critical_path(machine_timelines(inst, rows)) == [(1, 1), (1, 2)]
+
+
 @pytest.mark.parametrize(
-    "rows, message",
+    "timelines, message",
     [
-        # one operation named twice: the later segment is its own machine predecessor
-        ((ScheduledRow(1, 1, 1, 1, 2, 4), ScheduledRow(1, 1, 1, 1, 5, 7)), "comes back"),
+        # one operation named twice (the merge refuses such rows): the later
+        # segment is its own machine predecessor
+        ([[(2, 4, 1, 1, 1, None), (5, 7, 1, 1, 1, None)], []], "comes back"),
         # a job's operations out of order: the walk steps between them forever
-        ((ScheduledRow(1, 2, 1, 1, 1, 2), ScheduledRow(1, 1, 1, 1, 3, 5)), "comes back"),
+        ([[(1, 2, 1, 2, 1, None), (3, 5, 1, 1, 1, None)], []], "comes back"),
         # operation 2 alone: its job predecessor has no segment
-        ((ScheduledRow(1, 2, 1, 1, 1, 2),), "operation 2 of job 1 has no operation 1"),
+        ([[(1, 2, 1, 2, 1, None)], []], "operation 2 of job 1 has no operation 1"),
     ],
     ids=["repeated-operation", "operations-out-of-order", "missing-predecessor"],
 )
-def test_critical_path_refuses_timelines_that_are_no_schedule(inst, rows, message):
+def test_critical_path_refuses_timelines_that_are_no_schedule(timelines, message):
     with pytest.raises(ValueError, match=message):
-        critical_path(machine_timelines(inst, rows))
+        critical_path(timelines)
 
 
 def test_n1_moves_a_critical_operation_to_another_machine(inst, chrom, sched):
