@@ -188,6 +188,10 @@ def _check_chromosome(inst: ProblemInstance, chrom: Chromosome) -> None:
 # next operation and the time each job's last placed operation ends.
 PlacementState = tuple[list[list[Segment]], list[int], list[int]]
 
+# A placement checkpoint: a copy of the three fields of a placement state
+# and the number of schedule rows placed ahead of it.
+Checkpoint = tuple[list[list[Segment]], list[int], list[int], int]
+
 
 def _empty_state(inst: ProblemInstance) -> PlacementState:
     """The state ahead of the first os position: nothing placed yet."""
@@ -350,16 +354,13 @@ def evaluate(
         timelines = _place(inst, chrom, None, _empty_state(inst))
     else:
         c = first // base.every
-        timelines = _place(inst, chrom, None, _copy(base.saved[c]), c * base.every)
+        segs, next_op, job_ready, _ = base.saved[c]
+        state = [seq.copy() for seq in segs], next_op.copy(), job_ready.copy()
+        timelines = _place(inst, chrom, None, state, c * base.every)
     cmax, ie1, ie2, se1, se2, ise = account(inst, timelines)
     if cmax < 0:
         raise ValueError("schedule has no process rows")
     return cmax, ie1 + ie2 + se1 + se2 + ise
-
-
-def _copy(state: PlacementState) -> PlacementState:
-    segs, next_op, job_ready = state
-    return [seq.copy() for seq in segs], next_op.copy(), job_ready.copy()
 
 
 class Checkpoints:
@@ -372,20 +373,21 @@ class Checkpoints:
     ``every`` being half the integer square root of the operation count
     d, and at least 1: short chromosomes such as the oracle's resume at
     the very position where they change, and long ones such as the
-    search's keep few copies (5 positions apart at d = 100).  ``counts``
-    holds the number of schedule rows placed ahead of each copy.
-    ``timelines`` are the chromosome's own, time-ordered per machine, and
-    ``rows`` its schedule rows in os order.  Placement reads
-    the instance's own column table (``inst.columns``).  Raises
-    ChromosomeError on a malformed chromosome.
+    search's keep few copies (5 positions apart at d = 100).  Each copy
+    in ``saved`` is one record (``Checkpoint``): the timelines, next
+    operations and job ready times of the placement state, and the
+    number of schedule rows placed ahead of it.  ``timelines`` are the
+    chromosome's own, time-ordered per machine, and ``rows`` its
+    schedule rows in os order.  Placement reads the instance's own
+    column table (``inst.columns``).  Raises ChromosomeError on a
+    malformed chromosome.
     """
 
     def __init__(self, inst: ProblemInstance, chrom: Chromosome):
         _check_chromosome(inst, chrom)
         self.inst = inst
         self.every = max(1, math.isqrt(len(chrom.os)) // 2)
-        self.saved: list[PlacementState] = [_empty_state(inst)]
-        self.counts = [0]
+        self.saved: list[Checkpoint] = [(*_empty_state(inst), 0)]
         self.rows: list[ScheduledRow] = []
         self.advance(chrom, 0)
 
@@ -398,12 +400,16 @@ class Checkpoints:
         checked."""
         every = self.every
         c = first // every
-        del self.saved[c + 1 :], self.counts[c + 1 :], self.rows[self.counts[c] :]
-        state = _copy(self.saved[c])
+        del self.saved[c + 1 :]
+        segs, next_op, job_ready, placed = self.saved[c]
+        del self.rows[placed:]
+        state = [seq.copy() for seq in segs], next_op.copy(), job_ready.copy()
+        segs, next_op, job_ready = state
         d = len(chrom.os)
         for lo in range(c * every, d, every):
             _place(self.inst, chrom, self.rows, state, lo, lo + every)
             if lo + every < d:
-                self.saved.append(_copy(state))
-                self.counts.append(len(self.rows))
-        self.timelines = state[0]
+                self.saved.append(
+                    ([seq.copy() for seq in segs], next_op.copy(), job_ready.copy(), len(self.rows))
+                )
+        self.timelines = segs

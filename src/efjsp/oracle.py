@@ -20,14 +20,20 @@ order a copy lists its rows in.
 
 Each chromosome is still decoded, from the placement checkpoints the
 one before it left (``encoding.decode(..., base=, first=)``), resuming
-at an os position worked out once per permutation: the last canonical
-operation's when only its column changes, the smaller of that and the
-first position where the permutation differs from the one before when
-the permutation advances, and 0 at a new ``head``.  The schedule rows
-are those of a fresh decode; only the placement ahead of that position
-is not redone.  On chromosomes of up to 15 operations the checkpoints
-lie at every position, so a decode places exactly the positions from
-that one on: 93,318 for the sample's 43,740 decodes.
+at an os position: the last canonical operation's when only its column
+changes, the smaller of that and the first position where the
+permutation differs from the one before when the permutation advances,
+and 0 at a new ``head``.  Those positions depend on the permutations
+alone, so they are worked out once per call, before the first ``head``:
+a table with one entry per permutation (15 on the sample instance, a
+third of what the set of schedules met may hold) holds the
+permutation, the position its first decode resumes at (0 for the first
+permutation, so every ``head`` starts afresh) and the last canonical
+operation's position.  The schedule rows are those of a fresh
+decode; only the placement ahead of that position is not redone.  On
+chromosomes of up to 15 operations the checkpoints lie at every
+position, so a decode places exactly the positions from that one on:
+93,318 for the sample's 43,740 decodes.
 
 Each front point keeps as its witness the lexicographically smallest
 ``(os, mv)`` that reaches it.  Enumeration refuses search spaces above
@@ -176,9 +182,11 @@ def enumerate_front(inst: ProblemInstance) -> FrontResult:
     """Exact non-dominated front over the whole chromosome space.
 
     Visits the chromosomes ``head`` by ``head`` as set out in the module
-    docstring, decoding every one.  A schedule already met under the same
-    ``head`` is not priced or offered again: its first visit came earlier
-    in ``(os, mv)`` order and reached the same point.  Deterministic:
+    docstring, decoding every one; the permutations and the positions
+    their decodes resume at are worked out once, into a table every
+    ``head`` reads.  A schedule already met under the same ``head`` is
+    not priced or offered again: its first visit came earlier in
+    ``(os, mv)`` order and reached the same point.  Deterministic:
     every surviving objective point keeps the lexicographically smallest
     ``(os, mv)`` that reaches it as its witness.  Raises
     SearchSpaceError, before any enumeration, when the space exceeds
@@ -192,21 +200,24 @@ def enumerate_front(inst: ProblemInstance) -> FrontResult:
     base = Checkpoints(inst, Chromosome(tuple(jobs), tuple(1 for _ in jobs)))
     tails = list(product(*widths[-1:]))  # (c,) per column of the last operation
 
+    # (order, the os position its first decode resumes at, last), once per
+    # call; ``last`` is the os position of the last canonical operation:
+    # its job's last entry
+    orders: list[tuple[tuple[int, ...], int, int]] = []
+    prev = None
+    for os_perm in _distinct_permutations(jobs):
+        last = len(os_perm) - 1 - os_perm[::-1].index(jobs[-1]) if jobs else 0
+        k = 0
+        if prev is not None:
+            while os_perm[k] == prev[k]:
+                k += 1
+        orders.append((os_perm, min(k, last), last))
+        prev = os_perm
+
     front: list[tuple[int, float, Chromosome]] = []
     for head in product(*widths[:-1]):
         seen: set[frozenset[ScheduledRow]] = set()
-        prev = None
-        for os_perm in _distinct_permutations(jobs):
-            # os position of the last canonical operation: its job's last entry
-            last = len(os_perm) - 1 - os_perm[::-1].index(jobs[-1]) if jobs else 0
-            if prev is None:
-                first = 0
-            else:
-                k = 0
-                while os_perm[k] == prev[k]:
-                    k += 1
-                first = min(k, last)
-            prev = os_perm
+        for os_perm, first, last in orders:
             for tail in tails:
                 chrom = Chromosome(os_perm, head + tail)
                 sched = decode(inst, chrom, base=base, first=first)

@@ -23,7 +23,6 @@ from efjsp.benchmark import extend_instance, random_base
 from efjsp.encoding import (
     Checkpoints,
     Chromosome,
-    _copy,
     _empty_state,
     _place,
     build_message_matrix,
@@ -262,9 +261,10 @@ def test_bisected_scan_places_like_the_linear_scan(problem):
     # resuming from every checkpoint finishes the same placement
     base = Checkpoints(inst, chrom)
     assert base.timelines == want
-    for c, saved in enumerate(base.saved):
+    for c, (segs, next_op, job_ready, _) in enumerate(base.saved):
         lo = c * base.every
-        assert _place(inst, chrom, None, _copy(saved), lo) == want
+        state = [seq.copy() for seq in segs], next_op.copy(), job_ready.copy()
+        assert _place(inst, chrom, None, state, lo) == want
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

@@ -210,6 +210,60 @@ def test_enumerate_front_places_only_what_each_chromosome_changes(inst):
     assert placed == [93_318]
 
 
+def test_enumerate_front_walks_the_operation_orders_once_per_call(inst, monkeypatch):
+    calls = []
+
+    def spied(items):
+        calls.append(list(items))
+        return _distinct_permutations(items)
+
+    monkeypatch.setattr("efjsp.oracle._distinct_permutations", spied)
+    enumerate_front(inst)
+    assert calls == [[1, 1, 2, 2, 2, 2]]
+
+
+def _resume_positions_per_head(inst):
+    """(os, mv, first) of every decode, the resume position worked out
+    afresh at every column vector of all operations but the last: 0 for
+    its first order, then the smaller of the first difference from the
+    order before and the last canonical operation's os position, and that
+    position for every later column of the last operation."""
+    widths = [range(1, len(op.options) + 1) for job in inst.jobs for op in job.operations]
+    jobs = [job.id for job in inst.jobs for _ in job.operations]
+    orders = sorted(set(itertools.permutations(jobs)))
+    want = []
+    for head in itertools.product(*widths[:-1]):
+        prev = None
+        for order in orders:
+            last = max(i for i, job in enumerate(order) if job == jobs[-1])
+            if prev is None:
+                first = 0
+            else:
+                first = min(next(i for i, (a, b) in enumerate(zip(order, prev)) if a != b), last)
+            prev = order
+            for col in widths[-1]:
+                want.append((order, head + (col,), first))
+                first = last
+    return want
+
+
+@pytest.mark.parametrize("name", list(PINNED))
+def test_enumerate_front_resumes_each_decode_where_a_per_head_walk_would(name, monkeypatch):
+    # on the sample's two jobs the first difference never lies past the
+    # last canonical operation; on the three-job instances it does
+    inst = PINNED[name]()
+    got = []
+
+    def spied(inst, chrom, *, base=None, first=0):
+        got.append((chrom.os, chrom.mv, first))
+        return decode(inst, chrom, base=base, first=first)
+
+    monkeypatch.setattr("efjsp.oracle.decode", spied)
+    enumerate_front(inst)
+    assert len(got) == search_space_size(inst)
+    assert got == _resume_positions_per_head(inst)
+
+
 def test_front_is_mutually_nondominated(inst):
     from efjsp.optimizer import dominates
 
