@@ -44,6 +44,14 @@ for r in stretches:
     assert r["gear"] == (min(a["gear"], b["gear"]) if r["kind"] == "idle" else 0), (r, a, b)
 EOF
 
+# a result is at schema_version 3 and each archived solution holds its objectives and
+# chromosome only; a copy set back to version 2 is refused by metrics and gantt
+python -c "import json; d = json.load(open('result.yaml')); assert d['schema_version'] == 3, d['schema_version']; assert all(set(e) == {'cmax', 'tec', 'os', 'mv'} for e in d['archive']), d['archive']"
+python -c "import json; d = json.load(open('result.yaml')); d['schema_version'] = 2; json.dump(d, open('v2-result.yaml', 'w'))"
+expect_refusal 1 '^error:.*v2-result\.yaml.*schema_version' efjsp metrics v2-result.yaml
+expect_refusal 1 '^error:.*v2-result\.yaml.*schema_version' efjsp gantt v2-result.yaml --out v2-chart
+test ! -e v2-chart.yaml
+
 # the instance written as block YAML solves to the same archive as the JSON instance
 python -c "import yaml; yaml.safe_dump(yaml.safe_load(open('base.yaml')), open('block.yaml', 'w'), sort_keys=False)"
 efjsp solve block.yaml --pop 6 --iters 1 --seed 1 --out block-result.yaml

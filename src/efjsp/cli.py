@@ -8,10 +8,11 @@ Subcommands:
 * ``gantt`` renders one archived solution as a data document plus SVG.
 
 A result keeps only what cannot be derived: each archived solution's
-chromosome, objectives and energy parts, and the path of its instance
-relative to the result's directory.  ``gantt`` reads that instance back,
-checks it against the stored hash, and draws the rows that decoding the
-chromosome gives.
+chromosome and objectives, and the path of its instance relative to the
+result's directory.  ``gantt`` is the one command that decodes and prices
+a stored chromosome: it reads that instance back, checks it against the
+stored hash, and draws the rows that decoding the chromosome gives.  A
+solution's energy parts are ``total_energy(inst, decode(inst, chrom))``.
 
 Every file is read and written through ``efjsp.documents``: two runs with
 the same seed and flags write byte-identical output apart from the
@@ -56,14 +57,14 @@ from .model import ProblemInstance
 from .optimizer import AlgorithmConfig, IterationStats, run
 from .pareto import nondominated
 
-RESULT_SCHEMA = 2
+RESULT_SCHEMA = 3
 REPORT_SCHEMA = 1  # metrics and gantt documents
 # The keys a result and each of its archived solutions may hold: what solve writes
 RESULT_KEYS = frozenset(
     ("schema_version", "kind", "instance", "instance_sha256", "config", "wall_time_s",
      "iterations", "archive")
 )
-SOLUTION_KEYS = frozenset(("cmax", "tec", "os", "mv", "energy"))
+SOLUTION_KEYS = frozenset(("cmax", "tec", "os", "mv"))
 MAX_REPLICAS = 1_000
 HV_REFERENCE = (1.1, 1.1)
 _SETTING_READERS = {int: integer, bool: boolean}  # by a setting's default type
@@ -267,25 +268,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
     wall = time.perf_counter() - started
 
     entries = sorted(result.archive.entries, key=lambda e: (e.cmax, e.tec))
-    archive_docs = []
-    for entry in entries:
-        breakdown = total_energy(inst, decode(inst, entry.chromosome))
-        archive_docs.append(
-            {
-                "cmax": entry.cmax,
-                "tec": entry.tec,
-                "os": list(entry.chromosome.os),
-                "mv": list(entry.chromosome.mv),
-                "energy": {
-                    "turn_on": breakdown.turn_on,
-                    "transition": breakdown.transition,
-                    "setup": breakdown.setup,
-                    "process": breakdown.process,
-                    "interval": breakdown.interval,
-                    "tec": breakdown.tec,
-                },
-            }
-        )
     doc = {
         "schema_version": RESULT_SCHEMA,
         "kind": "result",
@@ -305,7 +287,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
             }
             for s in result.trace
         ],
-        "archive": archive_docs,
+        "archive": [
+            {"cmax": e.cmax, "tec": e.tec, "os": list(e.chromosome.os), "mv": list(e.chromosome.mv)}
+            for e in entries
+        ],
     }
     Path(args.out).write_text(dump_document(doc))
     best = entries[0] if entries else None

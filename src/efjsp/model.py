@@ -187,7 +187,7 @@ def machine_timelines(
             if start < prev_end:
                 raise ValueError(f"rows overlap on machine {m} at time {start}")
             prev_end = end
-            if setup and (setup[1:] != (start, job) if is_process else setup != (start, end, job)):
+            if setup and (not is_process or setup[1:] != (start, job)):
                 break  # the setup row is not directly ahead of a process row of its job
             if not is_process:
                 setup = (start, end, job)
@@ -430,14 +430,14 @@ def validate_schedule(inst: ProblemInstance, sched: tuple[ScheduledRow, ...]) ->
     """Check a schedule against its instance.
 
     Verifies coverage (every operation exactly once, on a legal machine
-    and gear, with the option's duration), per-machine non-overlap of all
-    rows, job precedence, and setup discipline: the first operation of
-    every job block on a machine must be immediately preceded by a setup
-    row of the job's setup time, and every setup row must be followed at
-    its end by a process row of its job.  Each machine's rows are sorted
-    once by (start, end) and walked once for both machine checks.
-    Unknown ids are reported as structural errors rather than
-    feasibility violations.
+    and gear, with the option's duration, and every row listed once),
+    per-machine non-overlap of all rows, job precedence, and setup
+    discipline: the first operation of every job block on a machine must
+    be immediately preceded by a setup row of the job's setup time, and
+    every setup row must be followed at its end by a process row of its
+    job.  Each machine's rows are sorted once by (start, end) and walked
+    once for both machine checks.  Unknown ids are reported as structural
+    errors rather than feasibility violations.
     """
     report = ValidationReport()
     rows = []
@@ -507,6 +507,11 @@ def validate_schedule(inst: ProblemInstance, sched: tuple[ScheduledRow, ...]) ->
                 report.violations.append(
                     f"operation ({job.id},{k}) is scheduled {n} times"
                 )
+    setups: dict[ScheduledRow, int] = {}
+    for row in rows:
+        if row.is_setup:
+            setups[row] = setups.get(row, 0) + 1
+    report.violations += [f"setup row {row} is listed {n} times" for row, n in setups.items() if n > 1]
 
     by_machine: dict[int, list[ScheduledRow]] = {}
     for row in rows:

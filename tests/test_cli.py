@@ -201,20 +201,24 @@ def test_solve_writes_result_document(tmp_path, instance_file):
     assert _solve(instance_file, out) == 0
     doc = load_document(out.read_text())
     assert doc["kind"] == "result"
-    assert doc["schema_version"] == 2
+    assert doc["schema_version"] == 3
     assert doc["instance"] == "tiny.yaml"  # relative to the result's directory
     assert doc["config"]["population"] == 8
     assert len(doc["iterations"]) == 4
     assert doc["archive"]
-    entry = doc["archive"][0]
-    assert set(entry) == {"cmax", "tec", "os", "mv", "energy"}
-    parts = entry["energy"]
-    assert set(parts) == {"turn_on", "transition", "setup", "process", "interval", "tec"}
-    total = (
-        parts["turn_on"] + parts["transition"] + parts["setup"]
-        + parts["process"] + parts["interval"]
-    )
-    assert abs(total - parts["tec"]) < 1e-9
+    for entry in doc["archive"]:
+        assert set(entry) == {"cmax", "tec", "os", "mv"}
+
+
+def test_solve_neither_decodes_nor_prices_its_archive(tmp_path, instance_file, monkeypatch):
+    # each archived solution's objectives come from the run; gantt alone
+    # turns a stored chromosome into a schedule and prices it
+    def refuse(*args):
+        raise AssertionError("solve decoded or priced an archived solution")
+
+    monkeypatch.setattr(efjsp.cli, "decode", refuse)
+    monkeypatch.setattr(efjsp.cli, "total_energy", refuse)
+    assert _solve(instance_file, tmp_path / "result.yaml") == 0
 
 
 def test_load_document_matches_pure_python_loader(tmp_path, instance_file):
@@ -766,7 +770,7 @@ def test_a_deeply_nested_document_is_a_one_line_error(tmp_path, instance_file):
         assert "nested too deeply" in lines[0] and str(deep) in lines[0]
 
 
-_RESULT_HEAD = "schema_version: 2\nkind: result\n"
+_RESULT_HEAD = "schema_version: 3\nkind: result\n"
 
 
 @pytest.mark.parametrize(
@@ -815,21 +819,22 @@ def _assert_result_version_refused(tmp_path, instance_file, capsys, command, ver
     result = tmp_path / "result.yaml"
     assert _solve(instance_file, result) == 0
     doc = load_document(result.read_text())
-    assert doc["schema_version"] == 2
+    assert doc["schema_version"] == 3
     doc["schema_version"] = load_document(version)
     result.write_text(dump_document(doc))
     capsys.readouterr()
     prefix = tmp_path / "chart"
     extra = ["--out", str(prefix)] if command == "gantt" else []
     assert main([command, str(result), *extra]) == 1
-    _assert_one_line_error(capsys, str(result), "unsupported result schema_version, expected 2")
+    _assert_one_line_error(capsys, str(result), "unsupported result schema_version, expected 3")
     assert not list(tmp_path.glob("chart.*"))
 
 
 @pytest.mark.parametrize("command", ["metrics", "gantt"])
-@pytest.mark.parametrize("version", ["2.0", "1"])
-def test_result_schema_version_must_be_the_integer_2(tmp_path, instance_file, capsys, command, version):
-    # version 1 results also stored every schedule row and priced interval
+@pytest.mark.parametrize("version", ["3.0", "2", "1"])
+def test_result_schema_version_must_be_the_integer_3(tmp_path, instance_file, capsys, command, version):
+    # version 2 results also stored each solution's energy parts, and version 1
+    # every schedule row and priced interval
     _assert_result_version_refused(tmp_path, instance_file, capsys, command, version)
 
 
@@ -849,8 +854,10 @@ def test_result_schema_version_must_be_the_integer_1(tmp_path, instance_file, ca
         (lambda d: d["archive"][0].update(tecc=1.0), "archive[0]: unknown solution keys: ['tecc']"),
         (lambda d: d["archive"][0].update(cmaxs=d["archive"][0].pop("cmax")),
          "archive[0]: unknown solution keys: ['cmaxs']"),
+        (lambda d: d["archive"][0].update(energy={"tec": d["archive"][0]["tec"]}),
+         "archive[0]: unknown solution keys: ['energy']"),
     ],
-    ids=["top-level", "archive-entry", "archive-cmax"],
+    ids=["top-level", "archive-entry", "archive-cmax", "archive-energy"],
 )
 def test_result_keys_no_command_reads_are_refused(tmp_path, instance_file, capsys, command, edit, message):
     result = tmp_path / "result.yaml"
@@ -866,14 +873,13 @@ def test_result_keys_no_command_reads_are_refused(tmp_path, instance_file, capsy
 
 
 def test_result_blocks_no_command_reads_hold_any_keys(tmp_path, instance_file):
-    # metrics and gantt read neither the config, the trace nor the energy
-    # parts, so their keys are not checked
+    # metrics and gantt read neither the config nor the trace, so their
+    # keys are not checked
     result = tmp_path / "result.yaml"
     assert _solve(instance_file, result) == 0
     doc = load_document(result.read_text())
     doc["config"]["particles"] = 9
     doc["iterations"][0]["note"] = "x"
-    doc["archive"][0]["energy"]["idle"] = 0.0
     result.write_text(dump_document(doc))
     assert main(["metrics", str(result), "--out", str(tmp_path / "report.yaml")]) == 0
     assert main(["gantt", str(result), "--out", str(tmp_path / "chart")]) == 0

@@ -232,12 +232,21 @@ _EVERY_SETUP_CASE = [
         (_SETUP_BEHIND_A_ZERO_LENGTH_PROCESS, "overlap on machine 1 at time 8"),
         (_TWO_PAIRS_OVER_ONE_SPAN, "ends before it starts"),
         (_EVERY_SETUP_CASE, "serves no process"),
+        (
+            [
+                ScheduledRow(1, 0, 1, 0, 0, 0),
+                ScheduledRow(1, 0, 1, 0, 0, 0),
+                ScheduledRow(1, 1, 1, 3, 0, 6),
+            ],
+            "serves no process",
+        ),
     ],
     ids=[
         "ends-before-it-starts", "unknown-job", "unknown-operation", "unknown-gear",
         "operation-named-twice", "overlapping-rows", "dangling-setup", "another-jobs-setup",
         "setup-ends-before-its-process", "setup-ahead-of-a-setup",
         "setup-behind-a-zero-length-process", "two-pairs-over-one-span", "every-setup-case",
+        "repeated-zero-length-setup",
     ],
 )
 def test_rows_that_are_no_schedule_are_refused(inst, rows, message):
@@ -255,8 +264,7 @@ def _merges(inst, rows) -> bool:
     tested here row by row and pair by pair: ids and gears the instance
     has, no row that ends before it starts, no operation named twice, no
     two rows that overlap on a machine, and every setup directly ahead of
-    a process row of its job that starts where the setup ends, or of an
-    equal setup (zero-length ones may repeat)."""
+    a process row of its job that starts where the setup ends."""
     ops = [(r.job, r.op_index) for r in rows if not r.is_setup]
     if len(set(ops)) < len(ops):
         return False
@@ -276,8 +284,8 @@ def _merges(inst, rows) -> bool:
                 return False
             if row.is_setup and not (
                 behind is not None
+                and not behind.is_setup
                 and (behind.job, behind.start) == (row.job, row.end)
-                and (not behind.is_setup or (behind.start, behind.end) == (row.start, row.end))
             ):
                 return False
     return True

@@ -91,7 +91,7 @@ def _misspelt(key: str) -> str:
 def _checked(kind, path) -> bool:
     """Whether a reader checks the key at ``path``: every key of an instance
     and of a config; of a result, its own keys and each archived solution's,
-    but not those of its config, trace or energy parts, which no command reads."""
+    but not those of its config or trace, which no command reads."""
     if kind in ("instance", "config"):
         return True
     return len(path) == 1 or (path[0] == "archive" and len(path) == 3)
