@@ -357,10 +357,10 @@ def evaluate(
         segs, next_op, job_ready, _ = base.saved[c]
         state = [seq.copy() for seq in segs], next_op.copy(), job_ready.copy()
         timelines = _place(inst, chrom, None, state, c * base.every)
-    cmax, ie1, ie2, se1, se2, ise = account(inst, timelines)
-    if cmax < 0:
+    totals = account(inst, timelines)
+    if totals[0] < 0:
         raise ValueError("schedule has no process rows")
-    return cmax, ie1 + ie2 + se1 + se2 + ise
+    return totals[:2]
 
 
 class Checkpoints:

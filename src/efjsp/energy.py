@@ -13,13 +13,14 @@ adjacent gears (paying idle power plus one speed switch) or drops to
 standby (paying standby power plus a switch down to speed 0 and back up).
 The cheaper choice is taken, ties going to waiting idle.
 
-All five parts come from one walk over per-machine timelines, one
-segment per operation with its setup in it (``account``).
-``encoding.evaluate`` runs it on the decoder's own timelines to price a
-chromosome; ``total_energy`` runs it on a schedule's rows, merged into
-timelines (``model.machine_timelines``), and also keeps the makespan and
-every stretch's ``IntervalDecision``, so the breakdown and the objectives
-are the same sums.  The walk tests continuity and prices a stretch in
+All five parts, and their total ``tec``, come from one walk over
+per-machine timelines, one segment per operation with its setup in it
+(``account``).  ``encoding.evaluate`` runs it on the decoder's own
+timelines to price a chromosome; ``total_energy`` runs it on a
+schedule's rows, merged into timelines (``model.machine_timelines``),
+and also keeps the makespan and every stretch's ``IntervalDecision``, so
+the breakdown and the objectives are the same sums, and ``tec`` is added
+up in one place.  The walk tests continuity and prices a stretch in
 line, with each machine's tables read once, so the stretch formula
 exists once.
 """
@@ -69,12 +70,14 @@ def account(
     inst: ProblemInstance,
     timelines: list[list[Segment]],
     decisions: list[IntervalDecision] | None = None,
-) -> tuple[int, float, float, float, float, float]:
-    """Makespan and the five energy parts, in one walk over the timelines.
+) -> tuple[int, float, float, float, float, float, float]:
+    """Makespan, total energy and the five energy parts, in one walk over
+    the timelines.
 
-    Returns ``(cmax, turn_on, transition, setup, process, interval)``;
-    ``cmax`` is -1 when no machine processes anything.  Each part is
-    summed machine by machine and, on a machine, in time order.  When
+    Returns ``(cmax, tec, turn_on, transition, setup, process,
+    interval)``; ``cmax`` is -1 when no machine processes anything.  Each
+    part is summed machine by machine and, on a machine, in time order,
+    and ``tec`` is the five parts added in that order.  When
     ``decisions`` is a list, one ``IntervalDecision`` is appended to it
     for each priced stretch, in the same order.
 
@@ -132,19 +135,19 @@ def account(
                         MODE_IDLE if idle else MODE_STANDBY, cost,
                     ))
             prev_end, prev_speed = end, speed
-    return cmax, ie1, ie2, se1, se2, ise
+    return cmax, ie1 + ie2 + se1 + se2 + ise, ie1, ie2, se1, se2, ise
 
 
 def total_energy(inst: ProblemInstance, sched: tuple[ScheduledRow, ...]) -> EnergyBreakdown:
     """Full energy breakdown of a schedule, with its makespan.
 
-    ``(cmax, tec)`` are ``encoding.evaluate``'s objectives: ``tec`` is the
-    exact sum of the five components, added in the same order.  An empty
+    ``(cmax, tec)`` are ``encoding.evaluate``'s objectives, the first two
+    values of the same ``account`` walk.  An empty
     schedule yields an all-zero breakdown.  Rows that are no schedule raise
     ValueError (``model.machine_timelines``).
     """
     decisions: list[IntervalDecision] = []
-    cmax, ie1, ie2, se1, se2, ise = account(inst, machine_timelines(inst, sched), decisions)
+    cmax, tec, ie1, ie2, se1, se2, ise = account(inst, machine_timelines(inst, sched), decisions)
     return EnergyBreakdown(
         cmax=max(cmax, 0),
         turn_on=ie1,
@@ -152,7 +155,7 @@ def total_energy(inst: ProblemInstance, sched: tuple[ScheduledRow, ...]) -> Ener
         setup=se1,
         process=se2,
         interval=ise,
-        tec=ie1 + ie2 + se1 + se2 + ise,
+        tec=tec,
         interval_decisions=tuple(decisions),
     )
 

@@ -267,9 +267,12 @@ def validate_instance(inst: ProblemInstance) -> ValidationReport:
     Structural rules (contiguous ids, gear ranges, positive durations,
     power vector shapes, finite powers and energies, zero switch
     diagonal, a horizon of at most ``MAX_HORIZON``) land in
-    ``violations``, one per non-finite value.  An instance that passes
-    them all must also have a finite energy bound (``_energy_bound``
-    over the horizon), so that no schedule's total energy overflows.
+    ``violations``, one per non-finite value.  The horizon, each
+    operation's longest option plus its job's setup time, is summed in
+    the one walk over the options that checks them.  An instance that
+    passes them all must also have a finite energy bound
+    (``_energy_bound`` over the horizon), so that no schedule's total
+    energy overflows.
     Economically odd but legal data (standby power above the cheapest
     idle power) only produces a warning.
     """
@@ -281,6 +284,7 @@ def validate_instance(inst: ProblemInstance) -> ValidationReport:
     if inst.total_operations == 0:
         report.violations.append("instance has no operations")
 
+    horizon = 0
     for pos, job in enumerate(inst.jobs, start=1):
         if job.id != pos:
             report.violations.append(
@@ -293,7 +297,9 @@ def validate_instance(inst: ProblemInstance) -> ValidationReport:
             if not op.options:
                 report.violations.append(f"{label}: unprocessable, no options")
             seen: set[tuple[int, int]] = set()
+            longest = op.options[0].duration if op.options else 0
             for opt in op.options:
+                longest = max(longest, opt.duration)
                 if not 1 <= opt.machine <= len(inst.machines):
                     report.violations.append(f"{label}: unknown machine {opt.machine}")
                 if not 1 <= opt.speed <= s:
@@ -304,12 +310,8 @@ def validate_instance(inst: ProblemInstance) -> ValidationReport:
                 if key in seen:
                     report.violations.append(f"{label}: duplicate option {key}")
                 seen.add(key)
+            horizon += longest + job.setup_time
 
-    horizon = sum(
-        max((opt.duration for opt in op.options), default=0) + job.setup_time
-        for job in inst.jobs
-        for op in job.operations
-    )
     if horizon > MAX_HORIZON:
         report.violations.append(
             "horizon (each operation's longest option plus its job's setup, summed) "
@@ -435,12 +437,15 @@ def validate_schedule(inst: ProblemInstance, sched: tuple[ScheduledRow, ...]) ->
     discipline: the first operation of every job block on a machine must
     be immediately preceded by a setup row of the job's setup time, and
     every setup row must be followed at its end by a process row of its
-    job.  Each machine's rows are sorted once by (start, end) and walked
-    once for both machine checks.  Unknown ids are reported as structural
-    errors rather than feasibility violations.
+    job.  Every row is read once, in one walk that checks it and tallies
+    it for the later checks; then each machine's rows are sorted once by
+    (start, end) and walked once for both machine checks.  Unknown ids
+    are reported as structural errors rather than feasibility violations.
     """
     report = ValidationReport()
-    rows = []
+    ops: dict[tuple[int, int], list[ScheduledRow]] = {}  # process rows per operation
+    setups: dict[ScheduledRow, int] = {}
+    by_machine: dict[int, list[ScheduledRow]] = {}
     for i, row in enumerate(sched):
         if not 1 <= row.job <= len(inst.jobs):
             report.errors.append(f"row {i}: unknown job id {row.job}")
@@ -448,57 +453,45 @@ def validate_schedule(inst: ProblemInstance, sched: tuple[ScheduledRow, ...]) ->
         if not 1 <= row.machine <= len(inst.machines):
             report.errors.append(f"row {i}: unknown machine id {row.machine}")
             continue
-        if not 0 <= row.op_index <= len(inst.job(row.job).operations):
-            report.errors.append(
-                f"row {i}: job {row.job} has no operation {row.op_index}"
-            )
+        job = inst.jobs[row.job - 1]
+        if not 0 <= row.op_index <= len(job.operations):
+            report.errors.append(f"row {i}: job {row.job} has no operation {row.op_index}")
             continue
-        rows.append(row)
-
-    for row in rows:
+        by_machine.setdefault(row.machine, []).append(row)
         if row.start > row.end:
             report.violations.append(f"row {row} ends before it starts")
         if row.start < 0:
             report.violations.append(f"row {row} starts before time zero")
         if row.is_setup:
-            su = inst.job(row.job).setup_time
-            if row.duration != su:
+            setups[row] = setups.get(row, 0) + 1
+            if row.duration != job.setup_time:
                 report.violations.append(
                     f"setup row for job {row.job} on machine {row.machine} has "
-                    f"length {row.duration}, setup time is {su}"
+                    f"length {row.duration}, setup time is {job.setup_time}"
                 )
             if row.speed != 0:
                 report.violations.append(
                     f"setup row for job {row.job} carries a nonzero gear"
                 )
+            continue
+        ops.setdefault((row.job, row.op_index), []).append(row)
+        for o in job.operations[row.op_index - 1].options:
+            if o.machine == row.machine and o.speed == row.speed:
+                if row.duration != o.duration:
+                    report.violations.append(
+                        f"operation ({row.job},{row.op_index}) lasts {row.duration}, "
+                        f"expected {o.duration}"
+                    )
+                break
         else:
-            op = inst.operation(row.job, row.op_index)
-            match = next(
-                (
-                    o
-                    for o in op.options
-                    if o.machine == row.machine and o.speed == row.speed
-                ),
-                None,
+            report.violations.append(
+                f"operation ({row.job},{row.op_index}) cannot run on machine "
+                f"{row.machine} at gear {row.speed}"
             )
-            if match is None:
-                report.violations.append(
-                    f"operation ({row.job},{row.op_index}) cannot run on machine "
-                    f"{row.machine} at gear {row.speed}"
-                )
-            elif row.duration != match.duration:
-                report.violations.append(
-                    f"operation ({row.job},{row.op_index}) lasts {row.duration}, "
-                    f"expected {match.duration}"
-                )
 
-    counts: dict[tuple[int, int], int] = {}
-    for row in rows:
-        if not row.is_setup:
-            counts[(row.job, row.op_index)] = counts.get((row.job, row.op_index), 0) + 1
     for job in inst.jobs:
         for k in range(1, len(job.operations) + 1):
-            n = counts.get((job.id, k), 0)
+            n = len(ops.get((job.id, k), ()))
             if n == 0:
                 report.violations.append(
                     f"operation ({job.id},{k}) is missing from the schedule"
@@ -507,15 +500,8 @@ def validate_schedule(inst: ProblemInstance, sched: tuple[ScheduledRow, ...]) ->
                 report.violations.append(
                     f"operation ({job.id},{k}) is scheduled {n} times"
                 )
-    setups: dict[ScheduledRow, int] = {}
-    for row in rows:
-        if row.is_setup:
-            setups[row] = setups.get(row, 0) + 1
     report.violations += [f"setup row {row} is listed {n} times" for row, n in setups.items() if n > 1]
 
-    by_machine: dict[int, list[ScheduledRow]] = {}
-    for row in rows:
-        by_machine.setdefault(row.machine, []).append(row)
     discipline: list[str] = []
     for mach in inst.machines:
         # a stable sort: rows that share a (start, end) span keep schedule order
@@ -543,17 +529,15 @@ def validate_schedule(inst: ProblemInstance, sched: tuple[ScheduledRow, ...]) ->
                     )
         discipline += missing + dangling
 
-    by_job: dict[tuple[int, int], ScheduledRow] = {
-        (r.job, r.op_index): r for r in rows if not r.is_setup
-    }
     for job in inst.jobs:
         for k in range(1, len(job.operations)):
-            a = by_job.get((job.id, k))
-            b = by_job.get((job.id, k + 1))
-            if a is not None and b is not None and b.start < a.end:
+            a = ops.get((job.id, k))
+            b = ops.get((job.id, k + 1))
+            # each operation's last process row, as the schedule lists them
+            if a and b and b[-1].start < a[-1].end:
                 report.violations.append(
-                    f"job {job.id}: operation {k + 1} starts at {b.start} before "
-                    f"operation {k} completes at {a.end}"
+                    f"job {job.id}: operation {k + 1} starts at {b[-1].start} before "
+                    f"operation {k} completes at {a[-1].end}"
                 )
 
     report.violations += discipline

@@ -19,8 +19,8 @@ from efjsp.benchmark import (
     read_instance,
     write_instance,
 )
-from efjsp.encoding import decode, evaluate, random_chromosome
-from efjsp.energy import MODE_IDLE, MODE_STANDBY, IntervalDecision, total_energy
+from efjsp.encoding import Checkpoints, decode, evaluate, random_chromosome
+from efjsp.energy import MODE_IDLE, MODE_STANDBY, IntervalDecision, account, total_energy
 from efjsp.local_search import critical_path
 from efjsp.model import (
     ScheduledRow,
@@ -391,6 +391,21 @@ def test_total_energy_breakdown(inst, sched):
     assert bd.interval == 53.0
     assert bd.tec == 868.0
     assert bd.tec == bd.turn_on + bd.transition + bd.setup + bd.process + bd.interval
+
+
+@pytest.mark.parametrize("name", ["sample", "generated"])
+def test_account_returns_tec_as_its_five_parts_summed_in_order(name):
+    # the one sum that evaluate and total_energy both report, to the last bit
+    if name == "sample":
+        inst = sample_instance()
+    else:
+        inst = extend_instance(random_base(6, 4, seed=11), seed=11)
+    rng = random.Random(11)
+    for _ in range(20):
+        chrom = random_chromosome(inst, rng)
+        cmax, tec, ie1, ie2, se1, se2, ise = account(inst, Checkpoints(inst, chrom).timelines)
+        assert repr(tec) == repr(ie1 + ie2 + se1 + se2 + ise)
+        assert repr((cmax, tec)) == repr(evaluate(inst, chrom))
 
 
 @pytest.mark.parametrize("machine", [0, 3])

@@ -351,7 +351,144 @@ def test_validate_schedule_reproduces_recorded_reports():
         assert any(fragment in m for m in messages), fragment
 
 
+# Reports of `validate_instance` on seeded perturbations (one to three
+# edits each) of the same instances, recorded before its horizon was
+# summed in its walk over the options.  Re-record with the schedule pins.
+VALIDATE_INSTANCE_PINS = Path(__file__).parent / "data" / "validate_instance_pins.json"
+INSTANCE_CASES_PER_INSTANCE = 80
+_MACHINE_NUMBERS = ("setup_power", "process_power", "idle_power", "standby_power", "switch", "turn_on")
+
+
+def _replaced(items: tuple, i: int, value) -> tuple:
+    return items[:i] + (value,) + items[i + 1 :]
+
+
+def _set_number(mach: Machine, rng: random.Random, value, names=_MACHINE_NUMBERS) -> Machine:
+    """``mach`` with one random entry of one of its ``names`` tables at ``value``."""
+    name = rng.choice(names)
+    old = getattr(mach, name)
+    if name == "switch":
+        a = rng.randrange(len(old))
+        new = _replaced(old, a, _replaced(old[a], rng.randrange(len(old[a])), value))
+    elif isinstance(old, tuple):
+        new = _replaced(old, rng.randrange(len(old)), value)
+    else:
+        new = value
+    return dataclasses.replace(mach, **{name: new})
+
+
+def _perturb_instance(inst: ProblemInstance, rng: random.Random) -> ProblemInstance:
+    """``inst`` with one random edit."""
+    kind = rng.choice((
+        "setup", "job id", "machine id", "no options", "unknown machine", "gear", "duration",
+        "duplicate", "horizon", "vector", "non-finite", "huge", "negative power", "standby",
+        "switch shape", "diagonal", "negative energy", "overflow",
+    ))
+    j = rng.randrange(len(inst.jobs))
+    job = inst.jobs[j]
+    if kind in ("setup", "job id"):
+        job = dataclasses.replace(job, **(
+            {"setup_time": -rng.randint(1, 3)} if kind == "setup"
+            else {"id": rng.choice((0, j, j + 2, len(inst.jobs) + 1))}
+        ))
+        return dataclasses.replace(inst, jobs=_replaced(inst.jobs, j, job))
+    if kind in ("no options", "unknown machine", "gear", "duration", "duplicate", "horizon"):
+        k = rng.randrange(len(job.operations))
+        options = job.operations[k].options
+        if kind == "no options":
+            options = ()
+        elif options:
+            x = rng.randrange(len(options))
+            opt = options[x]
+            if kind == "duplicate":
+                options += (dataclasses.replace(opt, duration=opt.duration + 1),)
+            else:
+                change = {
+                    "unknown machine": {"machine": rng.choice((0, len(inst.machines) + 1))},
+                    "gear": {"speed": rng.choice((0, inst.speed_count + 1))},
+                    "duration": {"duration": rng.choice((0, -1, -7))},
+                    "horizon": {"duration": 2**53},
+                }[kind]
+                options = _replaced(options, x, dataclasses.replace(opt, **change))
+        job = dataclasses.replace(
+            job, operations=_replaced(job.operations, k, OperationSpec(options))
+        )
+        return dataclasses.replace(inst, jobs=_replaced(inst.jobs, j, job))
+    if kind == "overflow":
+        # every number finite, but some schedule's energy is not
+        return with_process_power(inst, 1e308)
+    m = rng.randrange(len(inst.machines))
+    mach = inst.machines[m]
+    if kind == "machine id":
+        mach = dataclasses.replace(mach, id=rng.choice((0, m, m + 2, len(inst.machines) + 1)))
+    elif kind == "vector":
+        name = rng.choice(("process_power", "idle_power", "turn_on"))
+        old = getattr(mach, name)
+        mach = dataclasses.replace(mach, **{name: old[:-1] if rng.random() < 0.5 else old + (1.0,)})
+    elif kind == "non-finite":
+        mach = _set_number(mach, rng, rng.choice((math.nan, math.inf, -math.inf)))
+    elif kind == "huge":
+        mach = _set_number(mach, rng, 10**400)
+    elif kind == "negative power":
+        mach = _set_number(mach, rng, -rng.choice((0.5, 3.0)), _MACHINE_NUMBERS[:4])
+    elif kind == "standby":
+        mach = dataclasses.replace(mach, standby_power=max(mach.idle_power, default=0.0) + 1.0)
+    elif kind == "switch shape":
+        sw = mach.switch
+        a = rng.randrange(len(sw))
+        mach = dataclasses.replace(mach, switch=rng.choice((
+            sw[:-1], _replaced(sw, a, sw[a][:-1]), _replaced(sw, a, sw[a] + (0.0,)),
+        )))
+    elif kind == "diagonal":
+        a = rng.randrange(min(len(mach.switch), min(map(len, mach.switch))))
+        row = mach.switch[a]
+        mach = dataclasses.replace(mach, switch=_replaced(mach.switch, a, _replaced(row, a, 1.0)))
+    else:
+        mach = _set_number(mach, rng, -rng.choice((0.5, 3.0)), _MACHINE_NUMBERS[4:])
+    return dataclasses.replace(inst, machines=_replaced(inst.machines, m, mach))
+
+
+def instance_validation_record(inst: ProblemInstance, seed: int) -> list[list[str]]:
+    """The report on one seeded perturbation of an instance."""
+    rng = random.Random(seed)
+    for _ in range(rng.randint(1, 3)):
+        inst = _perturb_instance(inst, rng)
+    report = validate_instance(inst)
+    return [report.errors, report.violations, report.warnings]
+
+
+def instance_validation_records() -> list[list[list[str]]]:
+    return [
+        instance_validation_record(inst, 1000 * k + i)
+        for k, inst in enumerate(_pin_instances())
+        for i in range(INSTANCE_CASES_PER_INSTANCE)
+    ]
+
+
+def test_validate_instance_reproduces_recorded_reports():
+    pins = json.loads(VALIDATE_INSTANCE_PINS.read_text())
+    got = instance_validation_records()
+    assert len(got) == len(pins)
+    for case, (report, pin) in enumerate(zip(got, pins)):
+        assert report == pin, case
+    messages = [m for report in pins for part in report for m in part]
+    for fragment in (
+        "negative setup time", "job ids must be contiguous", "machine ids must be contiguous",
+        "unprocessable", "unknown machine", "out of range", "non-positive duration",
+        "duplicate option", "power vectors must have", "turn_on vector must have",
+        "non-finite", "too large for a float", "negative setup power", "negative process power",
+        "negative idle power", "negative standby power", "standby power exceeds",
+        "switch table must be", "diagonal must be zero", "negative switch energy",
+        "negative turn-on energy", "horizon", "energy bound",
+    ):
+        assert any(fragment in m for m in messages), fragment
+
+
 if __name__ == "__main__":
-    lines = ",\n".join(json.dumps(r, separators=(",", ":")) for r in validation_records())
-    VALIDATE_PINS.write_text(f"[\n{lines}\n]\n")
-    print(VALIDATE_PINS)
+    for path, records in (
+        (VALIDATE_PINS, validation_records()),
+        (VALIDATE_INSTANCE_PINS, instance_validation_records()),
+    ):
+        lines = ",\n".join(json.dumps(r, separators=(",", ":")) for r in records)
+        path.write_text(f"[\n{lines}\n]\n")
+        print(path)
